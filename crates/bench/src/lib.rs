@@ -79,8 +79,14 @@ pub fn shape_claims(report: &Report) -> String {
     );
 
     // 3. §V-A: asynchronous execution helps on Road. The paper's 3.5×
-    // comes from eliding 32-way barrier synchronization; at one core the
-    // barriers are nearly free, so the reproduction target is parity.
+    // comes from eliding 32-way barrier synchronization, so the timing
+    // form of the claim is only as strong as the host's barriers are
+    // expensive: on a 2-core host a spin-then-park barrier costs under a
+    // microsecond, a few hundred level barriers are cheaper than the
+    // asynchronous worklist's per-vertex bookkeeping, and this verdict
+    // may read FAIL. The mechanism itself — the asynchronous traversal
+    // launches ≥10× fewer regions — is asserted on every host by
+    // `tests/shape_claims.rs`.
     claim(
         "Asynchronous Galois BFS at least holds parity with GAP on Road",
         report

@@ -6,10 +6,10 @@
 //!
 //! * [`ThreadPool`] + [`ThreadPool::for_each_index`] — bulk-synchronous
 //!   loops with static / dynamic / guided scheduling (the OpenMP-style
-//!   frameworks). The pool is *persistent*: workers spawn once, park on
-//!   an epoch barrier between regions ([`barrier`]), and `Dynamic`/
-//!   `Guided` loops claim chunks from per-worker work-stealing range
-//!   deques ([`deque`]) rather than one shared counter,
+//!   frameworks). The pool is *persistent*: workers spawn once, spin
+//!   then park on an epoch barrier between regions ([`barrier`]), and
+//!   `Dynamic`/`Guided` loops claim chunks from per-worker work-stealing
+//!   range deques ([`deque`]) rather than one shared counter,
 //! * [`SlidingQueue`] / [`QueueBuffer`] — the GAP reference's frontier
 //!   structure with per-thread buffered appends,
 //! * [`ChunkedWorklist`] — Galois-style asynchronous work-stealing worklist

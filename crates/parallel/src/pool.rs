@@ -1,11 +1,15 @@
 //! Persistent fork-join thread pool with OpenMP-style loop scheduling.
 //!
-//! Workers are spawned **once** per pool and park between regions on an
-//! epoch barrier ([`crate::barrier`]); launching a region is a mutex
-//! handshake, not `num_threads` OS thread spawns. BFS/SSSP/PR launch one
-//! region per level, bucket, or sweep, so a trial that used to pay
-//! thousands of spawn/join cycles now pays them exactly once — the
-//! OpenMP persistent-team behaviour the GAP reference kernels assume.
+//! Workers are spawned **once** per pool and wait between regions on a
+//! spin-then-park epoch barrier ([`crate::barrier`]); launching a region
+//! is an atomic store the polling team picks up within a microsecond,
+//! not `num_threads` OS thread spawns and not a futex round trip.
+//! BFS/SSSP/PR launch one region per level, bucket, or sweep, so a trial
+//! that used to pay thousands of spawn/join cycles now pays them exactly
+//! once — the OpenMP persistent-team behaviour the GAP reference kernels
+//! assume. A `Dynamic(chunk)` loop whose whole range fits one chunk does
+//! not involve the team at all: it runs inline on the caller (see
+//! [`ThreadPool::for_each_index_tid`]).
 //!
 //! `Dynamic`/`Guided` scheduling claims chunks from per-worker
 //! work-stealing range deques ([`crate::deque`]) instead of one shared
@@ -97,11 +101,16 @@ pub struct PoolStats {
     /// the spawn inside the first trial's telemetry window).
     pub spawn_events: u64,
     /// Parallel regions launched (`run` / `for_each_index` /
-    /// `reduce_index` calls, including single-threaded inline ones).
+    /// `reduce_index` calls, including the ones that ran inline on the
+    /// caller: every loop of a 1-thread pool, and sub-chunk `Dynamic`
+    /// loops of any pool).
     pub regions: u64,
     /// Ranges stolen between workers by `Dynamic`/`Guided` loops.
     pub steals: u64,
-    /// Times a worker blocked on the region barrier waiting for work.
+    /// Times a worker gave up polling for the next region and blocked
+    /// on the barrier's condvar. Back-to-back regions cost none, so
+    /// `parks / regions` near zero means the poll phase is absorbing the
+    /// gaps between regions; an idle pool parks each worker once.
     pub parks: u64,
 }
 
@@ -123,9 +132,16 @@ impl PoolStats {
 /// A type-erased pointer to a region's `Fn(usize)` body.
 ///
 /// Validity: the leader publishes a `Job` only via `RegionBarrier::release`
-/// and does not return from [`ThreadPool::run`] until every worker has
-/// checked back in through the completion latch, so the borrow behind the
-/// raw pointer strictly outlives every dereference.
+/// and does not return from [`ThreadPool::run`] — normally or by
+/// unwinding — until `RegionBarrier::await_team` has seen every worker
+/// check back in, so the borrow behind the raw pointer strictly outlives
+/// every dereference. That holds however the two sides wait: a worker
+/// dereferences the pointer only between reading it from the gate and
+/// its own `complete`, whether it got there by polling or from the
+/// condvar, and `await_team` returns only after an `Acquire` load has
+/// observed all `workers` of those `complete` increments. A worker
+/// polling for the *next* epoch holds only a stale copy it never
+/// dereferences again (`wait` hands out a job once per epoch).
 #[derive(Clone, Copy)]
 struct Job {
     f: *const (dyn Fn(usize) + Sync),
@@ -136,7 +152,9 @@ impl Job {
         let wide: &(dyn Fn(usize) + Sync) = f;
         // SAFETY: erases the borrow's lifetime from the fat pointer's
         // type only — the leader upholds the real lifetime by joining
-        // the team before `run` returns (see the struct docs).
+        // the team (polling or parked, `await_team` returns only once
+        // every worker has checked in) before `run` returns or unwinds
+        // (see the struct docs).
         let f: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(wide) };
         Job { f }
     }
@@ -175,7 +193,6 @@ struct Core {
     spawn_events: AtomicU64,
     regions: AtomicU64,
     steals: AtomicU64,
-    parks: AtomicU64,
 }
 
 impl Core {
@@ -235,10 +252,11 @@ impl Drop for Inner {
 /// A persistent fork-join thread pool.
 ///
 /// `num_threads - 1` workers are spawned lazily at the pool's first
-/// parallel region — exactly once per pool — and park between regions;
-/// the thread calling [`ThreadPool::run`] participates as thread 0,
-/// OpenMP-master style. Clones share the same worker team, and the team
-/// is joined when the last clone drops.
+/// parallel region — exactly once per pool — and wait between regions,
+/// polling briefly before they park; the thread calling
+/// [`ThreadPool::run`] participates as thread 0, OpenMP-master style.
+/// Clones share the same worker team, and the team is joined when the
+/// last clone drops.
 ///
 /// # Example
 ///
@@ -283,7 +301,6 @@ impl ThreadPool {
             spawn_events: AtomicU64::new(0),
             regions: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
         });
         ThreadPool {
             inner: Arc::new(Inner {
@@ -334,8 +351,19 @@ impl ThreadPool {
             spawn_events: core.spawn_events.load(Ordering::Relaxed),
             regions: core.regions.load(Ordering::Relaxed),
             steals: core.steals.load(Ordering::Relaxed),
-            parks: core.parks.load(Ordering::Relaxed),
+            parks: core.barrier.parks(),
         }
+    }
+
+    /// Whether a loop over `0..n` runs inline on the caller as tid 0:
+    /// always on a 1-thread pool, and on any pool when the whole range
+    /// fits one chunk of a `Dynamic(chunk)` schedule — the call site
+    /// already declared that much work not worth splitting, so a near-
+    /// empty BFS level or SSSP bucket takes no leader lock and wakes
+    /// nobody. Concurrent callers may each be "tid 0" of their own inline
+    /// loop, exactly as concurrent callers of a 1-thread pool are.
+    fn runs_inline(&self, n: usize, schedule: Schedule) -> bool {
+        self.num_threads() == 1 || matches!(schedule, Schedule::Dynamic(chunk) if n <= chunk.max(1))
     }
 
     /// Runs `f(thread_id)` on every pool thread and returns when all of
@@ -397,6 +425,10 @@ impl ThreadPool {
     /// per-worker spill buffers ([`PerWorker`](crate::PerWorker)): the
     /// schedule decides who runs which index, and the body uses `tid` to
     /// reach that worker's private accumulator without write-sharing.
+    ///
+    /// A loop that fits one chunk of its `Dynamic(chunk)` schedule (and
+    /// every loop of a 1-thread pool) runs inline on the caller as tid 0;
+    /// it still counts as a region in [`PoolStats`].
     pub fn for_each_index_tid<F>(&self, n: usize, schedule: Schedule, f: F)
     where
         F: Fn(usize, usize) + Sync,
@@ -405,7 +437,7 @@ impl ThreadPool {
             return;
         }
         let threads = self.num_threads();
-        if threads == 1 {
+        if self.runs_inline(n, schedule) {
             self.ensure_team();
             let region = self.inner.core.note_region();
             traced_body(0, region, || {
@@ -458,7 +490,7 @@ impl ThreadPool {
             return identity;
         }
         let threads = self.num_threads();
-        if threads == 1 {
+        if self.runs_inline(n, schedule) {
             self.ensure_team();
             let region = self.inner.core.note_region();
             let mut acc = Some(identity);
@@ -623,20 +655,19 @@ impl LoopState {
     }
 }
 
-/// Body of one spawned worker: park, run the published job, check in.
+/// Body of one spawned worker: wait (poll, then park), run the published
+/// job, check in.
 fn worker_loop(core: &Core, tid: usize) {
     let mut epoch = 0u64;
     loop {
         let wake = core.barrier.wait(epoch);
-        if wake.parks > 0 {
-            core.parks.fetch_add(wake.parks, Ordering::Relaxed);
-            record(Counter::PoolParks, wake.parks);
-        }
         let Some(job) = wake.job else { return };
         epoch = wake.epoch;
         IN_REGION.with(|c| c.set(true));
-        // SAFETY: the leader keeps the pointee alive until every worker
-        // has called `complete` for this region (see `Job`).
+        // SAFETY: `wait` returned this job for a new epoch, so the leader
+        // is inside `run` for it and keeps the pointee alive until every
+        // worker — this one included — has called `complete` below; the
+        // pointer is not touched after that (see `Job`).
         let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.f)(tid) }));
         IN_REGION.with(|c| c.set(false));
         if result.is_err() {

@@ -437,7 +437,10 @@ impl Engine {
     /// member leads (holds the window, runs MS-BFS over everyone's
     /// sources, publishes per-member depth columns); followers park and
     /// wake with their column. Response fields and fingerprint are
-    /// exactly what the solo path produces for the same query.
+    /// exactly what the solo path produces for the same query. A leader
+    /// nobody joined *takes* the solo path: a width-1 MS-BFS sweeps
+    /// top-down only, which costs a lone query milliseconds over the
+    /// direction-optimising kernel for the same depths.
     fn run_coalesced(&self, query: &Query, bench: &BenchGraph) -> Result<QueryOutcome, ProtoError> {
         let coalescer = self.coalescer.as_ref().expect("checked by coalescible");
         let source = query.source.expect("checked by coalescible");
@@ -445,6 +448,14 @@ impl Engine {
             Joined::Leader(batch) => {
                 std::thread::sleep(coalescer.window());
                 let sources = coalescer.close(query.graph, &batch);
+                if sources.len() == 1 {
+                    // Closed with no follower, so there is nobody to
+                    // publish to; it still counts as a batch of one.
+                    let outcome = run_query_local(&self.registry, query, &self.pool);
+                    self.gate.note_batch(1);
+                    self.metrics.observe_batch_width(1);
+                    return outcome;
+                }
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     gapbs_ref::ms_bfs(&bench.graph, &sources, &self.pool)
                 }));
@@ -850,16 +861,8 @@ fn bfs_outcome(query: &Query, source: NodeId, depths: &[u32]) -> QueryOutcome {
 /// Top-k vertices by score (descending, vertex id breaking ties) as a
 /// JSON array of `{"vertex", "score"}` objects.
 fn top_k(scores: &[f64], k: usize) -> Json {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order.truncate(k);
     Json::Arr(
-        order
+        top_k_vertices(scores, k)
             .into_iter()
             .map(|v| {
                 Json::obj([
@@ -869,6 +872,27 @@ fn top_k(scores: &[f64], k: usize) -> Json {
             })
             .collect(),
     )
+}
+
+/// The first `k` vertices of the total order "score descending, vertex
+/// id ascending": a selection puts them in front in O(V), and only those
+/// `k` are sorted.
+fn top_k_vertices(scores: &[f64], k: usize) -> Vec<usize> {
+    let by_rank = |a: &usize, b: &usize| {
+        scores[*b]
+            .partial_cmp(&scores[*a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(b))
+    };
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    if k < order.len() {
+        if k > 0 {
+            order.select_nth_unstable_by(k - 1, by_rank);
+        }
+        order.truncate(k);
+    }
+    order.sort_unstable_by(by_rank);
+    order
 }
 
 #[cfg(test)]
@@ -1094,6 +1118,29 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_leader_takes_the_solo_path_and_still_counts_as_a_batch() {
+        let registry = Arc::clone(tiny_registry());
+        let pool = ThreadPool::new(2);
+        let engine = Engine::new(
+            Arc::clone(&registry),
+            pool.clone(),
+            EngineConfig::default(),
+            None,
+        );
+        let q = query(r#"{"kernel":"bfs","graph":"kron","source":3,"target":40}"#);
+        let v = Json::parse(&engine.handle(&q)).unwrap();
+        let expected = run_query_local(&registry, &q, &pool).unwrap();
+        assert_eq!(
+            v.get("fingerprint").and_then(Json::as_str),
+            Some(format!("{:016x}", expected.fingerprint).as_str())
+        );
+        assert_eq!(v.get("result"), Some(&expected.result));
+        let snap = engine.gate().snapshot();
+        assert_eq!((snap.batch_queries, snap.batch_width), (1, 1));
+        assert_eq!((snap.admitted, snap.completed), (1, 1));
+    }
+
+    #[test]
     fn traced_query_returns_inline_chrome_events() {
         let registry = Arc::clone(tiny_registry());
         let pool = ThreadPool::new(2);
@@ -1210,5 +1257,19 @@ mod tests {
             .map(|o| o.get("vertex").and_then(Json::as_u64).unwrap())
             .collect();
         assert_eq!(vertices, vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn top_k_selection_equals_the_full_sort() {
+        // Few distinct scores, so ties (broken by vertex id) straddle
+        // every cut-off.
+        let v = 257usize;
+        let scores: Vec<f64> = (0..v).map(|i| ((i * 37) % 11) as f64 * 0.125).collect();
+        let mut full: Vec<usize> = (0..v).collect();
+        full.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+        for k in [0, 1, 10, v, v + 5] {
+            assert_eq!(top_k_vertices(&scores, k), full[..k.min(v)], "k={k}");
+        }
+        assert!(top_k_vertices(&[], 3).is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //!    `read_line` calls with EOF while leaving the write side usable;
 //! 4. joins every handler thread, flushes the query ledger, exits.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,7 +32,7 @@ use gapbs_telemetry::LedgerSink;
 
 use crate::admission::GateSnapshot;
 use crate::engine::{Engine, EngineConfig};
-use crate::protocol::{error_line, parse_request, Command};
+use crate::protocol::{error_line, parse_request, Command, ErrorCode, ProtoError};
 use crate::registry::{GraphRegistry, RegistryOptions};
 use crate::signal;
 
@@ -372,6 +372,12 @@ fn serve_http_request(stream: TcpStream, engine: &Engine) -> std::io::Result<()>
     writer.flush()
 }
 
+/// Longest request line a connection may send, newline included. The
+/// widest legitimate request, a batch line of `MAX_BATCH_SOURCES` (1024)
+/// sources, is about 12 KiB; without a bound one client could make its
+/// handler buffer an endless line.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 fn handle_connection(stream: TcpStream, engine: &Engine, stop: &AtomicBool) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -381,10 +387,26 @@ fn handle_connection(stream: TcpStream, engine: &Engine, stop: &AtomicBool) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let mut bounded = reader.by_ref().take(MAX_REQUEST_LINE as u64);
+        match bounded.read_line(&mut line) {
             Ok(0) => return, // EOF (client closed, or drain half-closed us)
             Ok(_) => {}
             Err(_) => return,
+        }
+        if line.len() == MAX_REQUEST_LINE && !line.ends_with('\n') {
+            // Discard the rest of the line unbuffered before answering:
+            // closing with unread input would reset the connection and
+            // could take the error line with it.
+            let _ = reader.skip_until(b'\n');
+            let err = ProtoError::new(
+                ErrorCode::Malformed,
+                format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            );
+            let _ = send_line(&mut writer, &error_line(None, &err));
+            // The accept loop keeps a clone of every stream for the
+            // drain, so dropping ours would not close the socket.
+            let _ = writer.shutdown(Shutdown::Both);
+            return;
         }
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -409,15 +431,16 @@ fn handle_connection(stream: TcpStream, engine: &Engine, stop: &AtomicBool) {
                 .encode()
             }
         };
-        if writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if send_line(&mut writer, &response).is_err() {
             return;
         }
     }
+}
+
+fn send_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
+    writer.write_all(response.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// Parses a corpus scale name.

@@ -151,6 +151,29 @@ fn malformed_and_invalid_requests_get_stable_error_codes() {
 /// thread count); the GAP reference covers the kernels whose canonical
 /// integer outputs are schedule-invariant.
 #[test]
+fn an_oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let server = start_server(EngineConfig::default(), None);
+    let mut hostile = Client::connect(server.addr);
+    // 2 MiB without a newline in the first MiB: twice the cap.
+    let v = hostile.roundtrip(&"x".repeat(2 * gapbs_serve::server::MAX_REQUEST_LINE));
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(v.get("code").and_then(Json::as_str), Some("malformed"));
+    // The connection is closed, not resynchronised...
+    let mut rest = String::new();
+    assert_eq!(hostile.reader.read_line(&mut rest).unwrap_or(0), 0);
+    // ...and the next client is answered as usual.
+    let mut client = Client::connect(server.addr);
+    let v = client.roundtrip(r#"{"kernel":"bfs","graph":"kron","source":1}"#);
+    assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+    // A line of exactly the cap, newline included, is still parsed.
+    let pad = gapbs_serve::server::MAX_REQUEST_LINE - r#"{"cmd":"ping"}"#.len() - 1;
+    let v = client.roundtrip(&format!(r#"{{"cmd":"ping"}}{}"#, " ".repeat(pad)));
+    assert_eq!(v.get("pong").and_then(Json::as_bool), Some(true));
+    drop(client);
+    shutdown_and_join(server);
+}
+
+#[test]
 fn served_results_are_bit_identical_to_batch_mode() {
     let server = start_server(EngineConfig::default(), None);
     let mut client = Client::connect(server.addr);
