@@ -1,4 +1,4 @@
-//! Layout-engine microbenchmark: compact u32-offset CSR + adaptive
+//! Layout-engine microbenchmark: compact u32-offset CSR + marked-row
 //! intersection + degree-aware strips vs the legacy wide layout.
 //!
 //! Builds one symmetrized Kron graph twice — compact (`Graph<u32>`) and
@@ -9,12 +9,16 @@
 //! partition, BC score *bits*, triangle count) must be bit-identical to
 //! the 1-thread compact run. Only then does it time the three
 //! layout-bound kernels at `--threads`, pitting the optimized arm
-//! (compact offsets, adaptive galloping/merge intersection, LLC-sized
+//! (compact offsets, marked rows over a degree-oriented DAG, LLC-sized
 //! pull strips) against a faithful legacy arm (wide offsets, scalar
 //! two-pointer merge, fixed-width per-vertex scheduling):
 //!
-//! - **tc**: oriented prefix intersection — adaptive kernel vs
-//!   `intersect::merge_count` on the wide layout.
+//! - **tc**: oriented prefix intersection — the marked-row engine vs
+//!   `intersect::merge_count` on the wide layout. The ratio is
+//!   algorithmic (probes against merge steps), so it needs no spare
+//!   cores and has its own gate, `--min-tc-speedup`; the work behind it
+//!   is printed as mark probes per triangle, a count that repeats exactly
+//!   across runs and thread counts.
 //! - **pr**: Jacobi pull sweeps — strip-scheduled vs `Dynamic(64)`
 //!   per-vertex chunks on the wide layout.
 //! - **bfs**: direction-optimizing search over a source batch — the same
@@ -32,7 +36,8 @@
 //!
 //! With `--min-speedup X` the process exits non-zero unless the geomean
 //! TEPS gain is at least `X` — how `scripts/verify.sh` gates the layout
-//! engine on multi-core hosts. `--ledger <path>` appends one JSONL record
+//! engine on multi-core hosts; `--min-tc-speedup X` gates the TC arm
+//! alone, on every host. `--ledger <path>` appends one JSONL record
 //! per (kernel, arm) for `perf_compare`, with `graph_bytes` carrying each
 //! arm's resident layout so the GRAPH-BYTES delta section can track the
 //! footprint across baseline refreshes.
@@ -42,7 +47,7 @@ use gapbs_graph::{gen, intersect, perm, Builder, Graph, OffsetIndex, WGraph, Wei
 use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::{Schedule, ThreadPool};
 use gapbs_ref::{bc, bfs, cc, depths_from_parents, pr, sssp, tc};
-use gapbs_telemetry::{Ledger, TrialRecord};
+use gapbs_telemetry::{Counter, CounterSet, Ledger, TrialRecord};
 use std::time::Instant;
 
 /// Pool sizes crossing the parallel cutoffs from both sides (the same
@@ -62,6 +67,7 @@ struct Args {
     reps: usize,
     sources: usize,
     min_speedup: Option<f64>,
+    min_tc_speedup: Option<f64>,
     ledger: Option<String>,
 }
 
@@ -73,6 +79,7 @@ fn parse_args() -> Args {
         reps: 3,
         sources: 16,
         min_speedup: None,
+        min_tc_speedup: None,
         ledger: None,
     };
     let mut argv = std::env::args().skip(1);
@@ -88,11 +95,14 @@ fn parse_args() -> Args {
             "--reps" => args.reps = value().parse().expect("--reps"),
             "--sources" => args.sources = value().parse().expect("--sources"),
             "--min-speedup" => args.min_speedup = Some(value().parse().expect("--min-speedup")),
+            "--min-tc-speedup" => {
+                args.min_tc_speedup = Some(value().parse().expect("--min-tc-speedup"))
+            }
             "--ledger" => args.ledger = Some(value()),
             other => {
                 eprintln!(
                     "unknown argument {other:?} (supported: --threads --scale \
-                     --degree --reps --sources --min-speedup --ledger)"
+                     --degree --reps --sources --min-speedup --min-tc-speedup --ledger)"
                 );
                 std::process::exit(2);
             }
@@ -167,8 +177,9 @@ fn assert_identical(got: &SuiteOutputs, want: &SuiteOutputs, arm: &str) {
 }
 
 /// The pre-layout-engine triangle count: same orientation and relabeling
-/// decision as `gapbs_ref::tc`, but every intersection runs the scalar
-/// two-pointer merge the adaptive kernel replaced.
+/// decision as `gapbs_ref::tc`, but over the fully relabeled symmetric
+/// graph, slicing a prefix per read and intersecting with the scalar
+/// two-pointer merge the marked rows replaced.
 fn legacy_tc(g: &Graph<usize>, pool: &ThreadPool) -> u64 {
     let counted;
     let g = if gapbs_ref::tc::worth_relabeling(g) {
@@ -320,6 +331,17 @@ fn main() {
         tri_opt, tri_leg,
         "legacy merge arm must count the same triangles"
     );
+    // The work behind the optimized arm in the unit `tc_intersections`
+    // records (marks set + mark probes), taken from the engine with
+    // `gapbs_ref::tc`'s own decision and schedule so it is available
+    // without the telemetry feature.
+    let tc_work = intersect::count_triangles(
+        &narrow,
+        gapbs_ref::tc::worth_relabeling(&narrow),
+        &pool,
+        Schedule::Dynamic(64),
+    );
+    assert_eq!(tc_work.count, tri_opt, "engine and kernel counts agree");
 
     let (t_pr_opt, pr_opt) = best_of(args.reps, || pr(&narrow, &pool));
     let (t_pr_leg, pr_leg) = best_of(args.reps, || legacy_pr(&wide, &pool));
@@ -354,7 +376,7 @@ fn main() {
     let gated = [
         (
             "tc ",
-            "adaptive intersect + compact",
+            "marked rows + oriented DAG",
             t_tc_opt,
             "scalar merge + wide",
             t_tc_leg,
@@ -380,6 +402,12 @@ fn main() {
          {:.2}x  (width tax only; not gated)",
         t_bfs_leg / t_bfs_opt
     );
+    println!(
+        "  tc work: {} mark probes for {} triangles ({:.3} per triangle; exact at any thread count)",
+        tc_work.comparisons,
+        tri_opt,
+        tc_work.comparisons as f64 / tri_opt.max(1) as f64
+    );
     let geomean = (log_sum / gated.len() as f64).exp();
     println!(
         "  geomean TEPS gain: {geomean:.2}x over {} kernels",
@@ -398,6 +426,16 @@ fn main() {
                     ("bfs", "legacy", t_bfs_leg, wide.graph_bytes()),
                 ];
                 for (kernel, mode, seconds, graph_bytes) in rows {
+                    // The optimized TC row carries its work in the
+                    // kernel's own counters (probes also examine edges).
+                    let mut counters = CounterSet::zero();
+                    if (kernel, mode) == ("tc", "compact") {
+                        counters.set(Counter::TcIntersections, tc_work.comparisons);
+                        counters.set(
+                            Counter::EdgesExamined,
+                            narrow.num_arcs() as u64 + tc_work.comparisons,
+                        );
+                    }
                     let record = TrialRecord {
                         framework: "Layout".into(),
                         kernel: kernel.into(),
@@ -410,6 +448,7 @@ fn main() {
                         num_vertices: narrow.num_vertices() as u64,
                         num_arcs: narrow.num_arcs() as u64,
                         graph_bytes: graph_bytes as u64,
+                        counters,
                         ..TrialRecord::default()
                     };
                     if let Err(e) = ledger.append(&record) {
@@ -422,6 +461,17 @@ fn main() {
         }
     }
 
+    if let Some(min) = args.min_tc_speedup {
+        let ratio = t_tc_leg / t_tc_opt;
+        if ratio < min {
+            eprintln!(
+                "FAIL: marked-row TC is only {ratio:.2}x faster than the scalar-merge arm \
+                 (gate: {min:.2}x)"
+            );
+            std::process::exit(1);
+        }
+        println!("  tc gate: >= {min:.2}x passed ({ratio:.2}x)");
+    }
     if let Some(min) = args.min_speedup {
         if geomean < min {
             eprintln!(

@@ -13,6 +13,7 @@ use crate::spec::{SourcePicker, BC_ROOTS, PR_TOLERANCE};
 use gapbs_graph::gen::Scale;
 use gapbs_parallel::ThreadPool;
 use gapbs_telemetry::{Ledger, Phase, Span, TrialRecord};
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -133,6 +134,29 @@ pub fn run_cell_in_pool(
     config: &TrialConfig,
     pool: &ThreadPool,
 ) -> CellRecord {
+    run_cell_with_oracle(
+        framework,
+        input,
+        kernel,
+        mode,
+        config,
+        pool,
+        &OnceCell::new(),
+    )
+}
+
+/// [`run_cell_in_pool`] with the input's sequential triangle count held in
+/// `tc_oracle`: computed on first use, so a matrix run pays for the
+/// oracle once per graph instead of once per (framework, graph) cell.
+fn run_cell_with_oracle(
+    framework: &dyn Framework,
+    input: &BenchGraph,
+    kernel: Kernel,
+    mode: Mode,
+    config: &TrialConfig,
+    pool: &ThreadPool,
+    tc_oracle: &OnceCell<u64>,
+) -> CellRecord {
     let ledger = config.ledger_path.as_ref().and_then(|path| {
         Ledger::open(path)
             .map_err(|e| eprintln!("ledger {}: {e}", path.display()))
@@ -229,7 +253,9 @@ pub fn run_cell_in_pool(
                 note = format!("{count} triangles");
                 if verify_this {
                     let _vs = Span::enter(Phase::Verify);
-                    verified &= gapbs_verify::verify_tc(&input.sym_graph, count).is_ok();
+                    verified &= count
+                        == *tc_oracle
+                            .get_or_init(|| gapbs_verify::oracles::triangles(&input.sym_graph));
                 }
             }
         }
@@ -326,12 +352,20 @@ where
     F: FnMut(&CellRecord),
 {
     let mut cells = Vec::new();
+    let tc_oracles: Vec<OnceCell<u64>> = inputs.iter().map(|_| OnceCell::new()).collect();
     for mode in modes {
-        for input in inputs {
+        for (input, tc_oracle) in inputs.iter().zip(&tc_oracles) {
             for framework in frameworks {
                 for &kernel in kernels {
-                    let record =
-                        run_cell_in_pool(framework.as_ref(), input, kernel, *mode, config, pool);
+                    let record = run_cell_with_oracle(
+                        framework.as_ref(),
+                        input,
+                        kernel,
+                        *mode,
+                        config,
+                        pool,
+                        tc_oracle,
+                    );
                     progress(&record);
                     cells.push(record);
                 }
@@ -390,6 +424,37 @@ mod tests {
                     "{} failed optimized verification on {kernel}",
                     framework.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_run_holds_every_tc_cell_to_its_graphs_oracle() {
+        let inputs: Vec<BenchGraph> = [GraphSpec::Kron, GraphSpec::Road]
+            .iter()
+            .map(|&spec| BenchGraph::generate(spec, Scale::Tiny))
+            .collect();
+        let report = run_matrix(
+            &all_frameworks(),
+            &inputs,
+            &[Kernel::Tc],
+            &[Mode::Baseline, Mode::Optimized],
+            &tiny_config(),
+            |_| {},
+        );
+        assert_eq!(report.cells().len(), 2 * 2 * all_frameworks().len());
+        for input in &inputs {
+            let want = format!(
+                "{} triangles",
+                gapbs_verify::oracles::triangles(&input.sym_graph)
+            );
+            for cell in report
+                .cells()
+                .iter()
+                .filter(|c| c.graph == input.spec.name())
+            {
+                assert!(cell.verified, "{} on {}", cell.framework, cell.graph);
+                assert_eq!(cell.note, want, "{} on {}", cell.framework, cell.graph);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! GKC triangle counting: the Lee & Low family — provably correct exact
 //! counting over a degree-ordered orientation, with skewness-driven
-//! relabeling and a branch-reduced merge intersection ("SIMD set
-//! intersection" stand-in).
+//! relabeling and the branch-free marked-row intersection
+//! ([`gapbs_graph::intersect`], the "SIMD set intersection" stand-in).
 //!
 //! "GKC sorts vertices depending on degree skewness, then ... performs
 //! set intersections with vectors that were previously visited, thereby
@@ -13,7 +13,6 @@ use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
 use gapbs_graph::{intersect, Graph, OffsetIndex};
 use gapbs_parallel::{Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts triangles of an undirected graph.
 ///
@@ -22,66 +21,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Panics if `g` is directed.
 pub fn tc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
     assert!(!g.is_directed(), "TC expects the symmetrized graph");
-    if degree_skewness(g) > 2.0 {
-        let relabeled = {
-            let _relabel = gapbs_telemetry::Span::enter(gapbs_telemetry::Phase::Relabel);
-            perm::apply_in(g, &perm::degree_descending(g), pool)
-        };
-        count(&relabeled, pool)
-    } else {
-        count(g, pool)
-    }
+    // Rows are walked in ascending id order and each `v` in a row is an
+    // earlier row, so the probed lists are the "previously visited
+    // vectors" still warm in cache. When the heuristic declines (Road),
+    // the engine's no-sort, no-copy path is the low-overhead naive one.
+    let relabel = degree_skewness(g) > 2.0;
+    let found = intersect::count_triangles(g, relabel, pool, Schedule::Dynamic(64));
+    // Marks set and probed feed both counters so `tc_intersections <=
+    // edges_examined` holds by construction (see `perf_compare --lint`).
+    gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, found.comparisons);
+    gapbs_telemetry::record(
+        gapbs_telemetry::Counter::EdgesExamined,
+        g.num_arcs() as u64 + found.comparisons,
+    );
+    found.count
 }
 
-/// Sampled skewness proxy: mean degree over median degree.
+/// Sampled skewness proxy: mean degree over median degree (0 when the
+/// graph is too small to sample).
 pub fn degree_skewness<O: OffsetIndex>(g: &Graph<O>) -> f64 {
-    let n = g.num_vertices();
-    if n < 10 {
-        return 0.0;
-    }
-    let sample = 1000.min(n);
-    let stride = (n / sample).max(1);
-    let mut degrees: Vec<usize> = (0..n)
-        .step_by(stride)
-        .take(sample)
-        .map(|u| g.out_degree(u as NodeId))
-        .collect();
-    degrees.sort_unstable();
-    let median = degrees[degrees.len() / 2].max(1) as f64;
-    let mean = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
-    mean / median
-}
-
-/// Orientation count with the adaptive SIMD-shaped intersection kernel
-/// ([`gapbs_graph::intersect`]): galloping when the list lengths are
-/// skewed, a branch-free lane scan otherwise. Iterating `v` in ascending
-/// id order keeps recently intersected adjacency lists warm (the
-/// "previously visited vectors" reuse).
-fn count<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
-    let total = AtomicU64::new(0);
-    pool.for_each_index(g.num_vertices(), Schedule::Dynamic(64), |u| {
-        let u = u as NodeId;
-        let adj_u = g.out_neighbors(u);
-        let prefix_u = &adj_u[..adj_u.partition_point(|&x| x < u)];
-        let mut local = 0u64;
-        let mut comparisons = 0u64;
-        for &v in prefix_u {
-            let r = intersect::count_below(prefix_u, g.out_neighbors(v), v);
-            local += r.count;
-            comparisons += r.comparisons;
-        }
-        // Comparisons feed both counters so `tc_intersections <=
-        // edges_examined` holds by construction (see `perf_compare --lint`).
-        gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, comparisons);
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::EdgesExamined,
-            adj_u.len() as u64 + comparisons,
-        );
-        if local > 0 {
-            total.fetch_add(local, Ordering::Relaxed);
-        }
-    });
-    total.into_inner()
+    perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
+        .map_or(0.0, |(mean, median)| mean / median.max(1) as f64)
 }
 
 #[cfg(test)]

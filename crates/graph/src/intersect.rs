@@ -1,80 +1,49 @@
-//! Sorted-set intersection kernels shared by every triangle-counting path.
+//! Sorted-set intersection for triangle counting: marked rows.
 //!
-//! The paper credits GKC's TC wins to hardware-tuned intersection kernels
-//! (Table III: "SIMD-based set intersection"). This module reproduces that
-//! shape in portable Rust with two strategies picked per pair:
+//! The paper credits the TC wins to degree relabeling plus a
+//! hardware-shaped set intersection (§V-F, Table III), and its SuiteSparse
+//! and GraphBLAST rows compute the same count as a masked SpGEMM. This
+//! module is that formulation: over an *oriented* adjacency (row `u` holds
+//! only the neighbors ordered before `u`, see
+//! [`perm::apply_oriented_in`](crate::perm::apply_oriented_in)), row `u` is
+//! scattered once into a per-worker byte array ([`RowMarks`]) and
+//! `|row_u ∩ row_v|` for every `v` in the row is a branch-free sum of mark
+//! reads over `row_v` — no searches, no ceiling tests, one probe per
+//! element read. [`count_marked`] runs that over all rows on a pool, and
+//! [`count_triangles`] over a graph. Marks are bytes, not bits: bit-packing
+//! pays a shift and a mask per probe and measured slower (DESIGN.md §9).
 //!
-//! * **galloping** — when one list is at least [`GALLOP_RATIO`]× shorter
-//!   than the other, each element of the short list seeks into the long one
-//!   by exponential-then-binary search, bounding work at
-//!   `O(|small| · log |large|)` instead of `O(|small| + |large|)`;
-//! * **lane scan** — for balanced lengths, each element of the shorter list
-//!   is compared against an 8-wide window of the longer one with a
-//!   branch-free equality loop the compiler auto-vectorizes (one SIMD
-//!   compare per window), advancing the window a full lane at a time.
-//!
-//! Every function reports the number of *element comparisons* it performed
-//! so the strategy choice is auditable from the telemetry ledger
-//! (`tc_intersections` counts comparisons, not calls — satellite of the
-//! layout-engine change).
+//! [`merge_count`] is the scalar two-pointer merge the marks are tested
+//! against (and `layout_bench`'s legacy arm); [`contains`] serves `has_edge`.
 
-/// Length ratio at which the adaptive strategy switches to galloping.
-pub const GALLOP_RATIO: usize = 16;
+use crate::graph::Graph;
+use crate::perm;
+use crate::types::{NodeId, OffsetIndex};
+use gapbs_parallel::{PerWorker, Schedule, ThreadPool};
+use gapbs_telemetry::{Phase, Span};
 
-/// Window width of the balanced lane scan. Eight `u32` lanes fill a
-/// 256-bit vector register; the equality loop below is shaped so LLVM
-/// vectorizes it at that width (verified by `layout_bench`'s TC gate).
-pub const LANES: usize = 8;
-
-/// Result of one intersection: the match count plus the element
-/// comparisons spent finding it.
+/// Result of one intersection: the match count plus the adjacency
+/// elements touched finding it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Intersection {
     /// Number of elements present in both lists.
     pub count: u64,
-    /// Element comparisons performed (each probed element counts once;
-    /// a lane-window probe counts [`LANES`] comparisons).
+    /// Work spent: merge steps for [`merge_count`]; marks set plus mark
+    /// probes (one per element of a probed row) for [`RowMarks`].
     pub comparisons: u64,
 }
 
-impl Intersection {
-    fn zero() -> Self {
-        Intersection::default()
+impl std::ops::AddAssign for Intersection {
+    fn add_assign(&mut self, rhs: Self) {
+        self.count += rhs.count;
+        self.comparisons += rhs.comparisons;
     }
 }
 
-/// Counts `|a ∩ b|`, picking the strategy from the length ratio.
-///
-/// Generic over the element type so both the `u32` adjacency rows and
-/// grb's widened `u64` column indices share one kernel.
-pub fn count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return Intersection::zero();
-    }
-    if large.len() / small.len() >= GALLOP_RATIO {
-        gallop_count(small, large)
-    } else {
-        lane_count(small, large)
-    }
-}
-
-/// Counts elements of `a ∩ b` strictly below `ceiling` — the oriented form
-/// triangle counting uses. Both lists are trimmed by binary search first so
-/// the inner loops never test the ceiling.
-pub fn count_below<T: Copy + Ord>(a: &[T], b: &[T], ceiling: T) -> Intersection {
-    let (a, ca) = trim_below(a, ceiling);
-    let (b, cb) = trim_below(b, ceiling);
-    let mut out = count(a, b);
-    out.comparisons += ca + cb;
-    out
-}
-
-/// Scalar branch-free two-pointer merge. This is the pre-layout-engine
-/// baseline, kept public so `layout_bench` can time the adaptive kernel
-/// against it.
+/// Scalar branch-free two-pointer merge: the independent oracle the
+/// marked rows are tested against and `layout_bench`'s legacy TC arm.
 pub fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
-    let mut out = Intersection::zero();
+    let mut out = Intersection::default();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
@@ -86,32 +55,148 @@ pub fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
     out
 }
 
+/// One worker's mark array: a byte per index, all zero between rows.
+///
+/// Generic over the index type (`u32` adjacency rows, grb's `u64` column
+/// indices). Indexing is bounds-checked: an index past the array panics.
+#[derive(Debug)]
+pub struct RowMarks {
+    marks: Vec<u8>,
+}
+
+impl RowMarks {
+    /// A cleared mark array for indices `0..n`.
+    pub fn new(n: usize) -> Self {
+        RowMarks { marks: vec![0; n] }
+    }
+
+    fn set<T: Copy + Into<u64>>(&mut self, row: &[T], value: u8) {
+        for &x in row {
+            self.marks[x.into() as usize] = value;
+        }
+    }
+
+    /// Marks every element of `row`.
+    pub fn mark<T: Copy + Into<u64>>(&mut self, row: &[T]) {
+        self.set(row, 1);
+    }
+
+    /// Clears the marks of `row` by re-walking it (O(|row|), not O(n)).
+    pub fn unmark<T: Copy + Into<u64>>(&mut self, row: &[T]) {
+        self.set(row, 0);
+    }
+
+    /// `|marked ∩ row|` as a branch-free sum of mark reads.
+    pub fn probe<T: Copy + Into<u64>>(&self, row: &[T]) -> u64 {
+        row.iter()
+            .map(|&x| u64::from(self.marks[x.into() as usize]))
+            .sum()
+    }
+
+    /// `Σ_{v ∈ row_u} |row_u ∩ probed(v)|` — every triangle closed at this
+    /// row when the rows are oriented. Leaves the array cleared. A row
+    /// shorter than 2 cannot hold both other corners and is skipped.
+    pub fn count_row<'a, T, P>(&mut self, row_u: &[T], probed: P) -> Intersection
+    where
+        T: Copy + Into<u64> + 'a,
+        P: Fn(T) -> &'a [T],
+    {
+        if row_u.len() < 2 {
+            return Intersection::default();
+        }
+        self.mark(row_u);
+        let mut out = Intersection {
+            count: 0,
+            comparisons: row_u.len() as u64,
+        };
+        for &v in row_u {
+            let row_v = probed(v);
+            out.count += self.probe(row_v);
+            out.comparisons += row_v.len() as u64;
+        }
+        self.unmark(row_u);
+        out
+    }
+}
+
+/// Sums [`RowMarks::count_row`] over rows `0..rows` on `pool`:
+/// `marked(u)` is the row scattered into the marks, `probed(v)` the row
+/// read against them (the same accessor for a graph; `L` and `U'` for the
+/// masked product `C<L> = L·U'`). Every index in a row must be below
+/// `index_bound`. One mark array per worker lives for this call only.
+pub fn count_marked<'a, T, M, P>(
+    rows: usize,
+    index_bound: usize,
+    pool: &ThreadPool,
+    schedule: Schedule,
+    marked: M,
+    probed: P,
+) -> Intersection
+where
+    T: Copy + Into<u64> + 'a,
+    M: Fn(usize) -> &'a [T] + Sync,
+    P: Fn(T) -> &'a [T] + Sync,
+{
+    let workers = PerWorker::new(pool.num_threads(), || {
+        (RowMarks::new(index_bound), Intersection::default())
+    });
+    pool.for_each_index_tid(rows, schedule, |tid, u| {
+        // SAFETY: `tid < pool.num_threads()` and a pool region drives each
+        // tid from exactly one thread at a time, so slot `tid` has no
+        // other borrow while this body runs; the borrow ends with it.
+        let (marks, total) = unsafe { workers.get_mut(tid) };
+        *total += marks.count_row(marked(u), &probed);
+    });
+    let mut out = Intersection::default();
+    for (_, total) in workers.into_inner() {
+        out += total;
+    }
+    out
+}
+
+/// Counts the triangles of undirected `g` with [`count_marked`], each once
+/// at its largest-id vertex. With `relabel` the ids are first permuted by
+/// descending degree into an oriented DAG (timed as [`Phase::Relabel`]);
+/// without it — the flat-degree graphs every heuristic declines — the ids
+/// stay and each sorted row is sliced at its own id, one short binary
+/// search per row read, which measured cheaper than building an oriented
+/// copy under the identity (DESIGN.md §9). The caller owns the relabel
+/// decision, the schedule and the telemetry.
+pub fn count_triangles<O: OffsetIndex>(
+    g: &Graph<O>,
+    relabel: bool,
+    pool: &ThreadPool,
+    schedule: Schedule,
+) -> Intersection {
+    let n = g.num_vertices();
+    if relabel {
+        let dag = {
+            let _relabel = Span::enter(Phase::Relabel);
+            perm::apply_oriented_in(g, &perm::degree_descending(g), pool)
+        };
+        let row = |u: NodeId| dag.neighbors(u);
+        count_marked(n, n, pool, schedule, |u| row(u as NodeId), row)
+    } else {
+        let row = |u: NodeId| {
+            let adj = g.out_neighbors(u);
+            &adj[..adj.partition_point(|&x| x < u)]
+        };
+        count_marked(n, n, pool, schedule, |u| row(u as NodeId), row)
+    }
+}
+
 /// `true` if sorted `row` contains `v`, via exponential-then-binary seek
 /// (cheap for the low-id targets oriented adjacency favors, logarithmic in
 /// the worst case).
 pub fn contains<T: Copy + Ord>(row: &[T], v: T) -> bool {
-    let mut cmps = 0u64;
-    let pos = gallop_seek(row, v, &mut cmps);
+    let pos = gallop_seek(row, v);
     row.get(pos).is_some_and(|&y| y == v)
 }
 
-/// Trims `s` to its prefix strictly below `ceiling`, charging the binary
-/// search probes as comparisons.
-fn trim_below<T: Copy + Ord>(s: &[T], ceiling: T) -> (&[T], u64) {
-    // All probes of a partition_point over `len` elements: ceil(log2)+1.
-    let probes = (s.len() + 1).next_power_of_two().trailing_zeros() as u64;
-    (&s[..s.partition_point(|&x| x < ceiling)], probes)
-}
-
-/// First index `>= 0` in sorted `s` whose element is `>= x`, found by
-/// exponential bracketing from the front followed by binary search. Each
-/// probed element adds one comparison.
-fn gallop_seek<T: Copy + Ord>(s: &[T], x: T, cmps: &mut u64) -> usize {
-    if s.is_empty() {
-        return 0;
-    }
-    *cmps += 1;
-    if s[0] >= x {
+/// First index in sorted `s` whose element is `>= x`, found by
+/// exponential bracketing from the front followed by binary search.
+fn gallop_seek<T: Copy + Ord>(s: &[T], x: T) -> usize {
+    if s.is_empty() || s[0] >= x {
         return 0;
     }
     // Invariant: s[lo - 1] < x. Double the probe distance until an element
@@ -123,7 +208,6 @@ fn gallop_seek<T: Copy + Ord>(s: &[T], x: T, cmps: &mut u64) -> usize {
         if probe > s.len() {
             break s.len();
         }
-        *cmps += 1;
         if s[probe - 1] < x {
             lo = probe;
             step *= 2;
@@ -134,7 +218,6 @@ fn gallop_seek<T: Copy + Ord>(s: &[T], x: T, cmps: &mut u64) -> usize {
     // Binary search in s[lo..hi] for the first element >= x.
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        *cmps += 1;
         if s[mid] < x {
             lo = mid + 1;
         } else {
@@ -144,72 +227,9 @@ fn gallop_seek<T: Copy + Ord>(s: &[T], x: T, cmps: &mut u64) -> usize {
     lo
 }
 
-/// Galloping intersection: seek each element of `small` into the unread
-/// suffix of `large`.
-fn gallop_count<T: Copy + Ord>(small: &[T], large: &[T]) -> Intersection {
-    let mut out = Intersection::zero();
-    let mut rest = large;
-    for &x in small {
-        let pos = gallop_seek(rest, x, &mut out.comparisons);
-        rest = &rest[pos..];
-        match rest.first() {
-            Some(&y) => {
-                out.comparisons += 1;
-                if y == x {
-                    out.count += 1;
-                    rest = &rest[1..];
-                }
-            }
-            None => break,
-        }
-    }
-    out
-}
-
-/// Balanced-lengths path: each element of `small` is tested against an
-/// 8-lane window of `large` with a branch-free equality reduction
-/// (auto-vectorized), and the window advances a whole lane at a time.
-/// Falls back to the scalar merge for the tail that no longer fills a
-/// window.
-fn lane_count<T: Copy + Ord>(small: &[T], large: &[T]) -> Intersection {
-    let mut out = Intersection::zero();
-    let mut i = 0usize;
-    let mut j = 0usize;
-    'outer: while i < small.len() && j + LANES <= large.len() {
-        let x = small[i];
-        // Advance the window a lane at a time while it is entirely < x.
-        // Elements behind the window are < every remaining small element,
-        // so a match of x (if any) sits inside the current window.
-        while large[j + LANES - 1] < x {
-            out.comparisons += 1;
-            j += LANES;
-            if j + LANES > large.len() {
-                break 'outer;
-            }
-        }
-        out.comparisons += 1; // the window test that stopped the advance
-        let w = &large[j..j + LANES];
-        // Branch-free 8-lane equality reduction; LLVM lowers this to one
-        // vector compare + movemask at LANES = 8 u32 lanes.
-        let mut hit = 0u32;
-        for &y in w {
-            hit += u32::from(y == x);
-        }
-        out.comparisons += LANES as u64;
-        out.count += u64::from(hit);
-        i += 1;
-    }
-    // Scalar tail: whatever is left of either list.
-    let tail = merge_count(&small[i..], &large[j..]);
-    out.count += tail.count;
-    out.comparisons += tail.comparisons;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::NodeId;
 
     /// Reference intersection via std sets.
     fn oracle(a: &[NodeId], b: &[NodeId]) -> u64 {
@@ -221,8 +241,27 @@ mod tests {
         (0..len as NodeId).map(|i| start + i * stride).collect()
     }
 
+    /// `|a ∩ b|` through the marks in both index widths, asserting the
+    /// whole array is zero again afterwards.
+    fn marked(marks: &mut RowMarks, a: &[NodeId], b: &[NodeId]) -> u64 {
+        marks.mark(a);
+        let narrow = marks.probe(b);
+        marks.unmark(a);
+        assert!(marks.marks.iter().all(|&m| m == 0), "marks left set");
+        let (a64, b64): (Vec<u64>, Vec<u64>) = (
+            a.iter().map(|&x| u64::from(x)).collect(),
+            b.iter().map(|&x| u64::from(x)).collect(),
+        );
+        marks.mark(&a64);
+        let wide = marks.probe(&b64);
+        marks.unmark(&a64);
+        assert!(marks.marks.iter().all(|&m| m == 0), "marks left set (u64)");
+        assert_eq!(narrow, wide, "u32 and u64 indices disagree");
+        narrow
+    }
+
     #[test]
-    fn all_strategies_agree_with_oracle() {
+    fn marks_and_merge_agree_with_oracle() {
         let cases: Vec<(Vec<NodeId>, Vec<NodeId>)> = vec![
             (vec![], vec![]),
             (vec![], vec![1, 2, 3]),
@@ -233,84 +272,104 @@ mod tests {
             (strided(100, 1, 3), strided(0, 1, 90)),
             (strided(0, 7, 1000), strided(0, 11, 1000)),
         ];
+        let mut marks = RowMarks::new(11_000);
         for (a, b) in cases {
             let want = oracle(&a, &b);
-            assert_eq!(count(&a, &b).count, want, "adaptive on {a:?} ∩ {b:?}");
+            assert_eq!(marked(&mut marks, &a, &b), want, "marks on {a:?} ∩ {b:?}");
+            assert_eq!(marked(&mut marks, &b, &a), want, "marks are symmetric");
             assert_eq!(merge_count(&a, &b).count, want, "merge on {a:?} ∩ {b:?}");
-            assert_eq!(count(&b, &a).count, want, "adaptive is symmetric");
         }
     }
 
     #[test]
-    fn count_below_matches_trimmed_oracle() {
-        let a = strided(0, 2, 40);
-        let b = strided(0, 3, 40);
-        for ceiling in [0, 1, 7, 35, 1000] {
-            let want = a.iter().filter(|&&x| x < ceiling && b.contains(&x)).count() as u64;
-            assert_eq!(
-                count_below(&a, &b, ceiling).count,
-                want,
-                "ceiling {ceiling}"
-            );
-        }
-    }
-
-    #[test]
-    fn galloping_engages_and_beats_merge_on_skew() {
-        let small = strided(0, 997, 8);
-        let large = strided(0, 1, 100_000);
-        let adaptive = count(&small, &large);
-        let merge = merge_count(&small, &large);
-        assert_eq!(adaptive.count, merge.count);
-        assert!(
-            adaptive.comparisons * 10 < merge.comparisons,
-            "gallop {} vs merge {} comparisons",
-            adaptive.comparisons,
-            merge.comparisons
-        );
-    }
-
-    #[test]
-    fn skew_ratio_sweep_agrees_with_oracle() {
-        // Adversarial cardinality skews from 1:1 to 1:10⁴, crossing the
-        // GALLOP_RATIO threshold in both directions, plus the degenerate
-        // shapes a degree-ordered TC prefix actually produces.
+    fn skew_ratio_sweep_agrees_with_merge() {
+        // Adversarial cardinality skews from 1:1 to 1:10⁴ in both
+        // directions, plus the degenerate shapes an oriented row produces.
         let long = strided(0, 3, 30_000);
+        let mut marks = RowMarks::new(97 * 30_000 + 2);
         for small_len in [1usize, 3, 30, 300, 3_000, 30_000] {
-            for stride in [1, 2, 9_973] {
+            for stride in [1, 2, 97] {
                 let small = strided(1, stride, small_len);
-                let want = oracle(&small, &long);
-                let fwd = count(&small, &long);
-                let rev = count(&long, &small);
+                let want = merge_count(&small, &long).count;
+                assert_eq!(want, oracle(&small, &long), "merge oracle");
+                let skew = 30_000 / small_len;
                 assert_eq!(
-                    fwd.count,
+                    marked(&mut marks, &small, &long),
                     want,
-                    "skew 1:{} stride {stride}",
-                    30_000 / small_len
+                    "skew 1:{skew} stride {stride}"
                 );
-                assert_eq!(rev.count, want, "reversed skew, stride {stride}");
-                assert_eq!(merge_count(&small, &long).count, want, "merge oracle");
+                assert_eq!(
+                    marked(&mut marks, &long, &small),
+                    want,
+                    "reversed skew, stride {stride}"
+                );
             }
         }
         // Subset: every element of the small side hits.
         let subset = strided(0, 300, 100);
-        assert_eq!(count(&subset, &long).count, oracle(&subset, &long));
-        assert_eq!(count(&subset, &long).count, 100);
+        assert_eq!(marked(&mut marks, &subset, &long), 100);
+        assert_eq!(merge_count(&subset, &long).count, 100);
         // Disjoint: interleaved but never equal.
         let disjoint = strided(1, 3, 10_000);
-        assert_eq!(count(&disjoint, &long).count, 0);
+        assert_eq!(marked(&mut marks, &disjoint, &long), 0);
         assert_eq!(merge_count(&disjoint, &long).count, 0);
         // Empty against everything.
-        assert_eq!(count::<NodeId>(&[], &long).count, 0);
-        assert_eq!(count(&long, &[]).count, 0);
+        assert_eq!(marked(&mut marks, &[], &long), 0);
+        assert_eq!(marked(&mut marks, &long, &[]), 0);
+    }
+
+    /// Lower-triangular rows of K4 plus a pendant vertex 4 attached to 3.
+    const ROWS: [&[NodeId]; 5] = [&[], &[0], &[0, 1], &[0, 1, 2], &[3]];
+
+    #[test]
+    fn count_row_counts_triangles_closed_at_the_row_and_clears() {
+        let mut marks = RowMarks::new(ROWS.len());
+        let per_row: Vec<Intersection> = ROWS
+            .iter()
+            .map(|row| {
+                let r = marks.count_row(row, |v| ROWS[v as usize]);
+                assert!(marks.marks.iter().all(|&m| m == 0), "row {row:?}");
+                r
+            })
+            .collect();
+        // Rows shorter than 2 are skipped outright: no marks, no probes.
+        for short in [0, 1, 4] {
+            assert_eq!(per_row[short], Intersection::default());
+        }
+        // Row 2 closes {0,1,2}: 2 marks + probes of rows 0 and 1.
+        assert_eq!(
+            per_row[2],
+            Intersection {
+                count: 1,
+                comparisons: 3
+            }
+        );
+        // Row 3 closes the other three: 3 marks + probes of rows 0, 1, 2.
+        assert_eq!(
+            per_row[3],
+            Intersection {
+                count: 3,
+                comparisons: 6
+            }
+        );
     }
 
     #[test]
-    fn comparisons_are_positive_for_nonempty_inputs() {
-        let a = strided(0, 1, 16);
-        let b = strided(8, 1, 16);
-        for r in [count(&a, &b), merge_count(&a, &b), count_below(&a, &b, 20)] {
-            assert!(r.comparisons > 0);
+    fn count_marked_is_thread_invariant_in_count_and_work() {
+        for threads in [1, 2, 7, 16] {
+            let pooled = count_marked(
+                ROWS.len(),
+                ROWS.len(),
+                &ThreadPool::new(threads),
+                Schedule::Dynamic(1),
+                |u| ROWS[u],
+                |v| ROWS[v as usize],
+            );
+            let want = Intersection {
+                count: 4,
+                comparisons: 9,
+            };
+            assert_eq!(pooled, want, "@ {threads} threads");
         }
     }
 

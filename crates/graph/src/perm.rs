@@ -122,6 +122,59 @@ pub fn apply_in<O: OffsetIndex>(g: &Graph<O>, perm: &Permutation, pool: &ThreadP
     }
 }
 
+/// Applies a permutation on `pool` and keeps only the arcs that point to
+/// a *smaller* new id: row `u` of the result is
+/// `{new(w) : w ∈ N(old(u)), new(w) < u}`, sorted — the lower-triangular
+/// half of [`apply_in`]'s output, i.e. exactly the prefix lists oriented
+/// triangle counting intersects. Half the arcs are scattered and sorted,
+/// and the rows need no `partition_point` to find their prefix.
+///
+/// # Panics
+///
+/// Panics if `g` is directed or `perm` has the wrong length.
+pub fn apply_oriented_in<O: OffsetIndex>(
+    g: &Graph<O>,
+    perm: &Permutation,
+    pool: &ThreadPool,
+) -> CsrGraph<O> {
+    assert!(!g.is_directed(), "orientation expects a symmetric graph");
+    assert_eq!(perm.len(), g.num_vertices());
+    let n = g.num_vertices();
+    let csr = g.out_csr();
+    let targets = csr.targets_raw();
+    let m = targets.len();
+    let srcs = arc_sources(pool, csr.offsets_raw(), n, m);
+    let map = perm.new_of_old.as_slice();
+    let item = |arc: usize| {
+        let (u, w) = (map[srcs[arc] as usize], map[targets[arc] as usize]);
+        (w < u).then_some((u as usize, w))
+    };
+    let (offsets, adj) = build_rows(pool, n, m, &item);
+    CsrGraph::from_scan_unchecked(offsets, adj)
+}
+
+/// The degree sample every framework's relabel-or-not heuristic reads:
+/// up to 1000 evenly strided vertices of `0..n`, returned as
+/// `(mean, median)` of `degree(v)`. `None` below 10 vertices, where every
+/// heuristic declines. Each framework keeps its own threshold expression
+/// over the pair (GAP's `WorthRelabelling` floors the mean; GKC compares
+/// the real ratio).
+pub fn sampled_degrees(n: usize, degree: impl Fn(usize) -> usize) -> Option<(f64, usize)> {
+    if n < 10 {
+        return None;
+    }
+    let sample_size = 1000.min(n);
+    let stride = (n / sample_size).max(1);
+    let mut sample: Vec<usize> = (0..n)
+        .step_by(stride)
+        .take(sample_size)
+        .map(degree)
+        .collect();
+    sample.sort_unstable();
+    let mean = sample.iter().sum::<usize>() as f64 / sample.len() as f64;
+    Some((mean, sample[sample.len() / 2]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +242,75 @@ mod tests {
             let pool = ThreadPool::new(threads);
             assert_eq!(apply_in(&g, &p, &pool), serial, "@ {threads} threads");
         }
+    }
+
+    /// `apply_in`, then keep `w < u`: the definition the oriented relabel
+    /// must reproduce row for row.
+    fn lower_half<O: OffsetIndex>(g: &Graph<O>) -> Vec<Vec<NodeId>> {
+        g.vertices()
+            .map(|u| {
+                let row = g.out_neighbors(u);
+                row[..row.partition_point(|&w| w < u)].to_vec()
+            })
+            .collect()
+    }
+
+    fn assert_oriented_matches<O: OffsetIndex>(g: &Graph<O>) {
+        for p in [
+            degree_descending(g),
+            Permutation::identity(g.num_vertices()),
+        ] {
+            let want = lower_half(&apply(g, &p));
+            for threads in [1, 2, 7, 16] {
+                let dag = apply_oriented_in(g, &p, &ThreadPool::new(threads));
+                assert_eq!(dag.num_vertices(), g.num_vertices());
+                assert_eq!(dag.num_edges() * 2, g.num_arcs() - self_loops(g));
+                for u in g.vertices() {
+                    assert_eq!(
+                        dag.neighbors(u),
+                        want[u as usize].as_slice(),
+                        "row {u} @ {threads} threads, {} offsets",
+                        O::NAME
+                    );
+                }
+            }
+        }
+    }
+
+    fn self_loops<O: OffsetIndex>(g: &Graph<O>) -> usize {
+        g.vertices().filter(|&u| g.out_csr().has_edge(u, u)).count()
+    }
+
+    #[test]
+    fn oriented_relabel_is_the_lower_half_of_apply_in() {
+        let list = crate::gen::kron_edges(9, 8, 3);
+        let builder = Builder::new().num_vertices(1 << 9).symmetrize(true);
+        let narrow: Graph<u32> = builder.build(list.clone()).unwrap();
+        let wide: Graph<usize> = builder.build_as(list).unwrap();
+        assert_oriented_matches(&narrow);
+        assert_oriented_matches(&wide);
+        // Self-loops and duplicate-heavy input survive the filter.
+        let loopy = Builder::new()
+            .symmetrize(true)
+            .build(edges([
+                (0, 0),
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 0),
+                (2, 2),
+                (0, 1),
+            ]))
+            .unwrap();
+        assert_oriented_matches(&loopy);
+    }
+
+    #[test]
+    fn sampled_degrees_reports_mean_and_median() {
+        assert_eq!(sampled_degrees(9, |_| 5), None);
+        assert_eq!(sampled_degrees(10, |v| v), Some((4.5, 5)));
+        // Above 1000 vertices the sample is strided: 0, 3, 6, ...
+        let (mean, median) = sampled_degrees(3000, |v| v).unwrap();
+        assert_eq!((mean, median), (1498.5, 1500));
     }
 }

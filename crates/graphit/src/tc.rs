@@ -36,20 +36,8 @@ pub fn tc<O: OffsetIndex>(g: &Graph<O>, intersection: Intersection, pool: &Threa
 }
 
 fn skewed<O: OffsetIndex>(g: &Graph<O>) -> bool {
-    let n = g.num_vertices();
-    if n < 10 {
-        return false;
-    }
-    let sample = 1000.min(n);
-    let stride = (n / sample).max(1);
-    let mut degrees: Vec<usize> = (0..n)
-        .step_by(stride)
-        .take(sample)
-        .map(|u| g.out_degree(u as NodeId))
-        .collect();
-    degrees.sort_unstable();
-    let median = degrees[degrees.len() / 2].max(1);
-    degrees.iter().sum::<usize>() / degrees.len() > 2 * median
+    perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
+        .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
 fn count<O: OffsetIndex>(g: &Graph<O>, intersection: Intersection, pool: &ThreadPool) -> u64 {

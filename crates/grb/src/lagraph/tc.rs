@@ -2,13 +2,13 @@
 //! C<L> = L * U'; count = sum(C)` over the `plus-pair` semiring, after an
 //! optional heuristic-driven degree permutation (§III-A).
 //!
-//! Per the paper's §V-F discussion, the masked product is materialized and
-//! then reduced (a fused kernel would be ~2× faster but is future work in
-//! SuiteSparse's non-blocking mode).
+//! The adjacency matrix is symmetric, so `U' = L` and one `tril` serves
+//! both operands of the masked product.
 
 use super::LaGraphContext;
 use crate::matrix::GrbMatrix;
 use crate::ops::mxm_pair_masked_sum;
+use gapbs_graph::perm;
 use gapbs_parallel::ThreadPool;
 
 /// Counts triangles. The graph behind `ctx` must be undirected
@@ -28,29 +28,16 @@ pub fn tc_on_matrix(a: &GrbMatrix, pool: &ThreadPool) -> u64 {
     } else {
         a
     };
+    // `U' = L` for a symmetric matrix, so `triu` and the explicit
+    // transpose need not be materialized.
     let l = a.tril();
-    let u = a.triu();
-    let ut = u.transpose();
-    mxm_pair_masked_sum(&l, &ut, pool)
+    mxm_pair_masked_sum(&l, &l, pool)
 }
 
 /// Degree-skew heuristic mirroring GAP's `WorthRelabelling`.
 fn worth_sorting(a: &GrbMatrix) -> bool {
-    let n = a.nrows();
-    if n < 10 {
-        return false;
-    }
-    let sample = 1000.min(n) as usize;
-    let stride = (n as usize / sample).max(1);
-    let mut degrees: Vec<usize> = (0..n as usize)
-        .step_by(stride)
-        .take(sample)
-        .map(|i| a.row(i as u64).len())
-        .collect();
-    degrees.sort_unstable();
-    let median = degrees[degrees.len() / 2];
-    let average = degrees.iter().sum::<usize>() / degrees.len();
-    average > 2 * median.max(1)
+    perm::sampled_degrees(a.nrows() as usize, |i| a.row(i as u64).len())
+        .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
 /// Rebuilds the matrix with vertices relabeled by descending degree.

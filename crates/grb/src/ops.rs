@@ -708,40 +708,28 @@ where
 }
 
 /// Masked matrix-matrix product reduced to a scalar with the `plus_pair`
-/// semiring: `sum(C)` where `C<L> = L * U'`. Following the paper's
-/// description of SuiteSparse TC, the product's entries are materialized
-/// per row and then summed (LAGraph notes a fused version would be ~2×
-/// faster). The sum reduces per-worker partials — no shared output.
+/// semiring: `sum(C)` where `C<L> = L * U'`. This is Gustavson's masked
+/// SpGEMM with the mask as the scatter target: row `i` of `L` is marked
+/// once, each `C_ij = |L_i ∩ U'_j|` for `j ∈ L_i` is a sum of mark probes
+/// over row `j` of `U'`, and the entries are summed as they are produced
+/// (the shared marked-row engine, [`gapbs_graph::intersect`]). `U'` must
+/// have an empty diagonal, as `triu(A, 1)'` does: a row of `L` with a
+/// single entry then contributes nothing, and the engine skips it.
 pub fn mxm_pair_masked_sum(l: &GrbMatrix, u_t: &GrbMatrix, pool: &ThreadPool) -> u64 {
     traced("mxm", || {
-        pool.reduce_index(
+        let found = intersect::count_marked(
             l.nrows() as usize,
+            l.ncols().max(u_t.ncols()) as usize,
+            pool,
             Schedule::Dynamic(128),
-            0u64,
-            |i| {
-                let i = i as GrbIndex;
-                let row_l = l.row(i);
-                if row_l.is_empty() {
-                    return 0;
-                }
-                // Mask C by L: only positions (i, j) with L_ij present.
-                // The adaptive intersection kernel is shared with every
-                // TC path (gallop on skewed rows, lane scan otherwise).
-                let mut found = 0u64;
-                let mut comparisons = 0u64;
-                for &j in row_l {
-                    let r = intersect::count(row_l, u_t.row(j));
-                    found += r.count;
-                    comparisons += r.comparisons;
-                }
-                // Comparisons feed both counters so `tc_intersections <=
-                // edges_examined` holds by construction.
-                record(Counter::TcIntersections, comparisons);
-                record(Counter::EdgesExamined, row_l.len() as u64 + comparisons);
-                found
-            },
-            |a, b| a + b,
-        )
+            |i| l.row(i as GrbIndex),
+            |j| u_t.row(j),
+        );
+        // Marks set and probed feed both counters so `tc_intersections <=
+        // edges_examined` holds by construction.
+        record(Counter::TcIntersections, found.comparisons);
+        record(Counter::EdgesExamined, l.nvals() + found.comparisons);
+        found.count
     })
 }
 

@@ -61,7 +61,11 @@ pub fn pr_with_config<O: OffsetIndex>(
     }
     let init = 1.0 / n as Score;
     let base = (1.0 - config.damping) / n as Score;
+    // Jacobi keeps two score arrays; they swap roles every iteration
+    // instead of a fresh one being allocated (every entry of `next` is
+    // overwritten by the sweep, the strips cover `0..n`).
     let mut scores = vec![init; n];
+    let mut next = vec![0.0 as Score; n];
     let mut outgoing = vec![0.0 as Score; n];
     let mut iterations = 0usize;
     // LLC-sized vertex strips: each pull sweep walks a strip's in-edges
@@ -70,25 +74,27 @@ pub fn pr_with_config<O: OffsetIndex>(
 
     // Dangling vertices (out-degree 0) spread their mass uniformly; GAP's
     // reference skips this, but the GAP spec scores remain comparable
-    // because every framework here does the same redistribution.
+    // because every framework here does the same redistribution. The list
+    // is in ascending vertex order, so summing over it adds the same
+    // values in the same order as a scan of all vertices.
+    let dangling: Vec<NodeId> = g.vertices().filter(|&v| g.out_degree(v) == 0).collect();
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         gapbs_telemetry::record(gapbs_telemetry::Counter::PrIterations, 1);
         gapbs_telemetry::record(gapbs_telemetry::Counter::Iterations, 1);
         gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, g.num_arcs() as u64);
         // Phase 1: per-vertex outgoing contribution.
-        for v in 0..n {
-            let d = g.out_degree(v as NodeId);
-            outgoing[v] = if d > 0 { scores[v] / d as Score } else { 0.0 };
+        {
+            let (scores, outgoing_cells) = (&scores, as_score_cells(&mut outgoing));
+            pool.for_each_index(n, Schedule::Static, |v| {
+                let d = g.out_degree(v as NodeId);
+                outgoing_cells[v].store(if d > 0 { scores[v] / d as Score } else { 0.0 });
+            });
         }
-        let dangling_mass: Score = (0..n)
-            .filter(|&v| g.out_degree(v as NodeId) == 0)
-            .map(|v| scores[v])
-            .sum::<Score>()
-            / n as Score;
-        // Phase 2: pull over incoming edges into a fresh array (Jacobi).
+        let dangling_mass: Score =
+            dangling.iter().map(|&v| scores[v as usize]).sum::<Score>() / n as Score;
+        // Phase 2: pull over incoming edges into the other array (Jacobi).
         let outgoing_ref = &outgoing;
-        let mut next = vec![0.0 as Score; n];
         {
             let next_cells = as_score_cells(&mut next);
             pool.for_each_index(strips.len(), Schedule::Dynamic(1), |s| {
@@ -109,7 +115,7 @@ pub fn pr_with_config<O: OffsetIndex>(
             |v| (next[v] - scores[v]).abs(),
             |a, b| a + b,
         );
-        scores = next;
+        std::mem::swap(&mut scores, &mut next);
         gapbs_telemetry::trace_iter!(PrSweep {
             sweep: iterations as u32,
             residual: error

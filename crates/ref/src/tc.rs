@@ -2,17 +2,20 @@
 //!
 //! Each triangle is counted exactly once at its largest-id vertex by
 //! intersecting adjacency-list *prefixes* (neighbors with smaller ids),
-//! GAP's orientation. The orientation is only efficient when high-degree
-//! vertices have small ids, so GAP first decides — via degree sampling —
-//! whether relabeling the graph by descending degree is worth the cost;
-//! the relabel time is included in the kernel per the benchmark rules
-//! (§II).
+//! GAP's orientation: for `v < u` adjacent, count common neighbors
+//! `w < v`. The orientation is only efficient when high-degree vertices
+//! have small ids (every edge then points at its higher-degree endpoint,
+//! bounding the oriented degree), so GAP first decides — via degree
+//! sampling — whether relabeling the graph by descending degree is worth
+//! the cost; the relabel time is included in the kernel per the benchmark
+//! rules (§II). The relabel emits only the prefixes, and the
+//! intersections run on the shared marked-row engine
+//! ([`gapbs_graph::intersect`]).
 
 use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
 use gapbs_graph::{intersect, Graph, OffsetIndex};
 use gapbs_parallel::{Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Relabeling decision knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,69 +53,23 @@ pub fn tc_with_config<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool, config: &
     } else {
         worth_relabeling(g)
     };
-    if relabel {
-        let permuted = {
-            let _relabel = gapbs_telemetry::Span::enter(gapbs_telemetry::Phase::Relabel);
-            perm::apply_in(g, &perm::degree_descending(g), pool)
-        };
-        count_oriented(&permuted, pool)
-    } else {
-        count_oriented(g, pool)
-    }
+    let found = intersect::count_triangles(g, relabel, pool, Schedule::Dynamic(64));
+    // Every mark set or probed examines an adjacency element, so the
+    // tally feeds both counters and the `--lint` invariant
+    // `tc_intersections <= edges_examined` holds by construction.
+    gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, found.comparisons);
+    gapbs_telemetry::record(
+        gapbs_telemetry::Counter::EdgesExamined,
+        g.num_arcs() as u64 + found.comparisons,
+    );
+    found.count
 }
 
 /// GAP's `WorthRelabelling` heuristic: sample vertex degrees; relabel only
 /// when the sample is sufficiently skewed (average well above the median).
 pub fn worth_relabeling<O: OffsetIndex>(g: &Graph<O>) -> bool {
-    let n = g.num_vertices();
-    if n < 10 {
-        return false;
-    }
-    let sample_size = 1000.min(n);
-    let stride = (n / sample_size).max(1);
-    let mut sample: Vec<usize> = (0..n)
-        .step_by(stride)
-        .take(sample_size)
-        .map(|u| g.out_degree(u as NodeId))
-        .collect();
-    sample.sort_unstable();
-    let median = sample[sample.len() / 2];
-    let average = sample.iter().sum::<usize>() / sample.len();
-    average > 2 * median.max(1)
-}
-
-/// Counts each triangle once at its largest-id vertex, GAP's orientation:
-/// for `v < u` adjacent, count common neighbors `w < v`. Combined with the
-/// degree-descending relabel this orients every edge toward the *higher*
-/// degree endpoint, bounding the oriented out-degree (the property that
-/// makes the relabel pay off).
-fn count_oriented<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
-    let n = g.num_vertices();
-    let total = AtomicU64::new(0);
-    pool.for_each_index(n, Schedule::Dynamic(64), |u| {
-        let u = u as NodeId;
-        let mut local = 0u64;
-        let mut comparisons = 0u64;
-        let adj_u = g.out_neighbors(u);
-        let prefix_u = &adj_u[..adj_u.partition_point(|&x| x < u)];
-        for &v in prefix_u {
-            let r = intersect::count_below(prefix_u, g.out_neighbors(v), v);
-            local += r.count;
-            comparisons += r.comparisons;
-        }
-        // Each intersection comparison examines an adjacency element, so
-        // it contributes to both counters; the `--lint` invariant
-        // `tc_intersections <= edges_examined` holds by construction.
-        gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, comparisons);
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::EdgesExamined,
-            adj_u.len() as u64 + comparisons,
-        );
-        if local > 0 {
-            total.fetch_add(local, Ordering::Relaxed);
-        }
-    });
-    total.into_inner()
+    perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
+        .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
 /// Brute-force triangle oracle for tests (O(n·d²)).

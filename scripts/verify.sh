@@ -173,17 +173,21 @@ echo "== smoke: layout engine (layout_bench) =="
 # layout_bench first proves the compact u32-offset layout cannot change
 # answers: all six reference kernels run on both offset widths at thread
 # counts {1,2,7,16} and every canonical output must be bit-identical to
-# the 1-thread compact run. That identity check runs on every host. The
-# TEPS gate (compact+adaptive+strips vs the wide legacy arms, geomean
-# over tc and pr) only means something with real cores behind the pool.
-layout_gate=()
+# the 1-thread compact run. That identity check runs on every host, and
+# so does the TC gate: marked rows over an oriented DAG against the
+# scalar-merge legacy arm is an algorithmic ratio (probes vs merge
+# steps), so it needs no spare cores. The geomean TEPS gate over tc and
+# pr (strips vs per-vertex chunks) only means something with real cores
+# behind the pool.
+layout_threads=$(( $(nproc) < 4 ? $(nproc) : 4 ))
+layout_gate=(--min-tc-speedup 2)
 if [[ "$(nproc)" -ge 4 ]]; then
-    layout_gate=(--min-speedup 1.2)
+    layout_gate+=(--min-speedup 1.2)
 else
-    echo "  (host has $(nproc) core(s): bit-identity checked, speedup gate skipped)"
+    echo "  (host has $(nproc) core(s): bit-identity and TC gate checked, geomean gate skipped)"
 fi
 cargo run -q --release -p gapbs-bench --bin layout_bench -- \
-    --threads 4 --scale 15 --reps 3 \
+    --threads "$layout_threads" --scale 15 --reps 3 \
     --ledger "$smoke_dir/layout.jsonl" "${layout_gate[@]}"
 # Diff kernel times and resident bytes against the committed baseline.
 # Same wide time thresholds as the other microbench baselines; the

@@ -155,3 +155,132 @@ fn optimized_mode_matches_baseline_answers() {
         }
     }
 }
+
+/// Runs every framework's TC on `input` and holds each count to the
+/// sequential oracle. `ref`, `gkc` and SuiteSparse share the marked-row
+/// engine; Galois, GraphIt and NWGraph keep hand-written merge loops, so
+/// the oracle plus those three are the engine's independent check.
+fn assert_tc_matches_oracle(input: &BenchGraph, what: &str) {
+    let want = gapbs::verify::oracles::triangles(&input.sym_graph);
+    let p = pool();
+    for fw in all_frameworks() {
+        let got = fw.prepare(input, Mode::Baseline, &p).tc();
+        assert_eq!(got, want, "{} on {what}", fw.name());
+    }
+}
+
+#[test]
+fn tc_counts_match_the_oracle_at_medium_scale() {
+    for &spec in &GraphSpec::TABLE_ORDER {
+        let input = BenchGraph::generate_in(spec, Scale::Medium, &pool());
+        assert_tc_matches_oracle(&input, &format!("{spec} (medium)"));
+    }
+}
+
+#[test]
+fn tc_counts_match_the_oracle_on_degenerate_graphs() {
+    use gapbs::graph::edgelist::{edges, wedges};
+    use gapbs::graph::Builder;
+    let k50: Vec<(NodeId, NodeId)> = (0..50)
+        .flat_map(|i| (i + 1..50).map(move |j| (i, j)))
+        .collect();
+    // A triangle whose every edge is repeated in both directions.
+    let duplicates: Vec<(NodeId, NodeId)> = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
+        .into_iter()
+        .cycle()
+        .take(600)
+        .collect();
+    let check = |what: &str, n: usize, list: Vec<(NodeId, NodeId)>, triangles: u64| {
+        let builder = Builder::new().num_vertices(n).symmetrize(true);
+        let graph = builder.build(edges(list.clone())).unwrap();
+        let wgraph = builder
+            .build_weighted(wedges(list.into_iter().map(|(u, v)| (u, v, 1))))
+            .unwrap();
+        let input = BenchGraph::from_graphs(GraphSpec::Kron, graph, wgraph);
+        assert_eq!(
+            gapbs::verify::oracles::triangles(&input.sym_graph),
+            triangles,
+            "oracle on {what}"
+        );
+        assert_tc_matches_oracle(&input, what);
+    };
+    check("empty", 0, vec![], 0);
+    check("one vertex", 1, vec![], 0);
+    check("all isolated", 64, vec![], 0);
+    check("self-loops only", 12, (0..12).map(|v| (v, v)).collect(), 0);
+    check("duplicate-heavy", 12, duplicates, 1);
+    check(
+        "max-degree star",
+        200,
+        (1..200).map(|v| (0, v)).collect(),
+        0,
+    );
+    check("K50", 50, k50, 50 * 49 * 48 / 6);
+    // Below 10 vertices every relabel heuristic declines.
+    let k4_tail = vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)];
+    check("K4 + tail (n < 10)", 6, k4_tail, 4);
+}
+
+/// `pipeline_large` checks `ref` against `gkc`, and both run on the
+/// shared marked-row engine; this holds them to Galois' independent merge
+/// loop on the two large graphs with the most triangles. Takes about
+/// 20 s in release (see CONTRIBUTING.md).
+#[test]
+#[ignore = "large tier; run in release: cargo test --release --test cross_framework -- --ignored"]
+fn large_tier_tc_agrees_with_an_independent_merge_count() {
+    let p = pool();
+    for (spec, triangles) in [(GraphSpec::Web, 520_124_274), (GraphSpec::Kron, 43_147_953)] {
+        let g = BenchGraph::generate_in(spec, Scale::Large, &p).sym_graph;
+        let galois = gapbs::galois::tc(&g, gapbs::galois::tc::Relabeling::HeuristicTimed, &p);
+        assert_eq!(galois, triangles, "Galois merge count on {spec}");
+        assert_eq!(gapbs::gap_ref::tc(&g, &p), galois, "GAP on {spec}");
+        assert_eq!(gapbs::gkc::tc(&g, &p), galois, "GKC on {spec}");
+    }
+}
+
+/// Every relabel heuristic reads `perm::sampled_degrees`; only the
+/// threshold expression differs (GAP, Galois, GraphIt and SuiteSparse
+/// floor the mean, GKC compares the real ratio). Both forms must split
+/// the corpus the same way at every scale: the three skewed graphs
+/// relabel, Road and Urand decline.
+#[test]
+fn relabel_heuristics_split_the_corpus_by_skew() {
+    use gapbs::graph::perm::sampled_degrees;
+    for scale in [Scale::Tiny, Scale::Small, Scale::Medium] {
+        for &spec in &GraphSpec::TABLE_ORDER {
+            let g = BenchGraph::generate_in(spec, scale, &pool()).sym_graph;
+            let skewed = matches!(spec, GraphSpec::Web | GraphSpec::Twitter | GraphSpec::Kron);
+            let what = format!("{spec} at {scale:?}");
+            // The sample itself, against a direct restatement.
+            let n = g.num_vertices();
+            let mut sample: Vec<usize> = (0..n)
+                .step_by((n / 1000).max(1))
+                .take(1000)
+                .map(|u| g.out_degree(u as NodeId))
+                .collect();
+            sample.sort_unstable();
+            let (sum, median) = (sample.iter().sum::<usize>(), sample[sample.len() / 2]);
+            let (mean, got_median) =
+                sampled_degrees(n, |u| g.out_degree(u as NodeId)).expect("n >= 10");
+            assert_eq!(got_median, median, "median of {what}");
+            assert_eq!(mean as usize, sum / sample.len(), "floored mean of {what}");
+            assert_eq!(mean, sum as f64 / sample.len() as f64, "mean of {what}");
+            // The two threshold forms, through the public heuristics.
+            assert_eq!(
+                mean as usize > 2 * median.max(1),
+                skewed,
+                "floored form, {what}"
+            );
+            assert_eq!(
+                gapbs::gap_ref::tc::worth_relabeling(&g),
+                skewed,
+                "GAP, {what}"
+            );
+            assert_eq!(
+                gapbs::gkc::tc::degree_skewness(&g) > 2.0,
+                skewed,
+                "GKC, {what}"
+            );
+        }
+    }
+}

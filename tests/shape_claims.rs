@@ -161,6 +161,33 @@ fn direction_optimizing_bfs_examines_under_m_edges_on_kron() {
     );
 }
 
+/// §V-F as a *work* claim: the marked-row engine spends one probe per
+/// adjacency element read plus one per mark set, so `tc_intersections`
+/// is a property of the graph, not of the schedule — it repeats exactly
+/// at any thread count, is the same for GAP and GKC (same orientation),
+/// and is what `layout_bench` prints per triangle.
+#[cfg(feature = "telemetry")]
+#[test]
+fn marked_row_tc_work_is_exact_at_any_thread_count() {
+    use gapbs::parallel::ThreadPool;
+    use gapbs_telemetry::{capture, Counter};
+    let g = BenchGraph::generate(GraphSpec::Kron, Scale::Tiny).sym_graph;
+    let probes = |tc: &dyn Fn(&ThreadPool) -> u64, threads: usize| {
+        let pool = ThreadPool::new(threads);
+        let (triangles, counters) = capture(|| tc(&pool));
+        let probes = counters.get(Counter::TcIntersections);
+        assert!(probes > 0 && probes <= counters.get(Counter::EdgesExamined));
+        (triangles, probes)
+    };
+    let gap = |pool: &ThreadPool| gapbs::gap_ref::tc(&g, pool);
+    let gkc = |pool: &ThreadPool| gapbs::gkc::tc(&g, pool);
+    let serial = probes(&gap, 1);
+    for threads in [2, 7, 16] {
+        assert_eq!(probes(&gap, threads), serial, "GAP @ {threads} threads");
+        assert_eq!(probes(&gkc, threads), serial, "GKC @ {threads} threads");
+    }
+}
+
 /// The Baseline-mode Galois heuristic misreads Urand as high-diameter —
 /// the paper's §V anecdote, checked as behaviour.
 #[test]
