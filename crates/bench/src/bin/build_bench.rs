@@ -16,7 +16,11 @@
 //! construction (generate + build + relabel) is at least `X` times
 //! faster on the pool — how `scripts/verify.sh` gates the parallel
 //! builder on multi-core hosts. `--ledger <path>` appends one JSONL
-//! record per phase and thread count for `perf_compare`.
+//! record per phase and thread count for `perf_compare`, plus two
+//! work-normalised one-thread cells (`generate/Medge`, `build/Mitem`:
+//! seconds per million generated edges and per million scattered items)
+//! whose baseline holds at any `--scale` and on any core count — the
+//! gate that bites on hosts too small for the speedup gate.
 //!
 //! Windows are repeated `--reps` times and the minimum is kept, the same
 //! best-of-n statistic the trial runner reports.
@@ -89,6 +93,8 @@ struct Phases {
     generate: f64,
     build: f64,
     relabel: f64,
+    /// Edge tuples generated; the symmetrizing build scatters twice as many.
+    edges: usize,
     graph: Graph,
     relabeled: Graph,
 }
@@ -116,6 +122,7 @@ fn run(threads: usize, args: &Args) -> Phases {
         generate,
         build,
         relabel,
+        edges: edges.len(),
         graph,
         relabeled,
     }
@@ -159,6 +166,14 @@ fn main() {
     row("build", serial.build, pooled.build);
     row("relabel", serial.relabel, pooled.relabel);
     row("total", total_serial, total_pooled);
+    // One-thread cost per unit of work: comparable across scales.
+    let per_edge = serial.generate / serial.edges as f64;
+    let per_item = serial.build / (2 * serial.edges) as f64;
+    println!(
+        "  per item : 1T {:.1} ns/generated edge, {:.1} ns/scattered item",
+        per_edge * 1e9,
+        per_item * 1e9
+    );
     println!("  outputs  : identical at 1T and {}T", args.threads);
 
     if let Some(path) = &args.ledger {
@@ -191,7 +206,9 @@ fn main() {
                     append(threads, "build", p.build, p);
                     append(threads, "relabel", p.relabel, p);
                 }
-                eprintln!("ledger: appended 6 records to {path}");
+                append(1, "generate/Medge", per_edge * 1e6, &serial);
+                append(1, "build/Mitem", per_item * 1e6, &serial);
+                eprintln!("ledger: appended 8 records to {path}");
             }
             Err(e) => eprintln!("ledger {path}: {e}"),
         }

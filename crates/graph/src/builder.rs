@@ -10,13 +10,17 @@
 //! Construction runs as a staged pipeline on a [`ThreadPool`] (mirroring
 //! the GAP reference's parallel `BuilderBase`):
 //!
-//! 1. **count** — per-worker degree histograms over a static partition of
-//!    the input (local buffers: no shared writes in the hot loop),
+//! 1. **count** — per-worker row histograms over a static, contiguous
+//!    partition of the input (private tables: no shared writes in the hot
+//!    loop),
 //! 2. **scan** — histogram merge plus a parallel exclusive prefix sum
-//!    ([`gapbs_parallel::scan`]) turning degrees into row offsets,
-//! 3. **scatter** — a counting-sort scatter over atomic row cursors
-//!    ([`gapbs_parallel::scatter`]); symmetrized mirrors and the reversed
-//!    (incoming) direction are *virtual* input items, so no second edge
+//!    ([`gapbs_parallel::scan`]) turning degrees into row offsets, and the
+//!    histograms into each worker's window of every row,
+//! 3. **scatter** — a *stable* counting-sort scatter
+//!    ([`gapbs_parallel::scatter`]): every worker re-walks its own slice
+//!    and writes through its own windows, so there are no atomics and the
+//!    slot order inside a row is input order at every thread count;
+//!    symmetrized mirrors are *virtual* input items, so no second edge
 //!    `Vec` is ever materialized, and self-loop filtering happens here
 //!    rather than in an up-front `retain` pass,
 //! 4. **sort_dedup** — chunked per-row `sort_unstable` + first-wins dedup
@@ -25,10 +29,17 @@
 //! 5. **compact** — a second scan over the kept counts and a parallel
 //!    copy into the final buffer.
 //!
+//! Structures derived from a finished CSR skip stages 4 and 5. Scattering
+//! the arcs of sorted, duplicate-free rows in ascending source order
+//! yields sorted, duplicate-free rows because the scatter is stable, so
+//! the incoming direction of a directed graph is a transpose of the
+//! finished outgoing CSR (stages 1–3 over the deduplicated arcs), and
+//! [`symmetrize_graph`] is a per-row merge of the two directions with no
+//! scatter at all.
+//!
 //! Every stage is deterministic for a given input regardless of thread
-//! count or schedule: scatter order within a row varies, but the sort
-//! canonicalizes it. A builder without a pool runs the same pipeline on a
-//! one-thread pool, which executes inline — serial construction is the
+//! count or schedule. A builder without a pool runs the same pipeline on
+//! a one-thread pool, which executes inline — serial construction is the
 //! one-thread special case, not a separate code path.
 
 use crate::csr::{CsrGraph, WCsrGraph};
@@ -36,7 +47,8 @@ use crate::edgelist::{Edge, WEdge};
 use crate::error::BuildError;
 use crate::graph::{AnyGraph, Graph, WGraph};
 use crate::types::{NodeId, OffsetIndex, Weight};
-use gapbs_parallel::{scan, scatter, Schedule, SharedSlice, ThreadPool};
+use gapbs_parallel::scatter::{self, RowCounts};
+use gapbs_parallel::{scan, Schedule, SharedSlice, ThreadPool};
 use gapbs_telemetry::{record, trace, Counter};
 
 /// Configurable edge-list-to-graph builder.
@@ -208,13 +220,9 @@ impl Builder {
                 let e = edges[i];
                 live(&e).then_some((e.src as usize, e.dst))
             };
-            let in_item = |i: usize| {
-                let e = edges[i];
-                live(&e).then_some((e.dst as usize, e.src))
-            };
             let (oo, ot) = build_rows(&pool, n, m, &out_item);
             check_width::<O>(&oo)?;
-            let (io, it) = build_rows(&pool, n, m, &in_item);
+            let (io, it) = transpose_rows(&pool, &oo, &ot);
             Ok(Graph::directed(
                 CsrGraph::from_scan_unchecked(oo, ot),
                 CsrGraph::from_scan_unchecked(io, it),
@@ -301,13 +309,9 @@ impl Builder {
                 let e = edges[i];
                 live(&e).then_some((e.src as usize, (e.dst, e.weight)))
             };
-            let in_item = |i: usize| {
-                let e = edges[i];
-                live(&e).then_some((e.dst as usize, (e.src, e.weight)))
-            };
             let (oo, op) = build_rows(&pool, n, m, &out_item);
             check_width::<O>(&oo)?;
-            let (io, ip) = build_rows(&pool, n, m, &in_item);
+            let (io, ip) = transpose_rows(&pool, &oo, &op);
             Ok(WGraph::directed(wcsr(&pool, oo, &op), wcsr(&pool, io, &ip)))
         }
     }
@@ -326,31 +330,56 @@ fn check_width<O: OffsetIndex>(offsets: &[usize]) -> Result<(), BuildError> {
     }
 }
 
-/// Symmetrizes a directed graph on `pool` without materializing an edge
-/// list: the scatter's item space is both directions of every stored arc,
-/// read straight out of the CSR.
+/// Symmetrizes a directed graph on `pool`: row `u` of the result is the
+/// union of `u`'s stored out- and in-neighbors. Both are sorted and
+/// duplicate-free, so the union is a two-pointer merge per row (count,
+/// scan, merge-write) with no scatter and no sort.
 pub fn symmetrize_graph<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> Graph<O> {
     let n = g.num_vertices();
-    let csr = g.out_csr();
-    let targets = csr.targets_raw();
-    let m = targets.len();
-    let srcs = arc_sources(pool, csr.offsets_raw(), n, m);
-    let item = |i: usize| {
-        let (arc, fwd) = if i < m { (i, true) } else { (i - m, false) };
-        let (u, v) = (srcs[arc], targets[arc]);
-        Some(if fwd {
-            (u as usize, v)
-        } else {
-            (v as usize, u)
-        })
-    };
-    let (offsets, adj) = build_rows(pool, n, 2 * m, &item);
+    let row = |u: usize| sorted_union(g.out_neighbors(u as NodeId), g.in_neighbors(u as NodeId));
+    let mut offsets = vec![0usize; n + 1];
+    scatter::fill_with(pool, &mut offsets[..n], Schedule::Guided, |u| {
+        row(u).count()
+    });
+    let total = scan::exclusive_scan_in_place(pool, &mut offsets);
     assert!(
-        O::fits(offsets.last().copied().unwrap_or(0)),
+        O::fits(total),
         "symmetrized arc count overflows {} offsets",
         O::NAME
     );
+    let mut adj = vec![0 as NodeId; total];
+    {
+        let rows = SharedSlice::new(&mut adj);
+        let offsets = &offsets;
+        pool.for_each_index(n, Schedule::Guided, |u| {
+            // SAFETY: `offsets` is a monotone scan ending at `adj.len()`,
+            // so rows partition the buffer and row `u` has one borrower.
+            let dst = unsafe { rows.range_mut(offsets[u], offsets[u + 1]) };
+            for (slot, v) in dst.iter_mut().zip(row(u)) {
+                *slot = v;
+            }
+        });
+    }
     Graph::undirected(CsrGraph::from_scan_unchecked(offsets, adj))
+}
+
+/// Merges two sorted duplicate-free lists into their sorted duplicate-free
+/// union.
+fn sorted_union<'a>(mut a: &'a [NodeId], mut b: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
+    std::iter::from_fn(move || {
+        let v = match (a.first(), b.first()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => return None,
+        };
+        if a.first() == Some(&v) {
+            a = &a[1..];
+        }
+        if b.first() == Some(&v) {
+            b = &b[1..];
+        }
+        Some(v)
+    })
 }
 
 /// Expands a CSR offset table into the per-arc source-vertex array the
@@ -377,17 +406,26 @@ pub(crate) fn arc_sources<O: OffsetIndex>(
 pub(crate) trait AdjEntry: Copy + Ord + Default + Send + Sync {
     /// The destination vertex duplicates are detected on.
     fn dedup_key(self) -> NodeId;
+    /// The same entry pointing at `v` instead (the arc seen from its
+    /// other endpoint).
+    fn retarget(self, v: NodeId) -> Self;
 }
 
 impl AdjEntry for NodeId {
     fn dedup_key(self) -> NodeId {
         self
     }
+    fn retarget(self, v: NodeId) -> NodeId {
+        v
+    }
 }
 
 impl AdjEntry for (NodeId, Weight) {
     fn dedup_key(self) -> NodeId {
         self.0
+    }
+    fn retarget(self, v: NodeId) -> Self {
+        (v, self.1)
     }
 }
 
@@ -414,10 +452,46 @@ fn staged<R>(stage: &'static str, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// The staged parallel pipeline: `item(i)` yields `(row, entry)` for every
-/// live input item (`None` filters it out), and the result is the sorted,
-/// deduplicated `(offsets, entries)` CSR pair. Deterministic for a given
-/// item space regardless of the pool's thread count.
+/// Stages 1–3, a stable counting sort by row: `item(i)` yields
+/// `(row, entry)` for every live input item (`None` filters it out) and
+/// the result is `(offsets, entries)` with each row's entries in input
+/// order, whatever the pool's thread count.
+fn scatter_rows<T, F>(pool: &ThreadPool, n: usize, n_items: usize, item: &F) -> (Vec<usize>, Vec<T>)
+where
+    T: AdjEntry,
+    F: Fn(usize) -> Option<(usize, T)> + Sync,
+{
+    let counts = staged("count", || {
+        RowCounts::count(pool, n, n_items, |i| item(i).map(|(row, _)| row))
+    });
+    let windows = staged("scan", || counts.scan(pool));
+    let (offsets, slots) = staged("scatter", || windows.scatter(pool, T::default(), item));
+    record(Counter::BuildEdgesScattered, slots.len() as u64);
+    (offsets, slots)
+}
+
+/// Transposes a finished CSR: row `v` of the result lists, for every arc
+/// `u → v`, the entry retargeted at `u`. The input rows are visited in
+/// ascending `u` and the scatter is stable, so the output rows come out
+/// sorted and as duplicate-free as the input — no sort or compact stage.
+pub(crate) fn transpose_rows<T: AdjEntry>(
+    pool: &ThreadPool,
+    offsets: &[usize],
+    entries: &[T],
+) -> (Vec<usize>, Vec<T>) {
+    let n = offsets.len() - 1;
+    let srcs = arc_sources(pool, offsets, n, entries.len());
+    let item = |arc: usize| {
+        let entry = entries[arc];
+        Some((entry.dedup_key() as usize, entry.retarget(srcs[arc])))
+    };
+    scatter_rows(pool, n, entries.len(), &item)
+}
+
+/// The staged parallel pipeline: [`scatter_rows`], then a per-row sort
+/// and dedup; the result is the sorted, deduplicated `(offsets, entries)`
+/// CSR pair. Deterministic for a given item space regardless of the
+/// pool's thread count.
 pub(crate) fn build_rows<T, F>(
     pool: &ThreadPool,
     n: usize,
@@ -428,51 +502,8 @@ where
     T: AdjEntry,
     F: Fn(usize) -> Option<(usize, T)> + Sync,
 {
-    let threads = pool.num_threads();
-
-    // Stage 1: degree count into per-worker histograms (local buffers —
-    // the hot loop touches no shared cache lines).
-    let mut hists: Vec<Vec<usize>> = std::iter::repeat_with(Vec::new).take(threads).collect();
-    staged("count", || {
-        let slots = SharedSlice::new(&mut hists);
-        pool.run(|tid| {
-            let chunk = n_items.div_ceil(threads.max(1)).max(1);
-            let lo = (tid * chunk).min(n_items);
-            let hi = ((tid + 1) * chunk).min(n_items);
-            let mut h = vec![0usize; n];
-            for i in lo..hi {
-                if let Some((row, _)) = item(i) {
-                    h[row] += 1;
-                }
-            }
-            // SAFETY: one writer per worker slot.
-            unsafe { slots.write(tid, h) };
-        });
-    });
-
-    // Stage 2: merge the histograms and scan them into row offsets.
-    let mut offsets = vec![0usize; n + 1];
-    let total = staged("scan", || {
-        {
-            let merged = SharedSlice::new(&mut offsets[..n]);
-            let hists = &hists;
-            pool.for_each_index(n, Schedule::Static, |v| {
-                let count: usize = hists.iter().map(|h| h[v]).sum();
-                // SAFETY: one writer per vertex.
-                unsafe { merged.write(v, count) };
-            });
-        }
-        scan::exclusive_scan_in_place(pool, &mut offsets)
-    });
-    drop(hists);
-
-    // Stage 3: counting-sort scatter over atomic row cursors.
-    let mut slots: Vec<T> = vec![T::default(); total];
-    staged("scatter", || {
-        let cursors = scatter::RowCursors::from_offsets(&offsets);
-        scatter::scatter(pool, n_items, &cursors, &mut slots, item);
-    });
-    record(Counter::BuildEdgesScattered, total as u64);
+    let (offsets, mut slots) = scatter_rows(pool, n, n_items, item);
+    let total = slots.len();
 
     // Stage 4: canonicalize each row — sort, then first-wins dedup (for
     // weighted entries the tuple sort puts the minimum weight first).

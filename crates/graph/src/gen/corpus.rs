@@ -169,6 +169,15 @@ impl GraphSpec {
         build_graph_in(n, edges, sym, pool)
     }
 
+    /// Both forms [`GraphSpec::generate_in`] and
+    /// [`GraphSpec::generate_weighted_in`] return, from one run of the
+    /// edge generator instead of one each.
+    pub fn generate_both_in(self, scale: Scale, pool: &ThreadPool) -> (Graph, WGraph) {
+        let (n, edges, sym) = self.edges_in(scale, pool);
+        let wgraph = weighted_companion_in(n, &edges, sym, self.seed(), pool);
+        (build_graph_in(n, edges, sym, pool), wgraph)
+    }
+
     /// Generates the weighted companion (same topology, GAP-style uniform
     /// weights) at the given scale.
     pub fn generate_weighted(self, scale: Scale) -> WGraph {
@@ -282,10 +291,13 @@ pub fn corpus(scale: Scale) -> Vec<CorpusEntry> {
 pub fn corpus_in(scale: Scale, pool: &ThreadPool) -> Vec<CorpusEntry> {
     GraphSpec::TABLE_ORDER
         .iter()
-        .map(|&spec| CorpusEntry {
-            spec,
-            graph: spec.generate_in(scale, pool),
-            wgraph: spec.generate_weighted_in(scale, pool),
+        .map(|&spec| {
+            let (graph, wgraph) = spec.generate_both_in(scale, pool);
+            CorpusEntry {
+                spec,
+                graph,
+                wgraph,
+            }
         })
         .collect()
 }
@@ -321,6 +333,96 @@ mod tests {
             let g = &entry.graph;
             for u in g.vertices().step_by(37) {
                 assert_eq!(g.out_neighbors(u), entry.wgraph.out_neighbors(u));
+            }
+        }
+    }
+
+    /// FNV-1a over a stream of 64-bit words: the corpus fingerprint the
+    /// golden table below pins.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        use crate::snapshot::{FNV1A_OFFSET, FNV1A_PRIME};
+        words
+            .into_iter()
+            .fold(FNV1A_OFFSET, |h, w| (h ^ w).wrapping_mul(FNV1A_PRIME))
+    }
+
+    fn csr_words(csr: &crate::csr::CsrGraph) -> impl Iterator<Item = u64> + '_ {
+        let offsets = csr.offsets_raw().iter().map(|&o| u64::from(o));
+        offsets.chain(csr.targets_raw().iter().map(|&t| u64::from(t)))
+    }
+
+    fn graph_hash(g: &Graph) -> u64 {
+        fnv(csr_words(g.out_csr()).chain(csr_words(g.in_csr())))
+    }
+
+    fn wcsr_words(w: &crate::csr::WCsrGraph) -> impl Iterator<Item = u64> + '_ {
+        csr_words(w.unweighted()).chain(w.weights_raw().iter().map(|&x| x as u64))
+    }
+
+    fn wgraph_hash(g: &WGraph) -> u64 {
+        fnv(wcsr_words(g.out_wcsr()).chain(wcsr_words(g.in_wcsr())))
+    }
+
+    /// `[edge list, Graph, WGraph, symmetrized view]` per graph in
+    /// [`GraphSpec::TABLE_ORDER`], computed at the commit before the
+    /// stable scatter and the integer R-MAT sampler went in. The corpus
+    /// is part of every recorded result (snapshot `params_hash`, served
+    /// fingerprints, EXPERIMENTS.md counts), so construction changes
+    /// must leave these alone.
+    #[rustfmt::skip]
+    const GOLDEN: [(Scale, [[u64; 4]; 5]); 3] = [
+        (Scale::Tiny, [
+            [0xd91d_a378_cb34_a89e, 0x4ce3_9950_ec08_6b5f, 0x6fdc_bb3d_4841_d6a9, 0xff7f_551c_0877_4bad],
+            [0x2040_ca70_5dca_b2c0, 0x8a23_31c8_3955_b593, 0xbf4c_ba5b_264c_0aa3, 0xc057_f341_7bb7_8445],
+            [0x83c5_a517_a19d_58bd, 0x44bb_896c_cfbf_d885, 0x412e_f675_593e_f75f, 0x44bb_896c_cfbf_d885],
+            [0xad04_60e9_2e0f_5c50, 0xfd6c_b750_9d5c_19c5, 0x3f4f_fe57_4ec3_b9f5, 0xfd6c_b750_9d5c_19c5],
+            [0x9fc9_b823_2fac_b7bb, 0xf3a0_469d_f9e9_fcbd, 0xd736_9b2b_f440_85e5, 0xf3a0_469d_f9e9_fcbd],
+        ]),
+        (Scale::Small, [
+            [0x254a_2358_90b7_21ec, 0x3194_e7ba_5c03_554f, 0x838d_5929_e835_c3f5, 0x0b74_f249_9e41_7f75],
+            [0x95b4_1ebf_9424_1afe, 0xbc01_e3fb_2276_23f1, 0xda17_61f4_bc1e_c663, 0x3a01_2a37_98d2_3b35],
+            [0x9a58_1afe_18e6_363f, 0xa546_6bb8_b846_ade5, 0x9c9b_51ed_ed90_e1a5, 0xa546_6bb8_b846_ade5],
+            [0xa91c_8813_e04d_b476, 0x7386_0987_484e_2ca5, 0x69a2_6c08_a6b8_29e5, 0x7386_0987_484e_2ca5],
+            [0x3ed7_d6a7_bb2d_72a4, 0x0fc9_a9f9_5abb_ac6d, 0xa254_3fc3_82e1_68cd, 0x0fc9_a9f9_5abb_ac6d],
+        ]),
+        (Scale::Medium, [
+            [0xaf4a_e67b_125d_2e8a, 0x1c7f_6948_9ba1_d387, 0xc2e6_baaa_5899_9b7f, 0x4229_01f6_201c_4e39],
+            [0x7f8d_acfa_0d01_6d3d, 0x569f_b184_fede_c6ab, 0x01b3_e464_7610_58c7, 0x83bc_a37f_470e_fe99],
+            [0x9ad7_30e5_01d4_a891, 0x0c7f_1d31_4675_79d1, 0x15ca_5715_8976_b5d5, 0x0c7f_1d31_4675_79d1],
+            [0xec9d_241d_416c_baa8, 0xe23f_007b_e2f2_72a5, 0x8a58_ddae_d0e8_7eb3, 0xe23f_007b_e2f2_72a5],
+            [0x90f5_0d85_f001_9afe, 0x4860_d14b_225a_8f05, 0x7141_3fdb_98e7_5795, 0x4860_d14b_225a_8f05],
+        ]),
+    ];
+
+    #[test]
+    fn corpus_matches_golden_hashes() {
+        let pool = ThreadPool::new(2);
+        for (scale, golden) in GOLDEN {
+            for (spec, want) in GraphSpec::TABLE_ORDER.into_iter().zip(golden) {
+                let (n, edges, sym) = spec.edges_in(scale, &pool);
+                let edge_hash = fnv([n as u64, u64::from(sym)].into_iter().chain(
+                    edges
+                        .iter()
+                        .flat_map(|e| [u64::from(e.src), u64::from(e.dst)]),
+                ));
+                let (graph, wgraph) = (
+                    spec.generate_in(scale, &pool),
+                    spec.generate_weighted_in(scale, &pool),
+                );
+                let (both_g, both_w) = spec.generate_both_in(scale, &pool);
+                assert!(both_g == graph && both_w == wgraph, "{spec} @ {scale}");
+                let sym_hash = if graph.is_directed() {
+                    graph_hash(&crate::builder::symmetrize_graph(&graph, &pool))
+                } else {
+                    graph_hash(&graph)
+                };
+                let got = [
+                    edge_hash,
+                    graph_hash(&graph),
+                    wgraph_hash(&wgraph),
+                    sym_hash,
+                ];
+                assert_eq!(got, want, "{spec} @ {scale}: got {got:#018x?}");
             }
         }
     }

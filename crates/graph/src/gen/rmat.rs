@@ -6,6 +6,13 @@
 //! `A = 0.57, B = 0.19, C = 0.19`. The Twitter- and Web-like stand-ins use
 //! the same recursive process with different skew so that their degree
 //! distributions are power-law like the originals (see Table I).
+//!
+//! The sampler draws one 53-bit integer per recursion level and compares
+//! it with the cumulative quadrant probabilities as integer thresholds
+//! (`quadrant_thresholds`): the same quadrant a cascade of `gen_f64() < p`
+//! tests picks from the same RNG stream, at a fraction of the cost — the
+//! cascade's three data-dependent branches mispredict on nearly every
+//! level.
 
 use super::{build_graph, EDGE_BLOCK};
 use crate::edgelist::Edge;
@@ -84,6 +91,7 @@ pub fn rmat_edges_in(config: &RmatConfig, seed: u64, pool: &ThreadPool) -> Vec<E
         d > 0.0 && config.a > 0.0 && config.b >= 0.0 && config.c >= 0.0,
         "rmat quadrant probabilities must be positive and sum below 1"
     );
+    let thresholds = quadrant_thresholds(config);
     let n = config.num_vertices();
     let m = n * config.edges_per_vertex;
     let mut edges = vec![Edge::new(0, 0); m];
@@ -94,24 +102,14 @@ pub fn rmat_edges_in(config: &RmatConfig, seed: u64, pool: &ThreadPool) -> Vec<E
             let lo = block * EDGE_BLOCK;
             let hi = (lo + EDGE_BLOCK).min(m);
             for i in lo..hi {
-                let (mut src, mut dst) = (0usize, 0usize);
+                let (mut src, mut dst) = (0 as NodeId, 0 as NodeId);
                 for _ in 0..config.scale {
-                    src <<= 1;
-                    dst <<= 1;
-                    let r = rng.gen_f64();
-                    if r < config.a {
-                        // top-left: no bits set
-                    } else if r < config.a + config.b {
-                        dst |= 1;
-                    } else if r < config.a + config.b + config.c {
-                        src |= 1;
-                    } else {
-                        src |= 1;
-                        dst |= 1;
-                    }
+                    let (src_bit, dst_bit) = quadrant_bits(rng.next_u64() >> 11, &thresholds);
+                    src = (src << 1) | NodeId::from(src_bit);
+                    dst = (dst << 1) | NodeId::from(dst_bit);
                 }
                 // SAFETY: blocks partition the output.
-                unsafe { out.write(i, Edge::new(src as NodeId, dst as NodeId)) };
+                unsafe { out.write(i, Edge::new(src, dst)) };
             }
         });
     }
@@ -130,6 +128,34 @@ pub fn rmat_edges_in(config: &RmatConfig, seed: u64, pool: &ThreadPool) -> Vec<E
         });
     }
     edges
+}
+
+/// The cumulative quadrant probabilities `a`, `a + b`, `a + b + c` as
+/// integer thresholds on the 53-bit draw `x = next_u64() >> 11`.
+///
+/// [`SeededRng::gen_f64`] returns `x · 2⁻⁵³` exactly, so for a
+/// probability `p` the float test `x · 2⁻⁵³ < p` is `x < p · 2⁵³`, and
+/// with `x` an integer that is `x < ceil(p · 2⁵³)` (scaling an `f64` by
+/// a power of two is exact). The sampler therefore picks the quadrant a
+/// cascade of `gen_f64() < p` tests over the same sums would pick, bit
+/// for bit.
+fn quadrant_thresholds(config: &RmatConfig) -> [u64; 3] {
+    let threshold = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+    [
+        threshold(config.a),
+        threshold(config.a + config.b),
+        threshold(config.a + config.b + config.c),
+    ]
+}
+
+/// The `(src, dst)` bits of the quadrant a 53-bit draw `x` falls in.
+/// Quadrants in threshold order: top-left (no bit), top-right (`dst`),
+/// bottom-left (`src`), bottom-right (both) — three compares and no
+/// data-dependent branch.
+#[inline]
+fn quadrant_bits(x: u64, &[t_a, t_ab, t_abc]: &[u64; 3]) -> (bool, bool) {
+    let (ge_a, ge_ab, ge_abc) = (x >= t_a, x >= t_ab, x >= t_abc);
+    (ge_ab, (ge_a ^ ge_ab) | ge_abc)
 }
 
 fn random_permutation(n: usize, rng: &mut SeededRng) -> Vec<NodeId> {
@@ -214,6 +240,59 @@ mod tests {
             (max_deg as f64) > avg * 8.0,
             "max {max_deg} vs avg {avg} is not skewed"
         );
+    }
+
+    /// The `gen_f64` cascade the integer sampler stands in for.
+    fn quadrant_bits_by_float(x: u64, cfg: &RmatConfig) -> (bool, bool) {
+        let r = x as f64 * (1.0 / (1u64 << 53) as f64);
+        if r < cfg.a {
+            (false, false)
+        } else if r < cfg.a + cfg.b {
+            (false, true)
+        } else if r < cfg.a + cfg.b + cfg.c {
+            (true, false)
+        } else {
+            (true, true)
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_pick_the_float_cascades_quadrant() {
+        let with = |a, b, c| RmatConfig {
+            scale: 1,
+            edges_per_vertex: 1,
+            a,
+            b,
+            c,
+            shuffle_ids: false,
+        };
+        // Twitter, Web, Graph500, then random splits of the unit interval.
+        let mut configs = vec![
+            with(0.65, 0.15, 0.15),
+            with(0.60, 0.19, 0.19),
+            with(0.57, 0.19, 0.19),
+        ];
+        let mut rng = SeededRng::seed_from_u64(53);
+        for _ in 0..1000 {
+            let parts = [(); 4].map(|()| rng.gen_f64() + 1e-9);
+            let sum: f64 = parts.iter().sum();
+            configs.push(with(parts[0] / sum, parts[1] / sum, parts[2] / sum));
+        }
+        let top = (1u64 << 53) - 1;
+        for cfg in &configs {
+            let thresholds = quadrant_thresholds(cfg);
+            assert!(thresholds.is_sorted() && thresholds[2] <= top);
+            let around = thresholds
+                .iter()
+                .flat_map(|&t| [t.saturating_sub(1), t, t + 1]);
+            for x in around.chain([0, top]).map(|x| x.min(top)) {
+                assert_eq!(
+                    quadrant_bits(x, &thresholds),
+                    quadrant_bits_by_float(x, cfg),
+                    "x = {x} with {cfg:?}"
+                );
+            }
+        }
     }
 
     #[test]

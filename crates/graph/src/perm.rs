@@ -6,7 +6,7 @@
 //! inside the kernel, so relabeling lives here as a reusable, measurable
 //! operation.
 
-use crate::builder::{arc_sources, build_rows};
+use crate::builder::{arc_sources, build_rows, transpose_rows};
 use crate::csr::CsrGraph;
 use crate::graph::Graph;
 use crate::types::{NodeId, OffsetIndex};
@@ -74,13 +74,32 @@ impl Permutation {
 /// Builds the degree-descending relabeling used by TC implementations:
 /// high-degree vertices get small ids so that orientation by id bounds the
 /// search work (ties broken by old id for determinism).
+///
+/// Relabeling TC kernels run this inside the timed region, so it is a
+/// counting sort over degree, `O(n + max_degree)`: vertices are handed
+/// out in ascending old id, which is the tie-break.
 pub fn degree_descending<O: OffsetIndex>(g: &Graph<O>) -> Permutation {
-    let mut order: Vec<NodeId> = g.vertices().collect();
-    order.sort_by_key(|&u| (std::cmp::Reverse(g.out_degree(u)), u));
-    let mut new_of_old = vec![0 as NodeId; g.num_vertices()];
-    for (new, &old) in order.iter().enumerate() {
-        new_of_old[old as usize] = new as NodeId;
+    let max_degree = g.vertices().map(|u| g.out_degree(u)).max().unwrap_or(0);
+    // `next[d]`: the next new id for a vertex of degree `d`; starts at
+    // the number of vertices with a larger degree.
+    let mut next = vec![0 as NodeId; max_degree + 1];
+    for u in g.vertices() {
+        next[g.out_degree(u)] += 1;
     }
+    let mut larger = 0;
+    for slot in next.iter_mut().rev() {
+        let count = *slot;
+        *slot = larger;
+        larger += count;
+    }
+    let new_of_old = g
+        .vertices()
+        .map(|u| {
+            let slot = &mut next[g.out_degree(u)];
+            *slot += 1;
+            *slot - 1
+        })
+        .collect();
     Permutation { new_of_old }
 }
 
@@ -109,16 +128,16 @@ pub fn apply_in<O: OffsetIndex>(g: &Graph<O>, perm: &Permutation, pool: &ThreadP
     let out_item =
         |arc: usize| Some((map[srcs[arc] as usize] as usize, map[targets[arc] as usize]));
     let (offsets, adj) = build_rows(pool, n, m, &out_item);
-    let out = CsrGraph::from_scan_unchecked(offsets, adj);
     if g.is_directed() {
-        let in_item =
-            |arc: usize| Some((map[targets[arc] as usize] as usize, map[srcs[arc] as usize]));
-        let (in_offsets, in_adj) = build_rows(pool, n, m, &in_item);
-        Graph::directed(out, CsrGraph::from_scan_unchecked(in_offsets, in_adj))
+        let (in_offsets, in_adj) = transpose_rows(pool, &offsets, &adj);
+        Graph::directed(
+            CsrGraph::from_scan_unchecked(offsets, adj),
+            CsrGraph::from_scan_unchecked(in_offsets, in_adj),
+        )
     } else {
         // The arcs were already symmetric, so the one direction is the
         // whole adjacency.
-        Graph::undirected(out)
+        Graph::undirected(CsrGraph::from_scan_unchecked(offsets, adj))
     }
 }
 
@@ -203,6 +222,49 @@ mod tests {
         assert_eq!(p.new_id(0), 0, "hub should map to id 0");
     }
 
+    /// The comparison sort the counting sort replaced: the definition.
+    fn degree_descending_by_sorting<O: OffsetIndex>(g: &Graph<O>) -> Permutation {
+        let mut order: Vec<NodeId> = g.vertices().collect();
+        order.sort_by_key(|&u| (std::cmp::Reverse(g.out_degree(u)), u));
+        let mut new_of_old = vec![0 as NodeId; g.num_vertices()];
+        for (new, &old) in order.iter().enumerate() {
+            new_of_old[old as usize] = new as NodeId;
+        }
+        Permutation::new(new_of_old)
+    }
+
+    #[test]
+    fn degree_descending_equals_the_sorted_definition() {
+        use crate::gen::{GraphSpec, Scale};
+        let pool = ThreadPool::new(2);
+        for scale in [Scale::Tiny, Scale::Small, Scale::Medium] {
+            for spec in GraphSpec::TABLE_ORDER {
+                let g = spec.generate_in(scale, &pool);
+                assert_eq!(
+                    degree_descending(&g),
+                    degree_descending_by_sorting(&g),
+                    "{spec} @ {scale}"
+                );
+            }
+        }
+        let build = |n: usize, list: Vec<(u32, u32)>| {
+            Builder::new()
+                .num_vertices(n)
+                .symmetrize(true)
+                .build(edges(list))
+                .unwrap()
+        };
+        for g in [
+            build(0, vec![]),                                     // empty graph
+            build(5, vec![]),                                     // all degrees equal (0)
+            build(6, (0..6).map(|i| (i, (i + 1) % 6)).collect()), // all equal (2)
+            star(),                                               // single hub
+            build(9, (1..6).map(|i| (7, i)).collect()),           // hub with a high old id
+        ] {
+            assert_eq!(degree_descending(&g), degree_descending_by_sorting(&g));
+        }
+    }
+
     #[test]
     fn inverse_composes_to_identity() {
         let p = Permutation::new(vec![2, 0, 1]);
@@ -241,6 +303,22 @@ mod tests {
         for threads in [2, 5] {
             let pool = ThreadPool::new(threads);
             assert_eq!(apply_in(&g, &p, &pool), serial, "@ {threads} threads");
+        }
+    }
+
+    #[test]
+    fn directed_apply_relabels_both_directions() {
+        let g = crate::gen::GraphSpec::Twitter.generate(crate::gen::Scale::Tiny);
+        let p = degree_descending(&g);
+        let h = apply_in(&g, &p, &ThreadPool::new(3));
+        let relabeled = |row: &[NodeId]| {
+            let mut row: Vec<NodeId> = row.iter().map(|&w| p.new_id(w)).collect();
+            row.sort_unstable();
+            row
+        };
+        for u in g.vertices() {
+            assert_eq!(h.out_neighbors(p.new_id(u)), relabeled(g.out_neighbors(u)));
+            assert_eq!(h.in_neighbors(p.new_id(u)), relabeled(g.in_neighbors(u)));
         }
     }
 

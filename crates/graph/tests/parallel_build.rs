@@ -11,7 +11,7 @@ use gapbs_graph::builder::symmetrize_graph;
 use gapbs_graph::edgelist::{Edge, WEdge};
 use gapbs_graph::gen;
 use gapbs_graph::perm::{self, Permutation};
-use gapbs_graph::types::{NodeId, Weight};
+use gapbs_graph::types::{NodeId, OffsetIndex, Weight};
 use gapbs_graph::{Builder, Graph, WGraph};
 use gapbs_parallel::ThreadPool;
 use std::collections::{BTreeMap, BTreeSet};
@@ -312,5 +312,136 @@ fn corpus_generation_is_pool_size_independent() {
             spec.generate_weighted_in(Scale::Tiny, &pool),
             "{spec} weighted"
         );
+    }
+}
+
+/// Oracle in-adjacency of a directed build: who points at each vertex.
+fn oracle_in_adjacency(
+    n: usize,
+    edges: &[Edge],
+    drop_loops: bool,
+) -> BTreeMap<usize, BTreeSet<NodeId>> {
+    let reversed: Vec<Edge> = edges.iter().map(|e| e.reversed()).collect();
+    oracle_adjacency(n, &reversed, false, drop_loops)
+}
+
+/// The `in` direction is a transpose of the finished `out` CSR; it must
+/// equal what an independent pass over the raw edge list says, at every
+/// thread count and on both offset widths.
+#[test]
+fn transposed_in_direction_matches_oracle() {
+    fn check<O: OffsetIndex>(name: &str, n: usize, edges: &[Edge], drop_loops: bool) {
+        let oracle = oracle_in_adjacency(n, edges, drop_loops);
+        for threads in THREADS {
+            let g: Graph<O> = Builder::new()
+                .num_vertices(n)
+                .remove_self_loops(drop_loops)
+                .pool(&ThreadPool::new(threads))
+                .build_as(edges.to_vec())
+                .expect("in-range endpoints");
+            assert!(g.is_directed());
+            for (&v, expected) in &oracle {
+                let want: Vec<NodeId> = expected.iter().copied().collect();
+                assert_eq!(
+                    g.in_neighbors(v as NodeId),
+                    want.as_slice(),
+                    "{name}: in-row {v}, loops={drop_loops} @ {threads} threads, {} offsets",
+                    O::NAME
+                );
+            }
+            assert_eq!(g.in_csr().num_edges(), g.out_csr().num_edges());
+        }
+    }
+    for (name, n, edges) in adversarial_inputs() {
+        for drop_loops in [false, true] {
+            check::<u32>(name, n, &edges, drop_loops);
+            check::<usize>(name, n, &edges, drop_loops);
+        }
+    }
+}
+
+/// Duplicate arcs keep their minimum weight in the `out` rows; the
+/// transpose must carry exactly that weight to the `in` rows.
+#[test]
+fn min_weight_rule_survives_the_transpose() {
+    let mut edges = Vec::new();
+    let mut x = 5u64;
+    for _ in 0..3000 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        // 23 vertices, so most arcs repeat with different weights.
+        let (a, b) = (((x >> 33) % 23) as u32, ((x >> 13) % 23) as u32);
+        edges.push(WEdge::new(a, b, 1 + ((x >> 50) % 200) as Weight));
+    }
+    let oracle = oracle_weights(23, &edges, false);
+    for threads in THREADS {
+        let g = Builder::new()
+            .num_vertices(23)
+            .pool(&ThreadPool::new(threads))
+            .build_weighted(edges.clone())
+            .expect("valid weights");
+        assert_weights_match_oracle(&g, &oracle);
+        let mut arcs = 0usize;
+        for v in g.vertices() {
+            let row: Vec<(NodeId, Weight)> = g.in_neighbors_weighted(v).collect();
+            assert!(
+                row.windows(2).all(|p| p[0].0 < p[1].0),
+                "in-row {v} unsorted"
+            );
+            for (u, w) in row {
+                assert_eq!(
+                    Some(&w),
+                    oracle.get(&(u as usize, v)),
+                    "in-weight of {u}->{v} @ {threads} threads"
+                );
+                arcs += 1;
+            }
+        }
+        assert_eq!(arcs, oracle.len());
+    }
+}
+
+/// `symmetrize_graph` merges the stored `out` and `in` rows; the result
+/// must be the oracle's symmetric adjacency and the graph the builder's
+/// own `symmetrize(true)` produces, on both offset widths.
+#[test]
+fn merged_symmetrize_matches_oracle_and_builder() {
+    fn check<O: OffsetIndex>(name: &str, n: usize, edges: &[Edge]) {
+        let builder = Builder::new().num_vertices(n);
+        let directed: Graph<O> = builder.build_as(edges.to_vec()).unwrap();
+        let expect: Graph<O> = builder
+            .clone()
+            .symmetrize(true)
+            .build_as(edges.to_vec())
+            .unwrap();
+        let oracle = oracle_adjacency(n, edges, true, false);
+        for threads in THREADS {
+            let sym = symmetrize_graph(&directed, &ThreadPool::new(threads));
+            assert_eq!(sym, expect, "{name} @ {threads} threads, {}", O::NAME);
+            for (&u, expected) in &oracle {
+                let want: Vec<NodeId> = expected.iter().copied().collect();
+                assert_eq!(sym.out_neighbors(u as NodeId), want.as_slice(), "{name}");
+            }
+        }
+    }
+    let mut cases = adversarial_inputs();
+    // Rows that exist in one direction only: sources 0..8 never receive,
+    // sinks 8..16 never send, 16..20 stay isolated.
+    let one_way: Vec<Edge> = (0..8u32)
+        .flat_map(|u| {
+            (8..16u32)
+                .filter(move |v| (u + v) % 3 != 0)
+                .map(move |v| Edge::new(u, v))
+        })
+        .collect();
+    cases.push(("one-way", 20, one_way));
+    // Every vertex loops on itself and the pair (0, 1) is mutual.
+    let mut loops: Vec<Edge> = (0..6u32).map(|v| Edge::new(v, v)).collect();
+    loops.extend([Edge::new(0, 1), Edge::new(1, 0)]);
+    cases.push(("all-loops", 6, loops));
+    for (name, n, edges) in cases {
+        check::<u32>(name, n, &edges);
+        check::<usize>(name, n, &edges);
     }
 }

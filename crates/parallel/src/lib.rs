@@ -20,10 +20,10 @@
 //!   including the bucket-fusion fast path from GraphIt,
 //! * [`AtomicBitmap`] — dense visited/frontier sets,
 //! * [`LocalBuffer`] — GKC-style cache-sized thread-local output buffers,
-//! * [`scan`] / [`scatter`] — exclusive prefix sum and counting-sort
-//!   scatter over atomic row cursors, the stages the parallel CSR graph
-//!   build is assembled from (with [`SharedSlice`] as the disjoint-write
-//!   escape hatch both share),
+//! * [`scan`] / [`scatter`] — exclusive prefix sum and a stable
+//!   counting-sort scatter over per-worker row windows (no atomics), the
+//!   stages the parallel CSR graph build is assembled from (with
+//!   [`SharedSlice`] as the disjoint-write escape hatch both share),
 //! * [`atomics`] — min/max/add CAS loops for the label arrays kernels share.
 //!
 //! Thread count defaults to the machine's available parallelism and can be
@@ -53,7 +53,6 @@ pub use local_buffer::LocalBuffer;
 pub use ordered::OrderedWorklist;
 pub use per_worker::PerWorker;
 pub use pool::{PoolStats, Schedule, ThreadPool};
-pub use scatter::RowCursors;
 pub use shared::SharedSlice;
 pub use sliding_queue::{QueueBuffer, SlidingQueue};
 pub use worklist::ChunkedWorklist;

@@ -7,8 +7,8 @@
 //! write *provably disjoint* positions of one output buffer. A
 //! [`SharedSlice`] borrows the slice once and exposes raw per-index
 //! writes; each call site states the disjointness argument that makes it
-//! sound (unique slots from an atomic cursor, one writer per index, or a
-//! block partition).
+//! sound (per-worker windows that tile the buffer, one writer per index,
+//! or a block partition).
 
 use std::marker::PhantomData;
 
