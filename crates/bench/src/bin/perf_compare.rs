@@ -32,15 +32,17 @@ const USAGE: &str = "\
 usage: perf_compare [options] <baseline.jsonl> <candidate.jsonl>
        perf_compare --lint <ledger.jsonl>
        perf_compare --lint-stats <stats.json|->
-  --ratio <r>      ratio threshold for a real change (default 1.25)
-  --floor <s>      absolute seconds floor for a real change (default 0.005)
+  --ratio <r>      ratio threshold for a real change (default 1.25, >= 1)
+  --floor <s>      absolute seconds floor for a real change (default 0.005, >= 0)
   --max-rss-mb <n> hard-fail any cell whose peak RSS exceeds n MiB
                    (candidate ledger in diff mode, the ledger in --lint)
   --lint           sanity-check one ledger instead of diffing two
   --lint-stats     sanity-check one serve-daemon stats snapshot";
 
 fn main() {
-    let mut config = CompareConfig::default();
+    let defaults = CompareConfig::default();
+    let mut ratio = defaults.ratio_threshold;
+    let mut floor = defaults.absolute_floor;
     let mut lint_mode = false;
     let mut lint_stats_mode = false;
     let mut max_rss_bytes: Option<u64> = None;
@@ -56,8 +58,8 @@ fn main() {
                 })
         };
         match arg.as_str() {
-            "--ratio" => config.ratio_threshold = value("--ratio"),
-            "--floor" => config.absolute_floor = value("--floor"),
+            "--ratio" => ratio = value("--ratio"),
+            "--floor" => floor = value("--floor"),
             "--max-rss-mb" => {
                 let mb = value("--max-rss-mb");
                 if !mb.is_finite() || mb <= 0.0 {
@@ -75,6 +77,10 @@ fn main() {
             other => paths.push(other.to_string()),
         }
     }
+    let config = CompareConfig::new(ratio, floor).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        exit(2);
+    });
     if lint_stats_mode {
         let [path] = paths.as_slice() else {
             eprintln!("{USAGE}");

@@ -1,4 +1,5 @@
-//! Shared plumbing for the benchmark binaries and Criterion benches.
+//! Shared plumbing for the benchmark binaries and the plain-timing
+//! `primitives` bench.
 
 use gapbs_core::{BenchGraph, Kernel, Mode, Report};
 use gapbs_graph::gen::{GraphSpec, Scale};

@@ -34,6 +34,28 @@ impl Default for CompareConfig {
     }
 }
 
+impl CompareConfig {
+    /// Thresholds that can fire: the ratio must be finite and at least 1,
+    /// the floor finite and non-negative. A NaN or infinite threshold
+    /// makes every comparison false, so no cell could ever regress.
+    pub fn new(ratio_threshold: f64, absolute_floor: f64) -> Result<Self, String> {
+        if !ratio_threshold.is_finite() || ratio_threshold < 1.0 {
+            return Err(format!(
+                "--ratio must be finite and >= 1, got {ratio_threshold}"
+            ));
+        }
+        if !absolute_floor.is_finite() || absolute_floor < 0.0 {
+            return Err(format!(
+                "--floor must be finite and >= 0, got {absolute_floor}"
+            ));
+        }
+        Ok(CompareConfig {
+            ratio_threshold,
+            absolute_floor,
+        })
+    }
+}
+
 /// One cell present in both ledgers.
 #[derive(Debug, Clone)]
 pub struct CellDelta {
@@ -661,6 +683,25 @@ mod tests {
         assert_eq!(best.len(), 1);
         let key = records[0].cell_key();
         assert_eq!(best[&key], 0.10);
+    }
+
+    #[test]
+    fn config_accepts_thresholds_that_can_fire() {
+        let d = CompareConfig::default();
+        let c = CompareConfig::new(d.ratio_threshold, d.absolute_floor).expect("defaults");
+        assert_eq!(c.ratio_threshold, 1.25);
+        assert_eq!(c.absolute_floor, 0.005);
+        assert!(CompareConfig::new(1.0, 0.0).is_ok(), "boundary values fire");
+    }
+
+    #[test]
+    fn config_rejects_thresholds_that_cannot_fire() {
+        for ratio in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, -2.0] {
+            assert!(CompareConfig::new(ratio, 0.005).is_err(), "ratio {ratio}");
+        }
+        for floor in [f64::NAN, f64::INFINITY, -0.001] {
+            assert!(CompareConfig::new(1.25, floor).is_err(), "floor {floor}");
+        }
     }
 
     #[test]

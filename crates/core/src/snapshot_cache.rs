@@ -73,8 +73,8 @@ pub fn snapshot_path(dir: &Path, spec: GraphSpec, scale: Scale) -> PathBuf {
 impl BenchGraph {
     /// Writes this prepared input as a snapshot at the canonical path
     /// under `dir`, returning the per-section size accounting. The
-    /// cache always uses [`Compression::Auto`]; `snapshot_bench` pins
-    /// the encoding to time the two arms separately.
+    /// cache always uses [`Compression::Auto`]; the repo benchmark pins
+    /// [`Compression::Always`] to time the compact load separately.
     pub fn write_snapshot(&self, dir: &Path, scale: Scale) -> Result<WriteStats, GraphError> {
         self.write_snapshot_with(dir, scale, Compression::Auto)
     }

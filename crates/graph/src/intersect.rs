@@ -14,7 +14,7 @@
 //! pays a shift and a mask per probe and measured slower (DESIGN.md §9).
 //!
 //! [`merge_count`] is the scalar two-pointer merge the marks are tested
-//! against (and `layout_bench`'s legacy arm); [`contains`] serves `has_edge`.
+//! against; [`contains`] serves `has_edge`.
 
 use crate::graph::Graph;
 use crate::perm;
@@ -41,7 +41,7 @@ impl std::ops::AddAssign for Intersection {
 }
 
 /// Scalar branch-free two-pointer merge: the independent oracle the
-/// marked rows are tested against and `layout_bench`'s legacy TC arm.
+/// marked rows are tested against.
 pub fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
     let mut out = Intersection::default();
     let (mut i, mut j) = (0usize, 0usize);

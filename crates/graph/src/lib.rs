@@ -49,6 +49,6 @@ pub use edgelist::{Edge, EdgeList, WEdge, WEdgeList};
 pub use error::{BuildError, GraphError, SnapshotError};
 pub use graph::{AnyGraph, Graph, WGraph};
 pub use segment::{MapRegion, Segment};
-pub use snapshot::{CompressedCsr, Compression, Snapshot, SnapshotBundle, SnapshotContents};
+pub use snapshot::{Compression, Snapshot, SnapshotBundle, SnapshotContents};
 pub use strips::Strips;
 pub use types::{NodeId, OffsetIndex, Weight};

@@ -53,9 +53,8 @@
 //! neighbor absolute, then `gap − 1` per successor — rows are sorted
 //! and duplicate-free, so every gap is ≥ 1). The writer measures both
 //! encodings and keeps the compressed form when it beats raw by the
-//! [`COMPRESS_THRESHOLD`] margin ([`Compression::Auto`]). Compressed
-//! rows decode through [`CompressedCsr`]'s streaming iterator (pull
-//! kernels, [`crate::Strips::pull_compressed`]) or in one parallel pass
+//! [`COMPRESS_THRESHOLD`] margin ([`Compression::Auto`]). Compression is
+//! an on-disk form only: loads decode it in one validated parallel pass
 //! into an owned CSR that is bit-identical to the builder's.
 
 use std::path::Path;
@@ -323,7 +322,7 @@ pub struct WriteStats {
 
 impl WriteStats {
     /// Stored ÷ raw bytes over the adjacency (target) sections — the
-    /// per-graph compression ratio `snapshot_bench` reports. 1.0 when
+    /// per-graph compression ratio `gapbs-snapshot build` reports. 1.0 when
     /// every target section is raw.
     pub fn adjacency_ratio(&self) -> f64 {
         let (mut raw, mut stored) = (0u64, 0u64);
@@ -1084,34 +1083,6 @@ impl Snapshot {
         })
     }
 
-    /// The streaming view of the out-direction adjacency, or `None`
-    /// when it is stored raw.
-    pub fn compressed_out<O: OffsetIndex>(&self) -> Result<Option<CompressedCsr<O>>, GraphError> {
-        self.check_width::<O>()?;
-        let sec = *self.find(SectionKind::OutTargets)?;
-        if sec.encoding != ENC_DELTA_VARINT {
-            return Ok(None);
-        }
-        let (offs, m) = self.load_offsets::<O>(SectionKind::OutOffsets, Some(self.num_arcs))?;
-        self.compressed_from(&sec, &offs, m).map(Some)
-    }
-
-    /// The streaming view of the in-direction adjacency (pull kernels),
-    /// or `None` when it is stored raw. For undirected graphs this is
-    /// the out-direction view.
-    pub fn compressed_in<O: OffsetIndex>(&self) -> Result<Option<CompressedCsr<O>>, GraphError> {
-        if !self.is_directed() {
-            return self.compressed_out::<O>();
-        }
-        self.check_width::<O>()?;
-        let sec = *self.find(SectionKind::InTargets)?;
-        if sec.encoding != ENC_DELTA_VARINT {
-            return Ok(None);
-        }
-        let (offs, m) = self.load_offsets::<O>(SectionKind::InOffsets, Some(self.num_arcs))?;
-        self.compressed_from(&sec, &offs, m).map(Some)
-    }
-
     /// Loads the graph: zero-copy views for raw sections, validated
     /// decode for compressed ones. `pool` parallelizes the decode.
     pub fn graph_in<O: OffsetIndex>(
@@ -1267,16 +1238,10 @@ pub struct SnapshotBundle<O: OffsetIndex = u32> {
 
 // ─────────────────────── compressed adjacency ───────────────────────
 
-/// A delta + LEB128 compressed adjacency, decodable row-by-row.
-///
-/// `offsets` are the ordinary element offsets (so [`crate::Strips`]
-/// partitions compressed and raw adjacency identically); `row_starts`
-/// index the varint stream by byte. The streaming [`CompressedCsr::row`]
-/// iterator is bounds-safe on arbitrary bytes (it stops early rather
-/// than reading out of range); [`CompressedCsr::decode_vec`] fully
-/// validates while decoding and is the path graph loads take.
-#[derive(Debug, Clone)]
-pub struct CompressedCsr<O: OffsetIndex = u32> {
+/// A delta + LEB128 compressed adjacency as stored on disk: the ordinary
+/// element offsets plus `row_starts`, which index the varint stream by
+/// byte. [`CompressedCsr::decode_vec`] validates while decoding.
+struct CompressedCsr<O: OffsetIndex> {
     offsets: Segment<O>,
     row_starts: Segment<u64>,
     stream: Segment<u8>,
@@ -1284,58 +1249,15 @@ pub struct CompressedCsr<O: OffsetIndex = u32> {
 }
 
 impl<O: OffsetIndex> CompressedCsr<O> {
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
+    fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
-    }
-
-    /// Number of stored arcs.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Degree of `u`.
-    #[inline]
-    pub fn degree(&self, u: NodeId) -> usize {
-        let u = u as usize;
-        self.offsets[u + 1].to_usize() - self.offsets[u].to_usize()
-    }
-
-    /// The element offsets array (length `num_vertices() + 1`) — the
-    /// same shape as [`CsrGraph::offsets_raw`], so strip partitioning
-    /// is identical for compressed and raw storage.
-    pub fn offsets_raw(&self) -> &[O] {
-        &self.offsets
-    }
-
-    /// Compressed stream bytes (for size reporting).
-    pub fn stream_bytes(&self) -> usize {
-        self.stream.len()
-    }
-
-    /// Streams the sorted neighbors of `u` without materializing the
-    /// row. Malformed bytes terminate the iterator early instead of
-    /// panicking; fully validated decoding is [`Self::decode_vec`].
-    #[inline]
-    pub fn row(&self, u: NodeId) -> RowIter<'_> {
-        let u = u as usize;
-        let lo = self.row_starts[u] as usize;
-        let hi = self.row_starts[u + 1] as usize;
-        let bytes = self.stream.get(lo..hi).unwrap_or(&[]);
-        RowIter {
-            bytes,
-            pos: 0,
-            remaining: self.degree(u as NodeId),
-            prev: 0,
-            first: true,
-        }
     }
 
     /// Decodes every row into a flat target array, validating varint
     /// framing, sortedness and target range as it goes. Parallel over
     /// rows when `pool` is given; the output is bit-identical either
     /// way.
-    pub fn decode_vec(&self, pool: Option<&ThreadPool>) -> Result<Vec<NodeId>, SnapshotError> {
+    fn decode_vec(&self, pool: Option<&ThreadPool>) -> Result<Vec<NodeId>, SnapshotError> {
         let n = self.num_vertices();
         let m = self.num_edges;
         if self.offsets.last().map_or(0, |o| o.to_usize()) != m {
@@ -1384,56 +1306,6 @@ impl<O: OffsetIndex> CompressedCsr<O> {
         }
         Ok(targets)
     }
-
-    /// [`Self::decode_vec`] wrapped into a CSR (owned storage).
-    pub fn decode(&self, pool: Option<&ThreadPool>) -> Result<CsrGraph<O>, SnapshotError> {
-        let targets = self.decode_vec(pool)?;
-        Ok(CsrGraph::from_segments_unchecked(
-            self.offsets.clone(),
-            Segment::from_vec(targets),
-        ))
-    }
-}
-
-/// Streaming decoder over one compressed row. See
-/// [`CompressedCsr::row`].
-#[derive(Debug, Clone)]
-pub struct RowIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    remaining: usize,
-    prev: u64,
-    first: bool,
-}
-
-impl Iterator for RowIter<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let (raw, used) = read_varint(self.bytes, self.pos)?;
-        self.pos += used;
-        self.remaining -= 1;
-        let val = if self.first {
-            self.first = false;
-            raw
-        } else {
-            self.prev.checked_add(1)?.checked_add(raw)?
-        };
-        if val > u64::from(NodeId::MAX) {
-            self.remaining = 0;
-            return None;
-        }
-        self.prev = val;
-        Some(val as NodeId)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining))
-    }
 }
 
 #[cfg(test)]
@@ -1442,7 +1314,6 @@ mod tests {
     use crate::builder::{symmetrize_graph, Builder};
     use crate::edgelist::Edge;
     use crate::gen;
-    use crate::strips::Strips;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -1523,30 +1394,6 @@ mod tests {
         let snap = Snapshot::open(&path).expect("open");
         let loaded: Graph = snap.graph().expect("load");
         assert_eq!(loaded, g);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compressed_row_iterator_matches_raw_neighbors() {
-        let (g, _) = directed_fixture();
-        let path = tmp_path("row-iter");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&g, 0),
-            Compression::Always,
-        )
-        .expect("write");
-        let snap = Snapshot::open(&path).expect("open");
-        let comp: CompressedCsr = snap
-            .compressed_out()
-            .expect("well-formed")
-            .expect("compressed");
-        for u in 0..g.num_vertices() as NodeId {
-            let row: Vec<NodeId> = comp.row(u).collect();
-            assert_eq!(row, g.out_csr().neighbors(u), "row {u}");
-        }
-        // Strips over compressed offsets match strips over the raw CSR.
-        assert_eq!(Strips::pull_compressed(&comp), Strips::pull(g.out_csr()));
         std::fs::remove_file(&path).ok();
     }
 

@@ -45,28 +45,14 @@ impl Strips {
         Strips::with_budget(csr, STRIP_BYTES)
     }
 
-    /// [`Strips::pull`] with an explicit byte budget (exposed for the
-    /// layout bench's sizing experiments).
-    pub fn with_budget<O: OffsetIndex>(csr: &CsrGraph<O>, budget_bytes: usize) -> Self {
+    /// [`Strips::pull`] with an explicit byte budget (small budgets let
+    /// tests exercise many strips on small graphs).
+    fn with_budget<O: OffsetIndex>(csr: &CsrGraph<O>, budget_bytes: usize) -> Self {
         let offsets = csr.offsets_raw();
         Self::build(
             csr.num_vertices(),
             csr.num_edges(),
             budget_bytes,
-            |target| offsets.partition_point(|&o| o.to_usize() <= target) - 1,
-        )
-    }
-
-    /// [`Strips::pull`] over a delta-varint compressed adjacency. The
-    /// compressed form keeps the ordinary element offsets, so strip
-    /// boundaries (and therefore pull-sweep results) are identical to
-    /// the raw layout's.
-    pub fn pull_compressed<O: OffsetIndex>(comp: &crate::snapshot::CompressedCsr<O>) -> Self {
-        let offsets = comp.offsets_raw();
-        Self::build(
-            comp.num_vertices(),
-            comp.num_edges(),
-            STRIP_BYTES,
             |target| offsets.partition_point(|&o| o.to_usize() <= target) - 1,
         )
     }
@@ -106,18 +92,6 @@ impl Strips {
         if *bounds.last().expect("non-empty") < n as u32 || n == 0 {
             bounds.push(n as u32);
         }
-        Strips { bounds }
-    }
-
-    /// A uniform fixed-width partition — the pre-layout-engine scheduling
-    /// shape, kept for the layout bench's baseline arm.
-    pub fn uniform(n: usize, chunk: usize) -> Self {
-        let chunk = chunk.max(1);
-        let mut bounds: Vec<u32> = (0..n as u32).step_by(chunk).collect();
-        if bounds.is_empty() {
-            bounds.push(0);
-        }
-        bounds.push(n as u32);
         Strips { bounds }
     }
 
@@ -191,17 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn uniform_matches_fixed_chunking() {
-        let strips = Strips::uniform(10, 4);
-        assert_eq!(strips.len(), 3);
-        assert_eq!(strips.range(0), 0..4);
-        assert_eq!(strips.range(2), 8..10);
-        cover_and_disjoint(&strips, 10);
-    }
-
-    #[test]
     fn empty_graph_yields_empty_partition() {
-        let strips = Strips::uniform(0, 8);
+        let strips = Strips::pull_offsets(&[0]);
         assert!(strips.is_empty());
         assert_eq!(strips.len(), 1);
         assert_eq!(strips.range(0), 0..0);

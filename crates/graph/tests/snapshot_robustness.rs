@@ -8,7 +8,10 @@
 //! section bytes) and assert the loader's verdict on each.
 
 use gapbs_graph::snapshot::{self, LoadOptions, SnapshotContents};
-use gapbs_graph::{gen, Compression, Graph, GraphError, Snapshot, SnapshotError};
+use gapbs_graph::{
+    gen, Builder, Compression, Graph, GraphError, OffsetIndex, Snapshot, SnapshotError,
+};
+use gapbs_parallel::ThreadPool;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -553,4 +556,37 @@ fn good_files_still_load_after_all_that() {
         assert_eq!(loaded, graph);
         std::fs::remove_file(&path).ok();
     }
+    // The parallel decode matches the built graph at every pool size
+    // (crossing the parallel cutoffs from both sides), for both offset
+    // widths and both directions of a directed graph.
+    let edges = gen::kron_edges(10, 16, 0x5eed);
+    for symmetrize in [true, false] {
+        let builder = || Builder::new().num_vertices(1 << 10).symmetrize(symmetrize);
+        let narrow: Graph<u32> = builder().build(edges.clone()).expect("build narrow");
+        let wide: Graph<usize> = builder().build_as(edges.clone()).expect("build wide");
+        for compression in [Compression::Never, Compression::Always] {
+            loads_identically_at_every_pool_size(&narrow, compression);
+            loads_identically_at_every_pool_size(&wide, compression);
+        }
+    }
+}
+
+fn loads_identically_at_every_pool_size<O: OffsetIndex>(
+    graph: &Graph<O>,
+    compression: Compression,
+) {
+    let path = tmp_path("pooled");
+    snapshot::write(&path, &SnapshotContents::graph_only(graph, 99), compression).expect("write");
+    let snap = Snapshot::open(&path).expect("open");
+    for threads in [1, 2, 7, 16] {
+        let pool = ThreadPool::new(threads);
+        let loaded: Graph<O> = snap.graph_in(Some(&pool)).expect("load");
+        assert_eq!(
+            &loaded,
+            graph,
+            "{compression:?}, {}-byte offsets, {threads} threads",
+            std::mem::size_of::<O>()
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }

@@ -488,9 +488,9 @@ mod tests {
             // A wide frontier with k staggered columns of float values.
             let mut fm: FrontierMatrix<f64> = FrontierMatrix::new(k);
             for v in 0..n {
-                if v % 2 == 0 {
+                if v.is_multiple_of(2) {
                     let active = (0..k)
-                        .filter(|c| (v as usize + c) % 3 != 0)
+                        .filter(|c| !(v as usize + c).is_multiple_of(3))
                         .fold(0u64, |m, c| m | 1 << c);
                     if active == 0 {
                         continue;
@@ -501,7 +501,7 @@ mod tests {
                 }
             }
             assert!(fm.len() >= VXM_PAR_CUTOFF, "test must cross the cutoff");
-            let mask = |j: GrbIndex| if j % 7 == 0 { 0 } else { u64::MAX };
+            let mask = |j: GrbIndex| if j.is_multiple_of(7) { 0 } else { u64::MAX };
 
             let serial_ws = OpWorkspace::new();
             let serial_pool = ThreadPool::new(1);

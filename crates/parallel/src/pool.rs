@@ -527,26 +527,6 @@ impl ThreadPool {
     }
 }
 
-/// The scoped-spawn baseline this pool replaced: spawns `num_threads`
-/// fresh OS threads for the single region `f`, `std::thread::scope`
-/// style. Kept public so `region_bench` (and the verify.sh smoke) can
-/// measure the persistent pool's per-region overhead against it.
-pub fn scoped_run<F>(num_threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if num_threads == 1 {
-        f(0);
-        return;
-    }
-    std::thread::scope(|s| {
-        for tid in 0..num_threads {
-            let f = &f;
-            s.spawn(move || f(tid));
-        }
-    });
-}
-
 /// Chunk-claiming state of one loop region.
 #[derive(Debug)]
 enum LoopState {
@@ -817,15 +797,6 @@ mod tests {
             let total = pool.reduce_index(10_000, schedule, 0u64, |i| i as u64, |a, b| a + b);
             assert_eq!(total, 9_999 * 10_000 / 2, "{schedule:?}");
         }
-    }
-
-    #[test]
-    fn scoped_baseline_still_covers_every_tid() {
-        let sum = AtomicUsize::new(0);
-        scoped_run(4, |tid| {
-            sum.fetch_add(tid + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.into_inner(), 1 + 2 + 3 + 4);
     }
 
     #[test]

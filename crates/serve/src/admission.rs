@@ -444,7 +444,7 @@ mod tests {
         let held = gate.admit(None).unwrap();
         let waiter = {
             let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.admit(None).map(|permit| drop(permit)).is_ok())
+            std::thread::spawn(move || gate.admit(None).map(drop).is_ok())
         };
         // Give the waiter time to park, then free the slot.
         std::thread::sleep(Duration::from_millis(20));

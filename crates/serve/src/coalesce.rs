@@ -182,10 +182,7 @@ mod tests {
         };
         let waiter = std::thread::spawn(move || handle.wait(member));
         let sources = c.close(GraphSpec::Kron, &batch);
-        let columns: Vec<MemberDepths> = sources
-            .iter()
-            .map(|&s| Arc::new(vec![u32::from(s)]))
-            .collect();
+        let columns: Vec<MemberDepths> = sources.iter().map(|&s| Arc::new(vec![s])).collect();
         batch.publish(Ok(columns));
         assert_eq!(*waiter.join().unwrap().unwrap(), vec![2]);
     }

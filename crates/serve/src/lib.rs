@@ -25,11 +25,12 @@
 //!   Prometheus `/metrics` + `/health`/`/ready` probes
 //!   (`docs/OPERATIONS.md`);
 //! * [`server`] — the TCP accept loop, per-connection handler threads,
-//!   and the graceful drain sequence (SIGINT or `{"cmd":"shutdown"}`);
-//! * [`bench`] — the `serve_bench` closed-loop load generator with
-//!   latency percentiles, a `--min-qps` CI gate, and a `--check` mode
-//!   that asserts response fingerprints are bit-identical to local
-//!   batch-mode runs.
+//!   and the graceful drain sequence (SIGINT or `{"cmd":"shutdown"}`).
+//!
+//! Load is generated from outside: the repo benchmark's `serve_point` and
+//! `serve_batch` workloads (`benchmark/`) drive the daemon closed-loop,
+//! and `tests/protocol.rs` asserts that served fingerprints are
+//! bit-identical to local batch-mode runs.
 //!
 //! Concurrency model: handler threads are plain OS threads; kernel
 //! parallelism comes from the one shared [`ThreadPool`], whose regions
@@ -41,7 +42,6 @@
 //! [`ThreadPool`]: gapbs_parallel::ThreadPool
 
 pub mod admission;
-pub mod bench;
 pub mod coalesce;
 pub mod engine;
 pub mod metrics;
@@ -51,7 +51,6 @@ pub mod server;
 pub mod signal;
 
 pub use admission::{AdmissionGate, AdmitError, GateObservation, GateSnapshot, Permit};
-pub use bench::{bench_main, run_bench, BenchConfig, BenchSummary};
 pub use coalesce::Coalescer;
 pub use engine::{execute_query, run_query_local, Engine, EngineConfig, QueryOutcome};
 pub use metrics::ServeMetrics;

@@ -18,8 +18,9 @@
 //! spans 1 µs to ~18 minutes in 31 buckets — coarse (each bucket is a
 //! 2x band) but honest: a reported p99 is exact to within one power of
 //! two, which is the right resolution for "is p99 1 ms or 100 ms?"
-//! operator questions. `serve_bench` cross-checks these quantiles
-//! against its exact sorted-vector percentiles within one bucket.
+//! operator questions. `crates/serve/tests/metrics_plane.rs` cross-checks
+//! the daemon's quantiles against client-measured latencies within one
+//! bucket.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

@@ -61,6 +61,5 @@ pub use gapbs_verify as verify;
 /// Benchmark harness: spec, runner, registry, tables.
 pub use gapbs_core as core;
 
-/// Serving layer: the resident-corpus query daemon and its load
-/// generator (`serve` / `serve_bench` binaries).
+/// Serving layer: the resident-corpus query daemon (`serve` binary).
 pub use gapbs_serve as serve;

@@ -27,7 +27,7 @@ use gapbs::suitesparse::lagraph::{self, LaGraphContext};
 use std::collections::HashMap;
 
 /// Pool sizes crossing the parallel cutoffs from both sides.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 const SCALE: u32 = 9;
 const DEGREE: usize = 8;
 const SSSP_DELTA: Weight = 32;

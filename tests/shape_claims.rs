@@ -164,8 +164,8 @@ fn direction_optimizing_bfs_examines_under_m_edges_on_kron() {
 /// §V-F as a *work* claim: the marked-row engine spends one probe per
 /// adjacency element read plus one per mark set, so `tc_intersections`
 /// is a property of the graph, not of the schedule — it repeats exactly
-/// at any thread count, is the same for GAP and GKC (same orientation),
-/// and is what `layout_bench` prints per triangle.
+/// at any thread count and is the same for GAP and GKC (same
+/// orientation).
 #[cfg(feature = "telemetry")]
 #[test]
 fn marked_row_tc_work_is_exact_at_any_thread_count() {
