@@ -137,9 +137,9 @@ const BUILD_RATIO_THRESHOLD: f64 = 1.25;
 const BUILD_ABSOLUTE_FLOOR: f64 = 0.010;
 
 /// A cell's resident-graph-bytes pair. Graph-bytes deltas are *reported*,
-/// never gated: the layout engine's whole point is moving this number, so
-/// the diff makes width savings (or regressions) visible without ever
-/// failing a build over memory shape.
+/// never gated: layout changes move this number on purpose, so the diff
+/// makes savings (or regressions) visible without ever failing a build
+/// over memory shape.
 #[derive(Debug, Clone)]
 pub struct GraphBytesDelta {
     /// (framework, kernel, graph, mode).

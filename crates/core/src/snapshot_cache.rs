@@ -129,7 +129,7 @@ impl BenchGraph {
                 expected,
             }));
         }
-        let bundle = snap.bundle_in::<u32>(Some(pool))?;
+        let bundle = snap.bundle_in(Some(pool))?;
         Ok(BenchGraph {
             spec,
             graph: bundle.graph,

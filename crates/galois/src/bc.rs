@@ -8,7 +8,7 @@
 
 use crate::heuristic::ExecutionStyle;
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::{ChunkedWorklist, ThreadPool};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -16,12 +16,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 const UNVISITED: u32 = u32::MAX;
 
 /// Runs Brandes BC from `sources`, normalized by the maximum score.
-pub fn bc<O: OffsetIndex>(
-    g: &Graph<O>,
-    sources: &[NodeId],
-    style: ExecutionStyle,
-    pool: &ThreadPool,
-) -> Vec<Score> {
+pub fn bc(g: &Graph, sources: &[NodeId], style: ExecutionStyle, pool: &ThreadPool) -> Vec<Score> {
     let n = g.num_vertices();
     let mut scores = vec![0.0; n];
     if n == 0 {
@@ -39,8 +34,8 @@ pub fn bc<O: OffsetIndex>(
     scores
 }
 
-fn single_source<O: OffsetIndex>(
-    g: &Graph<O>,
+fn single_source(
+    g: &Graph,
     source: NodeId,
     style: ExecutionStyle,
     pool: &ThreadPool,

@@ -11,7 +11,7 @@
 use crate::heuristic::ExecutionStyle;
 use gapbs_graph::stats;
 use gapbs_graph::types::{NodeId, NO_PARENT};
-use gapbs_graph::{Graph, OffsetIndex, Strips};
+use gapbs_graph::{Graph, Strips};
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{
     AtomicBitmap, ChunkedWorklist, QueueBuffer, Schedule, SlidingQueue, ThreadPool,
@@ -19,12 +19,7 @@ use gapbs_parallel::{
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Runs BFS from `source` using the given execution style.
-pub fn bfs<O: OffsetIndex>(
-    g: &Graph<O>,
-    source: NodeId,
-    style: ExecutionStyle,
-    pool: &ThreadPool,
-) -> Vec<NodeId> {
+pub fn bfs(g: &Graph, source: NodeId, style: ExecutionStyle, pool: &ThreadPool) -> Vec<NodeId> {
     match style {
         ExecutionStyle::BulkSynchronous => bulk_sync(g, source, pool),
         ExecutionStyle::Asynchronous => asynchronous(g, source, pool),
@@ -34,7 +29,7 @@ pub fn bfs<O: OffsetIndex>(
 /// Asynchronous label-correcting BFS. Depth labels converge to true BFS
 /// depths; parents are updated together with depths, so the final parent
 /// of `v` sits at depth `depth(v) - 1`.
-fn asynchronous<O: OffsetIndex>(g: &Graph<O>, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
+fn asynchronous(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut parent = vec![NO_PARENT; n];
     if n == 0 {
@@ -96,7 +91,7 @@ fn asynchronous<O: OffsetIndex>(g: &Graph<O>, source: NodeId, pool: &ThreadPool)
 /// Bulk-synchronous direction-optimizing BFS (the same family of
 /// algorithm as GAP; the paper notes the two use the same approach on
 /// power-law graphs, with Galois paying generic-library overhead).
-fn bulk_sync<O: OffsetIndex>(g: &Graph<O>, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
+fn bulk_sync(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut parent = vec![NO_PARENT; n];
     if n == 0 {

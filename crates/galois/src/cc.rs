@@ -8,7 +8,7 @@
 //! mega-hub cannot serialize a thread.
 
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{Schedule, ThreadPool};
 use std::collections::HashMap;
@@ -29,7 +29,7 @@ pub enum CcVariant {
 }
 
 /// Runs Afforest, returning component labels.
-pub fn cc<O: OffsetIndex>(g: &Graph<O>, variant: CcVariant, pool: &ThreadPool) -> Vec<NodeId> {
+pub fn cc(g: &Graph, variant: CcVariant, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut comp: Vec<NodeId> = (0..n as NodeId).collect();
     if n == 0 {
@@ -94,7 +94,7 @@ pub fn cc<O: OffsetIndex>(g: &Graph<O>, variant: CcVariant, pool: &ThreadPool) -
     comp
 }
 
-fn finish_vertex<O: OffsetIndex>(g: &Graph<O>, u: NodeId, cells: &[AtomicU32]) {
+fn finish_vertex(g: &Graph, u: NodeId, cells: &[AtomicU32]) {
     let mut scanned = 0u64;
     for &v in g.out_neighbors(u).iter().skip(NEIGHBOR_ROUNDS) {
         scanned += 1;

@@ -8,7 +8,7 @@
 //! recovers to 77.85%.
 
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 
 /// Which execution style the heuristic selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +21,7 @@ pub enum ExecutionStyle {
 
 /// Samples out-degrees and classifies the execution style for Baseline
 /// mode: power-law degrees → bulk-synchronous, otherwise asynchronous.
-pub fn classify<O: OffsetIndex>(g: &Graph<O>) -> ExecutionStyle {
+pub fn classify(g: &Graph) -> ExecutionStyle {
     if has_power_law_degrees(g) {
         ExecutionStyle::BulkSynchronous
     } else {
@@ -30,7 +30,7 @@ pub fn classify<O: OffsetIndex>(g: &Graph<O>) -> ExecutionStyle {
 }
 
 /// Degree-sampling power-law detector (similar to GAP's TC sampling).
-pub fn has_power_law_degrees<O: OffsetIndex>(g: &Graph<O>) -> bool {
+pub fn has_power_law_degrees(g: &Graph) -> bool {
     let n = g.num_vertices();
     if n < 16 {
         return false;

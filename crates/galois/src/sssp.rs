@@ -8,15 +8,15 @@
 
 use crate::heuristic::ExecutionStyle;
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
-use gapbs_graph::{OffsetIndex, WGraph, Weight};
+use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{OrderedWorklist, ThreadPool};
 use std::sync::atomic::Ordering;
 
 /// Runs SSSP from `source` using the given execution style.
-pub fn sssp<O: OffsetIndex>(
-    g: &WGraph<O>,
+pub fn sssp(
+    g: &WGraph,
     source: NodeId,
     delta: Weight,
     style: ExecutionStyle,
@@ -33,7 +33,7 @@ pub fn sssp<O: OffsetIndex>(
 /// global rounds — Galois' actual SSSP scheduler. Compared to a plain
 /// FIFO worklist, the approximate priority order removes most redundant
 /// relaxations while staying barrier-free.
-fn asynchronous<O: OffsetIndex>(g: &WGraph<O>, source: NodeId, pool: &ThreadPool) -> Vec<Distance> {
+fn asynchronous(g: &WGraph, source: NodeId, pool: &ThreadPool) -> Vec<Distance> {
     // Priority granularity mirrors delta-stepping's bucket width.
     const PRIORITY_DELTA: Distance = 32;
     let n = g.num_vertices();
@@ -62,12 +62,7 @@ fn asynchronous<O: OffsetIndex>(g: &WGraph<O>, source: NodeId, pool: &ThreadPool
 
 /// Bulk-synchronous delta-stepping *without* bucket fusion: every bucket
 /// drain is a synchronized parallel round.
-fn bulk_sync<O: OffsetIndex>(
-    g: &WGraph<O>,
-    source: NodeId,
-    delta: Weight,
-    pool: &ThreadPool,
-) -> Vec<Distance> {
+fn bulk_sync(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec<Distance> {
     let n = g.num_vertices();
     let mut dist = vec![INF_DIST; n];
     if n == 0 {

@@ -10,7 +10,7 @@
 
 use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::{Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,7 +30,7 @@ pub enum Relabeling {
 /// # Panics
 ///
 /// Panics if `g` is directed.
-pub fn tc<O: OffsetIndex>(g: &Graph<O>, relabeling: Relabeling, pool: &ThreadPool) -> u64 {
+pub fn tc(g: &Graph, relabeling: Relabeling, pool: &ThreadPool) -> u64 {
     assert!(!g.is_directed(), "TC expects the symmetrized graph");
     match relabeling {
         Relabeling::HeuristicTimed => {
@@ -49,7 +49,7 @@ pub fn tc<O: OffsetIndex>(g: &Graph<O>, relabeling: Relabeling, pool: &ThreadPoo
 }
 
 /// Produces the relabeled graph for Optimized mode (run outside timing).
-pub fn relabel_for_optimized<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> Graph<O> {
+pub fn relabel_for_optimized(g: &Graph, pool: &ThreadPool) -> Graph {
     if skewed(g) {
         perm::apply_in(g, &perm::degree_descending(g), pool)
     } else {
@@ -57,12 +57,12 @@ pub fn relabel_for_optimized<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) ->
     }
 }
 
-fn skewed<O: OffsetIndex>(g: &Graph<O>) -> bool {
+fn skewed(g: &Graph) -> bool {
     perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
         .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
-fn count<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
+fn count(g: &Graph, pool: &ThreadPool) -> u64 {
     let total = AtomicU64::new(0);
     // Chunk size 16: finer than GAP's, trading steal overhead for balance.
     pool.for_each_index(g.num_vertices(), Schedule::Dynamic(16), |u| {

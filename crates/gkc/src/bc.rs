@@ -3,7 +3,7 @@
 //! GAP on every graph), driven by the local-buffer frontier machinery.
 
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{AtomicBitmap, ThreadPool};
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 const UNVISITED: u32 = u32::MAX;
 
 /// Runs Brandes BC from `sources`, normalized by the maximum score.
-pub fn bc<O: OffsetIndex>(g: &Graph<O>, sources: &[NodeId], pool: &ThreadPool) -> Vec<Score> {
+pub fn bc(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Score> {
     let n = g.num_vertices();
     let mut scores = vec![0.0; n];
     if n == 0 {

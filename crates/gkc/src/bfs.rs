@@ -9,7 +9,7 @@
 
 use gapbs_graph::stats;
 use gapbs_graph::types::{NodeId, NO_PARENT};
-use gapbs_graph::{Graph, OffsetIndex, Strips};
+use gapbs_graph::{Graph, Strips};
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{AtomicBitmap, QueueBuffer, Schedule, SlidingQueue, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const LOCAL_BUFFER: usize = 1024;
 
 /// Runs BFS from `source`, returning the parent array.
-pub fn bfs<O: OffsetIndex>(g: &Graph<O>, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
+pub fn bfs(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut parent = vec![NO_PARENT; n];
     if n == 0 {

@@ -11,13 +11,13 @@
 //! attempted in both conditional orders.
 
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{Schedule, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Runs Shiloach–Vishkin, returning component labels.
-pub fn cc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> Vec<NodeId> {
+pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut comp: Vec<NodeId> = (0..n as NodeId).collect();
     if n == 0 {

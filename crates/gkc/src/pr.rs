@@ -2,13 +2,13 @@
 //! loops over the raw CSR slices.
 
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex, Strips};
+use gapbs_graph::{Graph, Strips};
 use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::ThreadPool;
 
 /// Runs Gauss–Seidel PageRank; returns `(scores, iterations)`.
-pub fn pr<O: OffsetIndex>(
-    g: &Graph<O>,
+pub fn pr(
+    g: &Graph,
     damping: f64,
     tolerance: f64,
     max_iters: usize,

@@ -5,19 +5,14 @@
 //! weak on Road (18%) where synchronization dominates.
 
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
-use gapbs_graph::{OffsetIndex, WGraph, Weight};
+use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{LocalBuffer, ThreadPool};
 use std::sync::atomic::Ordering;
 
 /// Runs delta-stepping from `source`.
-pub fn sssp<O: OffsetIndex>(
-    g: &WGraph<O>,
-    source: NodeId,
-    delta: Weight,
-    pool: &ThreadPool,
-) -> Vec<Distance> {
+pub fn sssp(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec<Distance> {
     let n = g.num_vertices();
     let mut dist = vec![INF_DIST; n];
     if n == 0 {

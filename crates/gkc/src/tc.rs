@@ -11,7 +11,7 @@
 
 use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{intersect, Graph, OffsetIndex};
+use gapbs_graph::{intersect, Graph};
 use gapbs_parallel::{Schedule, ThreadPool};
 
 /// Counts triangles of an undirected graph.
@@ -19,7 +19,7 @@ use gapbs_parallel::{Schedule, ThreadPool};
 /// # Panics
 ///
 /// Panics if `g` is directed.
-pub fn tc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
+pub fn tc(g: &Graph, pool: &ThreadPool) -> u64 {
     assert!(!g.is_directed(), "TC expects the symmetrized graph");
     // Rows are walked in ascending id order and each `v` in a row is an
     // earlier row, so the probed lists are the "previously visited
@@ -39,7 +39,7 @@ pub fn tc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
 
 /// Sampled skewness proxy: mean degree over median degree (0 when the
 /// graph is too small to sample).
-pub fn degree_skewness<O: OffsetIndex>(g: &Graph<O>) -> f64 {
+pub fn degree_skewness(g: &Graph) -> f64 {
     perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
         .map_or(0.0, |(mean, median)| mean / median.max(1) as f64)
 }

@@ -45,8 +45,8 @@
 use crate::csr::{CsrGraph, WCsrGraph};
 use crate::edgelist::{Edge, WEdge};
 use crate::error::BuildError;
-use crate::graph::{AnyGraph, Graph, WGraph};
-use crate::types::{NodeId, OffsetIndex, Weight};
+use crate::graph::{Graph, WGraph};
+use crate::types::{NodeId, Weight};
 use gapbs_parallel::scatter::{self, RowCounts};
 use gapbs_parallel::{scan, Schedule, SharedSlice, ThreadPool};
 use gapbs_telemetry::{record, trace, Counter};
@@ -70,7 +70,6 @@ pub struct Builder {
     num_vertices: Option<usize>,
     symmetrize: bool,
     remove_self_loops: bool,
-    force_wide: bool,
     pool: Option<ThreadPool>,
 }
 
@@ -88,7 +87,6 @@ impl Builder {
             num_vertices: None,
             symmetrize: false,
             remove_self_loops: false,
-            force_wide: false,
             pool: None,
         }
     }
@@ -108,14 +106,6 @@ impl Builder {
     /// When `true`, self-loops are dropped during construction.
     pub fn remove_self_loops(mut self, yes: bool) -> Self {
         self.remove_self_loops = yes;
-        self
-    }
-
-    /// Forces [`Self::build_any`] onto the wide (`usize`-offset) path even
-    /// when the graph would fit compact offsets — the test hook for the
-    /// fallback that real inputs only trigger at `u32::MAX` arcs.
-    pub fn force_wide(mut self, yes: bool) -> Self {
-        self.force_wide = yes;
         self
     }
 
@@ -149,47 +139,14 @@ impl Builder {
         }
     }
 
-    /// Builds an unweighted [`Graph`] with the default compact (`u32`)
-    /// offsets.
+    /// Builds an unweighted [`Graph`].
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::EndpointOutOfRange`] if an endpoint exceeds a
     /// fixed vertex count, or [`BuildError::ArcCountOverflow`] if the arc
-    /// count does not fit 32-bit offsets (use [`Self::build_any`] for
-    /// inputs that may need the wide fallback).
+    /// count does not fit the `u32` row offsets.
     pub fn build(&self, edges: Vec<Edge>) -> Result<Graph, BuildError> {
-        self.build_as::<u32>(edges)
-    }
-
-    /// Builds an unweighted graph, selecting the offset width at runtime:
-    /// compact `u32` offsets whenever the scattered arc count fits (every
-    /// in-repo graph), the `usize` fallback otherwise (or when
-    /// [`Self::force_wide`] is set).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build`], minus the overflow case the
-    /// wide path absorbs.
-    pub fn build_any(&self, edges: Vec<Edge>) -> Result<AnyGraph, BuildError> {
-        // Conservative width choice from the scattered item count (final
-        // arcs only shrink from here via dedup), so the pipeline runs once.
-        let scattered = edges
-            .len()
-            .saturating_mul(if self.symmetrize { 2 } else { 1 });
-        if self.force_wide || !<u32 as OffsetIndex>::fits(scattered) {
-            Ok(AnyGraph::Wide(self.build_as::<usize>(edges)?))
-        } else {
-            Ok(AnyGraph::Narrow(self.build_as::<u32>(edges)?))
-        }
-    }
-
-    /// [`Self::build`] for an explicit offset width `O`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build`].
-    pub fn build_as<O: OffsetIndex>(&self, edges: Vec<Edge>) -> Result<Graph<O>, BuildError> {
         let pool = self.runtime();
         let drop_loops = self.remove_self_loops;
         let live = |e: &Edge| !(drop_loops && e.is_self_loop());
@@ -211,7 +168,7 @@ impl Builder {
                 live(&e).then_some((e.src as usize, e.dst))
             };
             let (offsets, targets) = build_rows(&pool, n, 2 * m, &item);
-            check_width::<O>(&offsets)?;
+            check_arc_count(&offsets)?;
             Ok(Graph::undirected(CsrGraph::from_scan_unchecked(
                 offsets, targets,
             )))
@@ -221,7 +178,7 @@ impl Builder {
                 live(&e).then_some((e.src as usize, e.dst))
             };
             let (oo, ot) = build_rows(&pool, n, m, &out_item);
-            check_width::<O>(&oo)?;
+            check_arc_count(&oo)?;
             let (io, it) = transpose_rows(&pool, &oo, &ot);
             Ok(Graph::directed(
                 CsrGraph::from_scan_unchecked(oo, ot),
@@ -239,20 +196,9 @@ impl Builder {
     ///
     /// Returns [`BuildError::NonPositiveWeight`] for weights `<= 0` and
     /// [`BuildError::EndpointOutOfRange`] if an endpoint exceeds a fixed
-    /// vertex count.
+    /// vertex count, and [`BuildError::ArcCountOverflow`] as in
+    /// [`Self::build`].
     pub fn build_weighted(&self, edges: Vec<WEdge>) -> Result<WGraph, BuildError> {
-        self.build_weighted_as::<u32>(edges)
-    }
-
-    /// [`Self::build_weighted`] for an explicit offset width `O`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build_weighted`].
-    pub fn build_weighted_as<O: OffsetIndex>(
-        &self,
-        edges: Vec<WEdge>,
-    ) -> Result<WGraph<O>, BuildError> {
         let pool = self.runtime();
         let drop_loops = self.remove_self_loops;
         let live = |e: &WEdge| !(drop_loops && e.src == e.dst);
@@ -302,7 +248,7 @@ impl Builder {
                 live(&e).then_some((e.src as usize, (e.dst, e.weight)))
             };
             let (offsets, pairs) = build_rows(&pool, n, 2 * m, &item);
-            check_width::<O>(&offsets)?;
+            check_arc_count(&offsets)?;
             Ok(WGraph::undirected(wcsr(&pool, offsets, &pairs)))
         } else {
             let out_item = |i: usize| {
@@ -310,23 +256,21 @@ impl Builder {
                 live(&e).then_some((e.src as usize, (e.dst, e.weight)))
             };
             let (oo, op) = build_rows(&pool, n, m, &out_item);
-            check_width::<O>(&oo)?;
+            check_arc_count(&oo)?;
             let (io, ip) = transpose_rows(&pool, &oo, &op);
             Ok(WGraph::directed(wcsr(&pool, oo, &op), wcsr(&pool, io, &ip)))
         }
     }
 }
 
-/// Verifies the scanned arc total fits offset width `O` before narrowing.
-fn check_width<O: OffsetIndex>(offsets: &[usize]) -> Result<(), BuildError> {
+/// Verifies the scanned arc total fits `u32` row offsets before
+/// narrowing.
+fn check_arc_count(offsets: &[usize]) -> Result<(), BuildError> {
     let total = offsets.last().copied().unwrap_or(0);
-    if O::fits(total) {
+    if u32::try_from(total).is_ok() {
         Ok(())
     } else {
-        Err(BuildError::ArcCountOverflow {
-            arcs: total as u64,
-            width: O::NAME,
-        })
+        Err(BuildError::ArcCountOverflow { arcs: total as u64 })
     }
 }
 
@@ -334,7 +278,7 @@ fn check_width<O: OffsetIndex>(offsets: &[usize]) -> Result<(), BuildError> {
 /// union of `u`'s stored out- and in-neighbors. Both are sorted and
 /// duplicate-free, so the union is a two-pointer merge per row (count,
 /// scan, merge-write) with no scatter and no sort.
-pub fn symmetrize_graph<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> Graph<O> {
+pub fn symmetrize_graph(g: &Graph, pool: &ThreadPool) -> Graph {
     let n = g.num_vertices();
     let row = |u: usize| sorted_union(g.out_neighbors(u as NodeId), g.in_neighbors(u as NodeId));
     let mut offsets = vec![0usize; n + 1];
@@ -343,9 +287,8 @@ pub fn symmetrize_graph<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> Grap
     });
     let total = scan::exclusive_scan_in_place(pool, &mut offsets);
     assert!(
-        O::fits(total),
-        "symmetrized arc count overflows {} offsets",
-        O::NAME
+        u32::try_from(total).is_ok(),
+        "symmetrized arc count overflows u32 offsets"
     );
     let mut adj = vec![0 as NodeId; total];
     {
@@ -382,18 +325,19 @@ fn sorted_union<'a>(mut a: &'a [NodeId], mut b: &'a [NodeId]) -> impl Iterator<I
     })
 }
 
-/// Expands a CSR offset table into the per-arc source-vertex array the
-/// virtual item spaces index by (`srcs[arc]` = row owning `arc`).
-pub(crate) fn arc_sources<O: OffsetIndex>(
+/// Expands a CSR offset table, read through `start(u)` = first arc of row
+/// `u`, into the per-arc source-vertex array the virtual item spaces
+/// index by (`srcs[arc]` = row owning `arc`).
+pub(crate) fn arc_sources(
     pool: &ThreadPool,
-    offsets: &[O],
     n: usize,
     m: usize,
+    start: impl Fn(usize) -> usize + Sync,
 ) -> Vec<NodeId> {
     let mut srcs = vec![0 as NodeId; m];
     let shared = SharedSlice::new(&mut srcs);
     pool.for_each_index(n, Schedule::Guided, |u| {
-        for arc in offsets[u].to_usize()..offsets[u + 1].to_usize() {
+        for arc in start(u)..start(u + 1) {
             // SAFETY: rows partition the arc array.
             unsafe { shared.write(arc, u as NodeId) };
         }
@@ -480,7 +424,7 @@ pub(crate) fn transpose_rows<T: AdjEntry>(
     entries: &[T],
 ) -> (Vec<usize>, Vec<T>) {
     let n = offsets.len() - 1;
-    let srcs = arc_sources(pool, offsets, n, entries.len());
+    let srcs = arc_sources(pool, n, entries.len(), |u| offsets[u]);
     let item = |arc: usize| {
         let entry = entries[arc];
         Some((entry.dedup_key() as usize, entry.retarget(srcs[arc])))
@@ -551,11 +495,7 @@ where
 
 /// Splits built `(dst, weight)` rows into the parallel target/weight
 /// arrays a [`WCsrGraph`] stores.
-fn wcsr<O: OffsetIndex>(
-    pool: &ThreadPool,
-    offsets: Vec<usize>,
-    pairs: &[(NodeId, Weight)],
-) -> WCsrGraph<O> {
+fn wcsr(pool: &ThreadPool, offsets: Vec<usize>, pairs: &[(NodeId, Weight)]) -> WCsrGraph {
     let mut targets = vec![0 as NodeId; pairs.len()];
     let mut weights = vec![0 as Weight; pairs.len()];
     {
@@ -636,6 +576,18 @@ mod tests {
             .build(edges([(1, 1)]))
             .unwrap();
         assert_eq!(drop.num_edges(), 0);
+    }
+
+    #[test]
+    fn arc_count_check_stops_at_the_u32_offset_limit() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_arc_count(&[0, max]), Ok(()));
+        assert_eq!(
+            check_arc_count(&[0, max + 1]),
+            Err(BuildError::ArcCountOverflow {
+                arcs: u64::from(u32::MAX) + 1
+            })
+        );
     }
 
     #[test]

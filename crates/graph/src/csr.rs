@@ -5,13 +5,15 @@
 //! and duplicate-free — the construction invariant the paper notes every
 //! evaluated framework maintains.
 //!
-//! The row-offset width is a type parameter (default `u32`): every in-repo
-//! graph fits 32-bit offsets, which halves the offset array and the cache
-//! lines touched per row lookup, while `CsrGraph<usize>` remains available
-//! as the wide fallback the paper's 64-bit frameworks correspond to.
+//! Row offsets are `u32`, like the targets: every graph the repo builds,
+//! loads or times has fewer than `u32::MAX` arcs, and the 32-bit offset
+//! array halves the bytes touched per row lookup. The builder, the binary
+//! reader and the snapshot loader reject inputs past that limit with a
+//! structured error. The paper's 64-bit index tax is reproduced by
+//! `gapbs-grb`'s `GrbIndex = u64`, not here.
 
 use crate::segment::Segment;
-use crate::types::{NodeId, OffsetIndex, Weight};
+use crate::types::{NodeId, Weight};
 
 /// One direction of adjacency in compressed sparse row form.
 ///
@@ -23,8 +25,8 @@ use crate::types::{NodeId, OffsetIndex, Weight};
 /// list, zero-copy views when loaded from an mmap'ed snapshot. Equality
 /// and cloning follow the element contents either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CsrGraph<O: OffsetIndex = u32> {
-    offsets: Segment<O>,
+pub struct CsrGraph {
+    offsets: Segment<u32>,
     targets: Segment<NodeId>,
 }
 
@@ -33,17 +35,17 @@ pub struct CsrGraph<O: OffsetIndex = u32> {
 /// rows, in-range targets. O(V + E). Returns the first violation as a
 /// message; [`CsrGraph::from_parts`] panics on it, the snapshot loader's
 /// paranoid mode surfaces it as a structured error.
-pub(crate) fn check_parts<O: OffsetIndex>(offsets: &[O], targets: &[NodeId]) -> Result<(), String> {
+pub(crate) fn check_parts(offsets: &[u32], targets: &[NodeId]) -> Result<(), String> {
     if offsets.is_empty() {
         return Err("offsets must have at least one entry".to_string());
     }
-    if offsets[0].to_usize() != 0 {
+    if offsets[0] != 0 {
         return Err("offsets must start at 0".to_string());
     }
-    if offsets.last().expect("non-empty").to_usize() != targets.len() {
+    let last = *offsets.last().expect("non-empty") as usize;
+    if last != targets.len() {
         return Err(format!(
-            "offsets must end at targets.len() ({} != {})",
-            offsets.last().expect("non-empty").to_usize(),
+            "offsets must end at targets.len() ({last} != {})",
             targets.len()
         ));
     }
@@ -54,7 +56,7 @@ pub(crate) fn check_parts<O: OffsetIndex>(offsets: &[O], targets: &[NodeId]) -> 
         }
     }
     for u in 0..n {
-        let row = &targets[offsets[u].to_usize()..offsets[u + 1].to_usize()];
+        let row = &targets[offsets[u] as usize..offsets[u + 1] as usize];
         for pair in row.windows(2) {
             if pair[0] >= pair[1] {
                 return Err(format!(
@@ -73,13 +75,13 @@ pub(crate) fn check_parts<O: OffsetIndex>(offsets: &[O], targets: &[NodeId]) -> 
 
 /// Panics unless `(offsets, targets)` satisfy every CSR invariant (see
 /// [`check_parts`]).
-fn validate_parts<O: OffsetIndex>(offsets: &[O], targets: &[NodeId]) {
+fn validate_parts(offsets: &[u32], targets: &[NodeId]) {
     if let Err(msg) = check_parts(offsets, targets) {
         panic!("{msg}");
     }
 }
 
-impl<O: OffsetIndex> CsrGraph<O> {
+impl CsrGraph {
     /// Builds a CSR from raw parts, validating every invariant.
     ///
     /// This is the boundary constructor for untrusted input (I/O, tests).
@@ -93,7 +95,7 @@ impl<O: OffsetIndex> CsrGraph<O> {
     /// contains duplicates or out-of-range targets. These are programming
     /// errors in construction code, not user-input errors, hence panics
     /// rather than `Result`.
-    pub fn from_parts(offsets: Vec<O>, targets: Vec<NodeId>) -> Self {
+    pub fn from_parts(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         validate_parts(&offsets, &targets);
         CsrGraph {
             offsets: Segment::from_vec(offsets),
@@ -105,7 +107,7 @@ impl<O: OffsetIndex> CsrGraph<O> {
     /// validation. Debug builds still run the full invariant check, so
     /// every test exercises it; release rebuilds skip the O(V+E) sweep the
     /// deterministic pipeline has already paid for.
-    pub(crate) fn from_parts_unchecked(offsets: Vec<O>, targets: Vec<NodeId>) -> Self {
+    pub(crate) fn from_parts_unchecked(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         Self::from_segments_unchecked(Segment::from_vec(offsets), Segment::from_vec(targets))
     }
 
@@ -114,7 +116,7 @@ impl<O: OffsetIndex> CsrGraph<O> {
     /// checksums (always verified on load); paranoid loads additionally
     /// run [`check_parts`] before calling this. Debug builds re-validate
     /// unconditionally, mirroring [`Self::from_parts_unchecked`].
-    pub(crate) fn from_segments_unchecked(offsets: Segment<O>, targets: Segment<NodeId>) -> Self {
+    pub(crate) fn from_segments_unchecked(offsets: Segment<u32>, targets: Segment<NodeId>) -> Self {
         #[cfg(debug_assertions)]
         validate_parts(&offsets, &targets);
         debug_assert!(!offsets.is_empty());
@@ -122,10 +124,10 @@ impl<O: OffsetIndex> CsrGraph<O> {
     }
 
     /// Narrows the `usize` offsets produced by the builder's scan stage
-    /// into this CSR's offset width. The caller must have checked
-    /// [`OffsetIndex::fits`] on the arc total.
+    /// to `u32`. The caller must have checked the arc total with
+    /// `builder::check_arc_count`.
     pub(crate) fn from_scan_unchecked(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
-        let offsets: Vec<O> = offsets.into_iter().map(O::from_usize).collect();
+        let offsets: Vec<u32> = offsets.into_iter().map(|o| o as u32).collect();
         Self::from_parts_unchecked(offsets, targets)
     }
 
@@ -145,73 +147,59 @@ impl<O: OffsetIndex> CsrGraph<O> {
     #[inline]
     pub fn degree(&self, u: NodeId) -> usize {
         let u = u as usize;
-        self.offsets[u + 1].to_usize() - self.offsets[u].to_usize()
+        (self.offsets[u + 1] - self.offsets[u]) as usize
     }
 
     /// The sorted neighbor slice of `u`.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
         let u = u as usize;
-        &self.targets[self.offsets[u].to_usize()..self.offsets[u + 1].to_usize()]
+        &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
     /// Offset of the first neighbor of `u` inside [`Self::targets_raw`].
     #[inline]
     pub fn offset(&self, u: NodeId) -> usize {
-        self.offsets[u as usize].to_usize()
+        self.offsets[u as usize] as usize
     }
 
     /// The raw offsets array (length `num_vertices() + 1`).
-    pub fn offsets_raw(&self) -> &[O] {
+    #[inline]
+    pub fn offsets_raw(&self) -> &[u32] {
         &self.offsets
     }
 
     /// A handle to the offsets storage (cheap for views; the snapshot
     /// loader uses this to share one offsets section between the
     /// unweighted and weighted CSRs).
-    pub(crate) fn offsets_segment(&self) -> Segment<O> {
+    pub(crate) fn offsets_segment(&self) -> Segment<u32> {
         self.offsets.clone()
     }
 
     /// The raw flattened target array.
+    #[inline]
     pub fn targets_raw(&self) -> &[NodeId] {
         &self.targets
     }
 
     /// Resident bytes of this adjacency: offsets plus targets.
     pub fn graph_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<O>()
+        self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<NodeId>()
     }
 
     /// Returns `true` if edge `(u, v)` is present, via the shared
     /// galloping probe (exponential then binary search).
+    #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         crate::intersect::contains(self.neighbors(u), v)
     }
 
     /// Iterates over `(u, v)` arcs in CSR order.
+    #[inline]
     pub fn iter_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         (0..self.num_vertices() as NodeId)
             .flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
-    }
-
-    /// Re-expresses this adjacency with offset width `P`, or `None` if the
-    /// arc count does not fit. Targets are shared-layout (`u32` either
-    /// way), so only the offset array is converted.
-    pub fn to_width<P: OffsetIndex>(&self) -> Option<CsrGraph<P>> {
-        if !P::fits(self.num_edges()) {
-            return None;
-        }
-        Some(CsrGraph {
-            offsets: Segment::from_vec(
-                self.offsets
-                    .iter()
-                    .map(|&o| P::from_usize(o.to_usize()))
-                    .collect(),
-            ),
-            targets: self.targets.clone(),
-        })
     }
 }
 
@@ -221,24 +209,24 @@ impl<O: OffsetIndex> CsrGraph<O> {
 /// `targets` without touching weights (matching GAP's `WNode` layout intent
 /// while keeping cache behaviour predictable at this scale).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WCsrGraph<O: OffsetIndex = u32> {
-    csr: CsrGraph<O>,
+pub struct WCsrGraph {
+    csr: CsrGraph,
     weights: Segment<Weight>,
 }
 
-impl<O: OffsetIndex> WCsrGraph<O> {
+impl WCsrGraph {
     /// Builds a weighted CSR from an unweighted CSR plus a parallel weight
     /// array.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != csr.num_edges()`.
-    pub fn from_parts(csr: CsrGraph<O>, weights: Vec<Weight>) -> Self {
+    pub fn from_parts(csr: CsrGraph, weights: Vec<Weight>) -> Self {
         Self::from_segments(csr, Segment::from_vec(weights))
     }
 
     /// [`Self::from_parts`] over [`Segment`] storage (snapshot loads).
-    pub(crate) fn from_segments(csr: CsrGraph<O>, weights: Segment<Weight>) -> Self {
+    pub(crate) fn from_segments(csr: CsrGraph, weights: Segment<Weight>) -> Self {
         assert_eq!(
             weights.len(),
             csr.num_edges(),
@@ -272,6 +260,7 @@ impl<O: OffsetIndex> WCsrGraph<O> {
     }
 
     /// The weight slice parallel to [`Self::neighbors`] for `u`.
+    #[inline]
     pub fn weights(&self, u: NodeId) -> &[Weight] {
         let lo = self.csr.offset(u);
         let hi = self.csr.offset(u + 1);
@@ -279,6 +268,7 @@ impl<O: OffsetIndex> WCsrGraph<O> {
     }
 
     /// Iterates `(neighbor, weight)` pairs of `u`.
+    #[inline]
     pub fn neighbors_weighted(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
         self.neighbors(u)
             .iter()
@@ -287,11 +277,13 @@ impl<O: OffsetIndex> WCsrGraph<O> {
     }
 
     /// The unweighted view of this adjacency.
-    pub fn unweighted(&self) -> &CsrGraph<O> {
+    #[inline]
+    pub fn unweighted(&self) -> &CsrGraph {
         &self.csr
     }
 
     /// The raw flattened weight array.
+    #[inline]
     pub fn weights_raw(&self) -> &[Weight] {
         &self.weights
     }
@@ -299,15 +291,6 @@ impl<O: OffsetIndex> WCsrGraph<O> {
     /// Resident bytes of this adjacency: offsets, targets, and weights.
     pub fn graph_bytes(&self) -> usize {
         self.csr.graph_bytes() + self.weights.len() * std::mem::size_of::<Weight>()
-    }
-
-    /// Re-expresses this adjacency with offset width `P` (see
-    /// [`CsrGraph::to_width`]).
-    pub fn to_width<P: OffsetIndex>(&self) -> Option<WCsrGraph<P>> {
-        Some(WCsrGraph {
-            csr: self.csr.to_width::<P>()?,
-            weights: self.weights.clone(),
-        })
     }
 }
 
@@ -348,36 +331,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "sorted")]
     fn unsorted_rows_rejected() {
-        CsrGraph::<u32>::from_parts(vec![0, 2], vec![1, 0]);
+        CsrGraph::from_parts(vec![0, 2], vec![1, 0]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_targets_rejected() {
-        CsrGraph::<u32>::from_parts(vec![0, 1], vec![7]);
+        CsrGraph::from_parts(vec![0, 1], vec![7]);
     }
 
     #[test]
-    fn wide_instantiation_matches_narrow() {
-        let narrow = diamond();
-        let wide: CsrGraph<usize> = narrow.to_width().expect("usize always fits");
-        assert_eq!(wide.num_vertices(), narrow.num_vertices());
-        assert_eq!(wide.num_edges(), narrow.num_edges());
-        for u in 0..narrow.num_vertices() as NodeId {
-            assert_eq!(wide.neighbors(u), narrow.neighbors(u));
-        }
-        let back: CsrGraph<u32> = wide.to_width().expect("small graph narrows");
-        assert_eq!(back, narrow);
-    }
-
-    #[test]
-    fn graph_bytes_tracks_offset_width() {
-        let narrow = diamond();
-        let wide: CsrGraph<usize> = narrow.to_width().unwrap();
-        // 5 offsets * 4 bytes + 4 targets * 4 bytes vs 5 * 8 + 4 * 4.
-        assert_eq!(narrow.graph_bytes(), 5 * 4 + 4 * 4);
-        assert_eq!(wide.graph_bytes(), 5 * 8 + 4 * 4);
-        assert!(narrow.graph_bytes() < wide.graph_bytes());
+    fn graph_bytes_counts_u32_offsets_and_targets() {
+        // 5 offsets * 4 bytes + 4 targets * 4 bytes.
+        assert_eq!(diamond().graph_bytes(), 5 * 4 + 4 * 4);
     }
 
     #[test]

@@ -15,14 +15,10 @@ pub enum BuildError {
     },
     /// The builder was asked for a graph with zero vertices but edges exist.
     EdgesWithoutVertices,
-    /// The arc count does not fit the requested offset width; callers
-    /// wanting the automatic wide fallback should use
-    /// [`crate::Builder::build_any`].
+    /// The arc count does not fit the `u32` row offsets every graph uses.
     ArcCountOverflow {
         /// Arc count the scan produced.
         arcs: u64,
-        /// Offset-width label (`"u32"` / `"usize"`).
-        width: &'static str,
     },
     /// A weighted edge carried a non-positive weight, which delta-stepping
     /// (and the GAP spec) does not permit.
@@ -46,9 +42,10 @@ impl fmt::Display for BuildError {
             BuildError::EdgesWithoutVertices => {
                 write!(f, "edge list is non-empty but vertex count is zero")
             }
-            BuildError::ArcCountOverflow { arcs, width } => write!(
+            BuildError::ArcCountOverflow { arcs } => write!(
                 f,
-                "{arcs} arcs overflow {width} row offsets; build_any selects the wide form"
+                "{arcs} arcs exceed the u32 row-offset limit of {} arcs",
+                u32::MAX
             ),
             BuildError::NonPositiveWeight { src, dst, weight } => write!(
                 f,
@@ -95,13 +92,6 @@ pub enum SnapshotError {
         stored: u64,
         /// Checksum computed over the mapped bytes.
         computed: u64,
-    },
-    /// The snapshot's offset width differs from the requested type.
-    WidthMismatch {
-        /// Offset width in bytes recorded in the header.
-        stored: u8,
-        /// Offset-width label (`"u32"` / `"usize"`) the caller asked for.
-        requested: &'static str,
     },
     /// A section the header's flags promise is absent.
     MissingSection {
@@ -152,10 +142,6 @@ impl fmt::Display for SnapshotError {
             } => write!(
                 f,
                 "checksum mismatch in {section}: stored {stored:#018x}, computed {computed:#018x}"
-            ),
-            SnapshotError::WidthMismatch { stored, requested } => write!(
-                f,
-                "snapshot stores {stored}-byte offsets but {requested} offsets were requested"
             ),
             SnapshotError::MissingSection { section } => {
                 write!(f, "snapshot is missing required section {section}")

@@ -6,29 +6,28 @@
 //! needs an (untimed) transposition inside a kernel. For undirected graphs
 //! the two directions coincide and are stored once.
 //!
-//! Like [`CsrGraph`], the offset width is a type parameter defaulting to
-//! `u32`; [`AnyGraph`] is the runtime dispatch between the compact form and
-//! the `usize` fallback for arc counts at or above `u32::MAX`.
+//! Both types hold [`CsrGraph`]s, so their row offsets are `u32` (see the
+//! [`crate::csr`] module docs for where that limit is checked).
 
 use crate::csr::{CsrGraph, WCsrGraph};
-use crate::types::{NodeId, OffsetIndex, Weight};
+use crate::types::{NodeId, Weight};
 
 /// An unweighted graph with both adjacency directions available.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Graph<O: OffsetIndex = u32> {
-    out: CsrGraph<O>,
+pub struct Graph {
+    out: CsrGraph,
     /// `None` for undirected graphs (incoming == outgoing).
-    incoming: Option<CsrGraph<O>>,
+    incoming: Option<CsrGraph>,
     directed: bool,
 }
 
-impl<O: OffsetIndex> Graph<O> {
+impl Graph {
     /// Creates a directed graph from its out- and in-adjacency.
     ///
     /// # Panics
     ///
     /// Panics if the two directions disagree on vertex or edge counts.
-    pub fn directed(out: CsrGraph<O>, incoming: CsrGraph<O>) -> Self {
+    pub fn directed(out: CsrGraph, incoming: CsrGraph) -> Self {
         assert_eq!(out.num_vertices(), incoming.num_vertices());
         assert_eq!(out.num_edges(), incoming.num_edges());
         Graph {
@@ -39,7 +38,7 @@ impl<O: OffsetIndex> Graph<O> {
     }
 
     /// Creates an undirected graph from a symmetric adjacency.
-    pub fn undirected(adj: CsrGraph<O>) -> Self {
+    pub fn undirected(adj: CsrGraph) -> Self {
         Graph {
             out: adj,
             incoming: None,
@@ -61,6 +60,7 @@ impl<O: OffsetIndex> Graph<O> {
 
     /// Number of edges as GAP reports them: arcs for directed graphs,
     /// arc-count / 2 for undirected graphs.
+    #[inline]
     pub fn num_edges(&self) -> usize {
         if self.directed {
             self.out.num_edges()
@@ -100,17 +100,19 @@ impl<O: OffsetIndex> Graph<O> {
     }
 
     /// The outgoing CSR.
-    pub fn out_csr(&self) -> &CsrGraph<O> {
+    #[inline]
+    pub fn out_csr(&self) -> &CsrGraph {
         &self.out
     }
 
     /// The incoming CSR (same object as outgoing when undirected).
     #[inline]
-    pub fn in_csr(&self) -> &CsrGraph<O> {
+    pub fn in_csr(&self) -> &CsrGraph {
         self.incoming.as_ref().unwrap_or(&self.out)
     }
 
     /// Iterates over all vertex ids.
+    #[inline]
     pub fn vertices(&self) -> impl Iterator<Item = NodeId> {
         0..self.num_vertices() as NodeId
     }
@@ -128,41 +130,23 @@ impl<O: OffsetIndex> Graph<O> {
     pub fn graph_bytes(&self) -> usize {
         self.out.graph_bytes() + self.incoming.as_ref().map_or(0, CsrGraph::graph_bytes)
     }
-
-    /// Re-expresses the graph with offset width `P`, or `None` if the arc
-    /// count does not fit `P`. Topology is unchanged bit for bit.
-    pub fn to_width<P: OffsetIndex>(&self) -> Option<Graph<P>> {
-        Some(Graph {
-            out: self.out.to_width::<P>()?,
-            incoming: match &self.incoming {
-                Some(inc) => Some(inc.to_width::<P>()?),
-                None => None,
-            },
-            directed: self.directed,
-        })
-    }
-
-    /// The `usize`-offset twin of this graph (always fits).
-    pub fn widen(&self) -> Graph<usize> {
-        self.to_width::<usize>().expect("usize offsets always fit")
-    }
 }
 
 /// A weighted graph with both adjacency directions available.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WGraph<O: OffsetIndex = u32> {
-    out: WCsrGraph<O>,
-    incoming: Option<WCsrGraph<O>>,
+pub struct WGraph {
+    out: WCsrGraph,
+    incoming: Option<WCsrGraph>,
     directed: bool,
 }
 
-impl<O: OffsetIndex> WGraph<O> {
+impl WGraph {
     /// Creates a directed weighted graph from its two adjacency directions.
     ///
     /// # Panics
     ///
     /// Panics if the directions disagree on vertex or edge counts.
-    pub fn directed(out: WCsrGraph<O>, incoming: WCsrGraph<O>) -> Self {
+    pub fn directed(out: WCsrGraph, incoming: WCsrGraph) -> Self {
         assert_eq!(out.num_vertices(), incoming.num_vertices());
         assert_eq!(out.num_edges(), incoming.num_edges());
         WGraph {
@@ -173,7 +157,7 @@ impl<O: OffsetIndex> WGraph<O> {
     }
 
     /// Creates an undirected weighted graph from a symmetric adjacency.
-    pub fn undirected(adj: WCsrGraph<O>) -> Self {
+    pub fn undirected(adj: WCsrGraph) -> Self {
         WGraph {
             out: adj,
             incoming: None,
@@ -212,27 +196,31 @@ impl<O: OffsetIndex> WGraph<O> {
     }
 
     /// `(neighbor, weight)` pairs of `u` in the outgoing direction.
+    #[inline]
     pub fn out_neighbors_weighted(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
         self.out.neighbors_weighted(u)
     }
 
     /// `(neighbor, weight)` pairs of `u` in the incoming direction.
+    #[inline]
     pub fn in_neighbors_weighted(&self, u: NodeId) -> impl Iterator<Item = (NodeId, Weight)> + '_ {
         self.in_wcsr().neighbors_weighted(u)
     }
 
     /// The outgoing weighted CSR.
-    pub fn out_wcsr(&self) -> &WCsrGraph<O> {
+    #[inline]
+    pub fn out_wcsr(&self) -> &WCsrGraph {
         &self.out
     }
 
     /// The incoming weighted CSR (same as outgoing when undirected).
     #[inline]
-    pub fn in_wcsr(&self) -> &WCsrGraph<O> {
+    pub fn in_wcsr(&self) -> &WCsrGraph {
         self.incoming.as_ref().unwrap_or(&self.out)
     }
 
     /// Iterates over all vertex ids.
+    #[inline]
     pub fn vertices(&self) -> impl Iterator<Item = NodeId> {
         0..self.num_vertices() as NodeId
     }
@@ -241,79 +229,6 @@ impl<O: OffsetIndex> WGraph<O> {
     /// stored direction.
     pub fn graph_bytes(&self) -> usize {
         self.out.graph_bytes() + self.incoming.as_ref().map_or(0, WCsrGraph::graph_bytes)
-    }
-
-    /// Re-expresses the graph with offset width `P` (see
-    /// [`Graph::to_width`]).
-    pub fn to_width<P: OffsetIndex>(&self) -> Option<WGraph<P>> {
-        Some(WGraph {
-            out: self.out.to_width::<P>()?,
-            incoming: match &self.incoming {
-                Some(inc) => Some(inc.to_width::<P>()?),
-                None => None,
-            },
-            directed: self.directed,
-        })
-    }
-
-    /// The `usize`-offset twin of this graph (always fits).
-    pub fn widen(&self) -> WGraph<usize> {
-        self.to_width::<usize>().expect("usize offsets always fit")
-    }
-}
-
-/// Runtime dispatch between the compact `u32`-offset graph every in-repo
-/// input fits and the `usize`-offset fallback for arc counts at or above
-/// `u32::MAX`. Produced by [`crate::Builder::build_any`] and
-/// [`crate::io::read_binary_any`]; kernels monomorphize per width, so the
-/// branch happens once at the boundary rather than per row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AnyGraph {
-    /// Compact form: 32-bit row offsets.
-    Narrow(Graph<u32>),
-    /// Wide fallback: `usize` row offsets.
-    Wide(Graph<usize>),
-}
-
-impl AnyGraph {
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            AnyGraph::Narrow(g) => g.num_vertices(),
-            AnyGraph::Wide(g) => g.num_vertices(),
-        }
-    }
-
-    /// Number of edges (GAP counting).
-    pub fn num_edges(&self) -> usize {
-        match self {
-            AnyGraph::Narrow(g) => g.num_edges(),
-            AnyGraph::Wide(g) => g.num_edges(),
-        }
-    }
-
-    /// Resident adjacency bytes.
-    pub fn graph_bytes(&self) -> usize {
-        match self {
-            AnyGraph::Narrow(g) => g.graph_bytes(),
-            AnyGraph::Wide(g) => g.graph_bytes(),
-        }
-    }
-
-    /// Offset-width label (`"u32"` / `"usize"`).
-    pub fn offset_width(&self) -> &'static str {
-        match self {
-            AnyGraph::Narrow(_) => <u32 as OffsetIndex>::NAME,
-            AnyGraph::Wide(_) => <usize as OffsetIndex>::NAME,
-        }
-    }
-
-    /// The compact graph, if this is the narrow form.
-    pub fn into_narrow(self) -> Option<Graph<u32>> {
-        match self {
-            AnyGraph::Narrow(g) => Some(g),
-            AnyGraph::Wide(_) => None,
-        }
     }
 }
 
@@ -355,32 +270,5 @@ mod tests {
     fn average_degree() {
         let g = Graph::directed(line_csr(), line_in_csr());
         assert!((g.average_degree() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn widen_preserves_topology_and_grows_bytes() {
-        let g = Graph::directed(line_csr(), line_in_csr());
-        let w = g.widen();
-        assert_eq!(w.num_vertices(), g.num_vertices());
-        assert_eq!(w.num_arcs(), g.num_arcs());
-        assert!(w.is_directed());
-        for u in g.vertices() {
-            assert_eq!(w.out_neighbors(u), g.out_neighbors(u));
-            assert_eq!(w.in_neighbors(u), g.in_neighbors(u));
-        }
-        assert!(w.graph_bytes() > g.graph_bytes());
-        assert_eq!(w.to_width::<u32>().unwrap(), g);
-    }
-
-    #[test]
-    fn any_graph_reports_width() {
-        let g = Graph::directed(line_csr(), line_in_csr());
-        let wide = AnyGraph::Wide(g.widen());
-        let narrow = AnyGraph::Narrow(g);
-        assert_eq!(narrow.offset_width(), "u32");
-        assert_eq!(wide.offset_width(), "usize");
-        assert_eq!(narrow.num_edges(), wide.num_edges());
-        assert!(narrow.graph_bytes() < wide.graph_bytes());
-        assert!(wide.into_narrow().is_none());
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::graph::Graph;
 use crate::perm;
-use crate::types::{NodeId, OffsetIndex};
+use crate::types::NodeId;
 use gapbs_parallel::{PerWorker, Schedule, ThreadPool};
 use gapbs_telemetry::{Phase, Span};
 
@@ -162,8 +162,8 @@ where
 /// search per row read, which measured cheaper than building an oriented
 /// copy under the identity (DESIGN.md §9). The caller owns the relabel
 /// decision, the schedule and the telemetry.
-pub fn count_triangles<O: OffsetIndex>(
-    g: &Graph<O>,
+pub fn count_triangles(
+    g: &Graph,
     relabel: bool,
     pool: &ThreadPool,
     schedule: Schedule,

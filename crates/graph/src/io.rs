@@ -5,8 +5,8 @@
 use crate::builder::Builder;
 use crate::edgelist::{Edge, WEdge};
 use crate::error::GraphError;
-use crate::graph::{AnyGraph, Graph, WGraph};
-use crate::types::{NodeId, OffsetIndex, Weight};
+use crate::graph::{Graph, WGraph};
+use crate::types::{NodeId, Weight};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 /// Magic bytes of the binary serialized graph format.
@@ -122,14 +122,11 @@ pub fn write_binary<W: Write>(g: &Graph, writer: W) -> Result<(), GraphError> {
     Ok(())
 }
 
-fn write_csr<W: Write, O: OffsetIndex>(
-    w: &mut W,
-    csr: &crate::CsrGraph<O>,
-) -> Result<(), GraphError> {
+fn write_csr<W: Write>(w: &mut W, csr: &crate::CsrGraph) -> Result<(), GraphError> {
     w.write_all(&(csr.num_vertices() as u64).to_le_bytes())?;
     w.write_all(&(csr.num_edges() as u64).to_le_bytes())?;
     for &o in csr.offsets_raw() {
-        w.write_all(&(o.to_usize() as u64).to_le_bytes())?;
+        w.write_all(&u64::from(o).to_le_bytes())?;
     }
     for &t in csr.targets_raw() {
         w.write_all(&t.to_le_bytes())?;
@@ -141,19 +138,10 @@ fn write_csr<W: Write, O: OffsetIndex>(
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Parse`] if the header is malformed and
-/// [`GraphError::Io`] on truncated input.
+/// Returns [`GraphError::Parse`] if the header is malformed or an offset
+/// exceeds the `u32` row-offset limit, and [`GraphError::Io`] on
+/// truncated input.
 pub fn read_binary<R: Read>(reader: R) -> Result<Graph, GraphError> {
-    read_binary_as::<R, u32>(reader)
-}
-
-/// [`read_binary`] for an explicit offset width `O`.
-///
-/// # Errors
-///
-/// Same conditions as [`read_binary`], plus a parse error when an offset
-/// overflows `O`.
-pub fn read_binary_as<R: Read, O: OffsetIndex>(reader: R) -> Result<Graph<O>, GraphError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -175,47 +163,25 @@ pub fn read_binary_as<R: Read, O: OffsetIndex>(reader: R) -> Result<Graph<O>, Gr
     }
 }
 
-/// Deserializes a graph written by [`write_binary`], selecting the offset
-/// width at runtime: the compact `u32` form whenever the stored arc count
-/// fits, the `usize` fallback otherwise.
-///
-/// # Errors
-///
-/// Same conditions as [`read_binary`].
-pub fn read_binary_any<R: Read>(mut reader: R) -> Result<AnyGraph, GraphError> {
-    let mut buf = Vec::new();
-    reader.read_to_end(&mut buf)?;
-    // Header: magic (4), directed flag (1), vertex count (8), arc count
-    // (8). Offsets end at the arc count, so it alone decides the width.
-    let arcs = match buf.get(13..21) {
-        Some(bytes) => u64::from_le_bytes(bytes.try_into().expect("8-byte slice")) as usize,
-        None => 0, // short input: let the narrow reader report the error
-    };
-    if <u32 as OffsetIndex>::fits(arcs) {
-        Ok(AnyGraph::Narrow(read_binary(&buf[..])?))
-    } else {
-        Ok(AnyGraph::Wide(read_binary_as::<_, usize>(&buf[..])?))
-    }
-}
-
-/// Reads one on-disk CSR (offsets are `u64` in the format) and rebuilds it
-/// at offset width `O` through the fully validated boundary constructor.
-fn read_csr<R: Read, O: OffsetIndex>(r: &mut R) -> Result<crate::CsrGraph<O>, GraphError> {
+/// Reads one on-disk CSR (offsets are `u64` in the format), narrows the
+/// offsets to `u32` and rebuilds it through the fully validated boundary
+/// constructor.
+fn read_csr<R: Read>(r: &mut R) -> Result<crate::CsrGraph, GraphError> {
     let n = read_u64(r)? as usize;
     let m = read_u64(r)? as usize;
-    let mut offsets: Vec<O> = Vec::with_capacity(n + 1);
+    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        let o = read_u64(r)? as usize;
-        if !O::fits(o) {
+        let o = read_u64(r)?;
+        let Ok(o) = u32::try_from(o) else {
             return Err(GraphError::Parse {
                 line: 0,
                 message: format!(
-                    "offset {o} overflows {} row offsets; read with read_binary_any",
-                    O::NAME
+                    "offset {o} exceeds the u32 row-offset limit of {} arcs",
+                    u32::MAX
                 ),
             });
-        }
-        offsets.push(O::from_usize(o));
+        };
+        offsets.push(o);
     }
     let mut targets = Vec::with_capacity(m);
     let mut buf = [0u8; 4];
@@ -396,16 +362,22 @@ mod tests {
     }
 
     #[test]
-    fn binary_any_picks_compact_width_for_small_graphs() {
-        let g = gen::urand(8, 8, 1);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let any = read_binary_any(&buf[..]).unwrap();
-        assert_eq!(any.offset_width(), "u32");
-        assert_eq!(any.clone().into_narrow().unwrap(), g);
-        // The explicit wide reader round-trips the same topology.
-        let wide = read_binary_as::<_, usize>(&buf[..]).unwrap();
-        assert_eq!(wide, g.widen());
+    fn binary_offset_past_u32_is_a_parse_error_before_targets() {
+        // One undirected vertex whose row claims u32::MAX + 1 arcs. The
+        // file ends after the offsets, so reaching the targets would be
+        // an Io error; the offset check must fire first.
+        let arcs = u64::from(u32::MAX) + 1;
+        let mut buf = SG_MAGIC.to_vec();
+        buf.push(0);
+        for word in [1, arcs, 0, arcs] {
+            buf.extend_from_slice(&u64::to_le_bytes(word));
+        }
+        match read_binary(&buf[..]) {
+            Err(GraphError::Parse { message, .. }) => {
+                assert!(message.contains("u32"), "{message}")
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub use builder::Builder;
 pub use csr::{CsrGraph, WCsrGraph};
 pub use edgelist::{Edge, EdgeList, WEdge, WEdgeList};
 pub use error::{BuildError, GraphError, SnapshotError};
-pub use graph::{AnyGraph, Graph, WGraph};
+pub use graph::{Graph, WGraph};
 pub use segment::{MapRegion, Segment};
 pub use snapshot::{Compression, Snapshot, SnapshotBundle, SnapshotContents};
 pub use strips::Strips;
-pub use types::{NodeId, OffsetIndex, Weight};
+pub use types::{NodeId, Weight};

@@ -15,7 +15,7 @@
 //! ──────  ────  ─────────────────────────────────────────────
 //!      0     8  magic "GAPSNAP\x01"
 //!      8     2  format version (u16)
-//!     10     1  offset width in bytes (4 = u32, 8 = usize)
+//!     10     1  offset width in bytes (always 4: u32 offsets)
 //!     11     1  flags (1 directed, 2 weighted, 4 sym, 8 candidates)
 //!     12     4  section count (u32)
 //!     16     8  num_vertices (u64)
@@ -64,7 +64,7 @@ use crate::csr::{check_parts, CsrGraph, WCsrGraph};
 use crate::error::{GraphError, SnapshotError};
 use crate::graph::{Graph, WGraph};
 use crate::segment::{as_bytes, MapRegion, Pod, Segment};
-use crate::types::{NodeId, OffsetIndex, Weight};
+use crate::types::{NodeId, Weight};
 use gapbs_parallel::{Schedule, SharedSlice, ThreadPool};
 
 /// File magic: "GAPSNAP" plus a non-text byte so `file`/editors never
@@ -84,6 +84,10 @@ pub const SECTION_ALIGN: u64 = 64;
 /// Auto compression keeps the varint form only when it is at least
 /// this much smaller than raw (stored < raw × 0.9).
 pub const COMPRESS_THRESHOLD: f64 = 0.9;
+
+/// Header byte 10: the row-offset width in bytes. Offsets are `u32`;
+/// the loader rejects any other value.
+const OFFSET_WIDTH: u8 = std::mem::size_of::<u32>() as u8;
 
 const HEADER_BYTES: usize = 64;
 const SECTION_ROW_BYTES: usize = 32;
@@ -195,13 +199,13 @@ fn read_varint(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
 
 /// Delta + LEB128 encodes sorted duplicate-free rows. Returns the
 /// payload: `(n+1) × u64` row byte starts, then the stream.
-fn encode_targets<O: OffsetIndex>(offsets: &[O], targets: &[NodeId]) -> Vec<u8> {
+fn encode_targets(offsets: &[u32], targets: &[NodeId]) -> Vec<u8> {
     let n = offsets.len() - 1;
     let mut stream = Vec::with_capacity(targets.len() * 2);
     let mut row_starts = Vec::with_capacity(n + 1);
     row_starts.push(0u64);
     for u in 0..n {
-        let row = &targets[offsets[u].to_usize()..offsets[u + 1].to_usize()];
+        let row = &targets[offsets[u] as usize..offsets[u + 1] as usize];
         let mut prev = 0u64;
         for (i, &v) in row.iter().enumerate() {
             let v = u64::from(v);
@@ -267,15 +271,15 @@ pub enum Compression {
 /// structures make the file a full [`SnapshotBundle`] a benchmark
 /// process can cold-start from.
 #[derive(Debug)]
-pub struct SnapshotContents<'a, O: OffsetIndex> {
+pub struct SnapshotContents<'a> {
     /// The graph (both directions when directed).
-    pub graph: &'a Graph<O>,
+    pub graph: &'a Graph,
     /// Weighted companion. Must share `graph`'s exact topology — the
     /// snapshot stores its weights against the same target arrays.
-    pub wgraph: Option<&'a WGraph<O>>,
+    pub wgraph: Option<&'a WGraph>,
     /// Symmetrized view (directed graphs only; undirected graphs are
     /// their own symmetrization and store nothing extra).
-    pub sym_graph: Option<&'a Graph<O>>,
+    pub sym_graph: Option<&'a Graph>,
     /// Benchmark source candidates.
     pub source_candidates: Option<&'a [NodeId]>,
     /// Delta-stepping Δ (stored in the header's aux field).
@@ -284,9 +288,9 @@ pub struct SnapshotContents<'a, O: OffsetIndex> {
     pub params_hash: u64,
 }
 
-impl<'a, O: OffsetIndex> SnapshotContents<'a, O> {
+impl<'a> SnapshotContents<'a> {
     /// A topology-only snapshot.
-    pub fn graph_only(graph: &'a Graph<O>, params_hash: u64) -> Self {
+    pub fn graph_only(graph: &'a Graph, params_hash: u64) -> Self {
         SnapshotContents {
             graph,
             wgraph: None,
@@ -358,12 +362,12 @@ impl Payload<'_> {
 /// section list, choosing the target encoding per `compression`. The
 /// raw byte images are the arrays' exact in-memory layout — that is
 /// what makes the later mmap reinterpretation sound.
-fn push_csr<'a, O: OffsetIndex>(
+fn push_csr<'a>(
     sections: &mut Vec<(SectionKind, u32, Payload<'a>)>,
     stats: &mut Vec<SectionStats>,
     off_kind: SectionKind,
     tgt_kind: SectionKind,
-    csr: &'a CsrGraph<O>,
+    csr: &'a CsrGraph,
     compression: Compression,
 ) {
     let off_bytes = as_bytes(csr.offsets_raw());
@@ -419,15 +423,14 @@ fn invalid(message: impl Into<String>) -> GraphError {
 /// Writes a snapshot of `contents` to `path` (atomically: a temp file
 /// in the same directory is renamed into place). Returns per-section
 /// size accounting.
-pub fn write<O: OffsetIndex>(
+pub fn write(
     path: &Path,
-    contents: &SnapshotContents<'_, O>,
+    contents: &SnapshotContents<'_>,
     compression: Compression,
 ) -> Result<WriteStats, GraphError> {
     let graph = contents.graph;
     let n = graph.num_vertices();
     let m = graph.num_arcs();
-    let width = std::mem::size_of::<O>() as u8;
 
     let mut flags = 0u8;
     if graph.is_directed() {
@@ -551,7 +554,7 @@ pub fn write<O: OffsetIndex>(
     let mut header = [0u8; HEADER_BYTES];
     header[0..8].copy_from_slice(&MAGIC);
     header[8..10].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header[10] = width;
+    header[10] = OFFSET_WIDTH;
     header[11] = flags;
     header[12..16].copy_from_slice(&(sections.len() as u32).to_le_bytes());
     header[16..24].copy_from_slice(&(n as u64).to_le_bytes());
@@ -660,7 +663,6 @@ pub struct SectionInfo {
 pub struct Snapshot {
     region: Arc<MapRegion>,
     version: u16,
-    width: u8,
     flags: u8,
     num_vertices: usize,
     num_arcs: u64,
@@ -674,7 +676,6 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("version", &self.version)
-            .field("width", &self.width)
             .field("num_vertices", &self.num_vertices)
             .field("num_arcs", &self.num_arcs)
             .field("sections", &self.sections.len())
@@ -717,9 +718,9 @@ impl Snapshot {
             });
         }
         let width = bytes[10];
-        if width != 4 && width != 8 {
+        if width != OFFSET_WIDTH {
             return err(SnapshotError::Malformed {
-                message: format!("offset width {width} is neither 4 nor 8"),
+                message: format!("offset width {width} is not {OFFSET_WIDTH} (u32 offsets)"),
             });
         }
         let flags = bytes[11];
@@ -819,7 +820,6 @@ impl Snapshot {
         Ok(Snapshot {
             region,
             version,
-            width,
             flags,
             num_vertices: num_vertices as usize,
             num_arcs,
@@ -858,11 +858,6 @@ impl Snapshot {
     /// `true` when source candidates are stored.
     pub fn has_candidates(&self) -> bool {
         self.flags & FLAG_CANDIDATES != 0
-    }
-
-    /// Stored offset width in bytes (4 = `u32`, 8 = `usize`).
-    pub fn width_bytes(&self) -> u8 {
-        self.width
     }
 
     /// Format version of the file.
@@ -938,16 +933,6 @@ impl Snapshot {
         ))
     }
 
-    fn check_width<O: OffsetIndex>(&self) -> Result<(), GraphError> {
-        if std::mem::size_of::<O>() as u8 != self.width {
-            return err(SnapshotError::WidthMismatch {
-                stored: self.width,
-                requested: O::NAME,
-            });
-        }
-        Ok(())
-    }
-
     /// Loads the offsets of a CSR pair and derives its arc count from
     /// the final offset, cross-checked against `expect_arcs` when the
     /// header pins it.
@@ -959,15 +944,15 @@ impl Snapshot {
     /// offsets[u + 1] <= offsets[n]`, so a checksum-consistent but
     /// malformed file must fail here, not underflow or write out of
     /// bounds later.
-    fn load_offsets<O: OffsetIndex>(
+    fn load_offsets(
         &self,
         kind: SectionKind,
         expect_arcs: Option<u64>,
-    ) -> Result<(Segment<O>, usize), GraphError> {
+    ) -> Result<(Segment<u32>, usize), GraphError> {
         let sec = self.find(kind)?;
-        let offs = self.typed::<O>(sec, self.num_vertices + 1)?;
-        let last = offs.last().map_or(0, |o| o.to_usize());
-        if offs.first().map_or(1, |o| o.to_usize()) != 0 {
+        let offs = self.typed::<u32>(sec, self.num_vertices + 1)?;
+        let last = offs.last().map_or(0, |&o| o as usize);
+        if offs.first().copied() != Some(0) {
             return err(SnapshotError::Malformed {
                 message: format!("section {} does not start at offset 0", kind.name()),
             });
@@ -992,14 +977,14 @@ impl Snapshot {
 
     /// Loads one adjacency direction: zero-copy for raw targets, a
     /// validated parallel decode for delta-varint targets.
-    fn load_csr<O: OffsetIndex>(
+    fn load_csr(
         &self,
         off_kind: SectionKind,
         tgt_kind: SectionKind,
         expect_arcs: Option<u64>,
         pool: Option<&ThreadPool>,
-    ) -> Result<(CsrGraph<O>, Segment<NodeId>), GraphError> {
-        let (offs, m) = self.load_offsets::<O>(off_kind, expect_arcs)?;
+    ) -> Result<(CsrGraph, Segment<NodeId>), GraphError> {
+        let (offs, m) = self.load_offsets(off_kind, expect_arcs)?;
         let sec = self.find(tgt_kind)?;
         let targets: Segment<NodeId> = if sec.encoding == ENC_DELTA_VARINT {
             let comp = self.compressed_from(sec, &offs, m)?;
@@ -1036,12 +1021,12 @@ impl Snapshot {
         Ok((CsrGraph::from_segments_unchecked(offs, targets), shared))
     }
 
-    fn compressed_from<O: OffsetIndex>(
+    fn compressed_from(
         &self,
         sec: &RawSection,
-        offs: &Segment<O>,
+        offs: &Segment<u32>,
         m: usize,
-    ) -> Result<CompressedCsr<O>, GraphError> {
+    ) -> Result<CompressedCsr, GraphError> {
         let n = self.num_vertices;
         let index_bytes = (n as u64 + 1) * 8;
         if sec.len < index_bytes {
@@ -1085,19 +1070,15 @@ impl Snapshot {
 
     /// Loads the graph: zero-copy views for raw sections, validated
     /// decode for compressed ones. `pool` parallelizes the decode.
-    pub fn graph_in<O: OffsetIndex>(
-        &self,
-        pool: Option<&ThreadPool>,
-    ) -> Result<Graph<O>, GraphError> {
-        self.check_width::<O>()?;
-        let (out, _) = self.load_csr::<O>(
+    pub fn graph_in(&self, pool: Option<&ThreadPool>) -> Result<Graph, GraphError> {
+        let (out, _) = self.load_csr(
             SectionKind::OutOffsets,
             SectionKind::OutTargets,
             Some(self.num_arcs),
             pool,
         )?;
         if self.is_directed() {
-            let (inc, _) = self.load_csr::<O>(
+            let (inc, _) = self.load_csr(
                 SectionKind::InOffsets,
                 SectionKind::InTargets,
                 Some(self.num_arcs),
@@ -1110,7 +1091,7 @@ impl Snapshot {
     }
 
     /// [`Snapshot::graph_in`] with a serial decode.
-    pub fn graph<O: OffsetIndex>(&self) -> Result<Graph<O>, GraphError> {
+    pub fn graph(&self) -> Result<Graph, GraphError> {
         self.graph_in(None)
     }
 
@@ -1135,11 +1116,7 @@ impl Snapshot {
     /// Loads the full benchmark bundle: graph, weighted companion
     /// (sharing the graph's target storage), symmetrized view, source
     /// candidates and Δ.
-    pub fn bundle_in<O: OffsetIndex>(
-        &self,
-        pool: Option<&ThreadPool>,
-    ) -> Result<SnapshotBundle<O>, GraphError> {
-        self.check_width::<O>()?;
+    pub fn bundle_in(&self, pool: Option<&ThreadPool>) -> Result<SnapshotBundle, GraphError> {
         if !self.has_weights() {
             return err(SnapshotError::MissingSection {
                 section: SectionKind::OutWeights.name(),
@@ -1151,7 +1128,7 @@ impl Snapshot {
             });
         }
 
-        let (out, out_targets) = self.load_csr::<O>(
+        let (out, out_targets) = self.load_csr(
             SectionKind::OutOffsets,
             SectionKind::OutTargets,
             Some(self.num_arcs),
@@ -1167,7 +1144,7 @@ impl Snapshot {
         );
 
         let (graph, wgraph, sym_graph) = if self.is_directed() {
-            let (inc, in_targets) = self.load_csr::<O>(
+            let (inc, in_targets) = self.load_csr(
                 SectionKind::InOffsets,
                 SectionKind::InTargets,
                 Some(self.num_arcs),
@@ -1184,7 +1161,7 @@ impl Snapshot {
                 });
             }
             let (sym, _) =
-                self.load_csr::<O>(SectionKind::SymOffsets, SectionKind::SymTargets, None, pool)?;
+                self.load_csr(SectionKind::SymOffsets, SectionKind::SymTargets, None, pool)?;
             (
                 Graph::directed(out, inc),
                 WGraph::directed(w_out, w_in),
@@ -1223,13 +1200,13 @@ fn kind_name(kind: u32) -> &'static str {
 /// Everything a benchmark process cold-starts from: the exact structures
 /// `BenchGraph` prepares, reconstructed from one snapshot.
 #[derive(Debug, Clone)]
-pub struct SnapshotBundle<O: OffsetIndex = u32> {
+pub struct SnapshotBundle {
     /// The graph (both directions when directed).
-    pub graph: Graph<O>,
+    pub graph: Graph,
     /// Weighted companion sharing the graph's adjacency storage.
-    pub wgraph: WGraph<O>,
+    pub wgraph: WGraph,
     /// Symmetrized TC view (the graph itself when undirected).
-    pub sym_graph: Graph<O>,
+    pub sym_graph: Graph,
     /// Benchmark source candidates.
     pub source_candidates: Vec<NodeId>,
     /// Delta-stepping Δ.
@@ -1241,14 +1218,14 @@ pub struct SnapshotBundle<O: OffsetIndex = u32> {
 /// A delta + LEB128 compressed adjacency as stored on disk: the ordinary
 /// element offsets plus `row_starts`, which index the varint stream by
 /// byte. [`CompressedCsr::decode_vec`] validates while decoding.
-struct CompressedCsr<O: OffsetIndex> {
-    offsets: Segment<O>,
+struct CompressedCsr {
+    offsets: Segment<u32>,
     row_starts: Segment<u64>,
     stream: Segment<u8>,
     num_edges: usize,
 }
 
-impl<O: OffsetIndex> CompressedCsr<O> {
+impl CompressedCsr {
     fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -1260,7 +1237,7 @@ impl<O: OffsetIndex> CompressedCsr<O> {
     fn decode_vec(&self, pool: Option<&ThreadPool>) -> Result<Vec<NodeId>, SnapshotError> {
         let n = self.num_vertices();
         let m = self.num_edges;
-        if self.offsets.last().map_or(0, |o| o.to_usize()) != m {
+        if self.offsets.last().map_or(0, |&o| o as usize) != m {
             return Err(SnapshotError::Malformed {
                 message: "compressed offsets do not cover the arc count".to_string(),
             });
@@ -1279,8 +1256,8 @@ impl<O: OffsetIndex> CompressedCsr<O> {
         {
             let out = SharedSlice::new(&mut targets);
             let decode_one = |u: usize| {
-                let lo = self.offsets[u].to_usize();
-                let hi = self.offsets[u + 1].to_usize();
+                let lo = self.offsets[u] as usize;
+                let hi = self.offsets[u + 1] as usize;
                 let (blo, bhi) = (self.row_starts[u] as usize, self.row_starts[u + 1] as usize);
                 let Some(bytes) = self.stream.get(blo..bhi.max(blo)) else {
                     bad.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -1432,29 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_offsets_round_trip() {
-        let g = gen::urand(7, 5, 9);
-        let wide: Graph<usize> = g.to_width().expect("widening always fits");
-        let path = tmp_path("wide");
-        write(
-            &path,
-            &SnapshotContents::graph_only(&wide, 0),
-            Compression::Never,
-        )
-        .expect("write");
-        let snap = Snapshot::open(&path).expect("open");
-        assert_eq!(snap.width_bytes(), 8);
-        let loaded: Graph<usize> = snap.graph().expect("load");
-        assert_eq!(loaded, wide);
-        // Requesting the narrow width is a structured error, not UB.
-        match snap.graph::<u32>() {
-            Err(GraphError::Snapshot(SnapshotError::WidthMismatch { stored: 8, .. })) => {}
-            other => panic!("expected width mismatch, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn corrupting_one_byte_is_rejected_with_a_checksum_error() {
         let g = gen::kron(7, 6, 1);
         let path = tmp_path("corrupt");
@@ -1571,5 +1525,58 @@ mod tests {
             other => panic!("expected invalid-contents error, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// FNV-1a over the exact bytes [`write`] produces for two Tiny
+    /// bundles (graph, weighted companion, source candidates, Δ, plus the
+    /// in-direction and symmetrized sections for directed Twitter), raw
+    /// and varint. A change here is an on-disk format change and needs a
+    /// [`FORMAT_VERSION`] bump.
+    #[test]
+    fn writer_bytes_match_golden_hashes() {
+        use crate::gen::{GraphSpec, Scale};
+        let golden = [
+            (GraphSpec::Kron, Compression::Never, 0x2f42_711d_e452_e58e),
+            (GraphSpec::Kron, Compression::Always, 0x917a_a6e2_e979_150b),
+            (
+                GraphSpec::Twitter,
+                Compression::Never,
+                0x2118_a624_93f8_e282,
+            ),
+            (
+                GraphSpec::Twitter,
+                Compression::Always,
+                0xeae0_159c_1e27_e01f,
+            ),
+        ];
+        let pool = gapbs_parallel::ThreadPool::new(2);
+        let mut got = Vec::new();
+        for (spec, compression, _) in golden {
+            let (g, wg) = spec.generate_both_in(Scale::Tiny, &pool);
+            let sym = g.is_directed().then(|| symmetrize_graph(&g, &pool));
+            let candidates: Vec<NodeId> = g
+                .vertices()
+                .filter(|&u| g.out_degree(u) > 0)
+                .take(16)
+                .collect();
+            let contents = SnapshotContents {
+                graph: &g,
+                wgraph: Some(&wg),
+                sym_graph: sym.as_ref(),
+                source_candidates: Some(&candidates),
+                delta: 16,
+                params_hash: 0x1234_5678_9abc_def0,
+            };
+            let path = tmp_path("golden");
+            write(&path, &contents, compression).expect("write");
+            let bytes = std::fs::read(&path).expect("read back");
+            std::fs::remove_file(&path).ok();
+            assert_eq!(bytes[10], 4, "offset width byte");
+            got.push(bytes.iter().fold(FNV1A_OFFSET, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(FNV1A_PRIME)
+            }));
+        }
+        let want: Vec<u64> = golden.iter().map(|&(_, _, h)| h).collect();
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::gen::corpus::DegreeFamily;
 use crate::graph::Graph;
-use crate::types::{NodeId, OffsetIndex};
+use crate::types::NodeId;
 use std::collections::VecDeque;
 
 /// Summary of a graph's topology, one row of Table I.
@@ -28,7 +28,7 @@ pub struct GraphSummary {
 }
 
 /// Computes the full Table I row for a graph.
-pub fn summarize<O: OffsetIndex>(g: &Graph<O>) -> GraphSummary {
+pub fn summarize(g: &Graph) -> GraphSummary {
     GraphSummary {
         num_vertices: g.num_vertices(),
         num_edges: g.num_edges(),
@@ -41,12 +41,12 @@ pub fn summarize<O: OffsetIndex>(g: &Graph<O>) -> GraphSummary {
 }
 
 /// Maximum out-degree.
-pub fn max_degree<O: OffsetIndex>(g: &Graph<O>) -> usize {
+pub fn max_degree(g: &Graph) -> usize {
     g.vertices().map(|u| g.out_degree(u)).max().unwrap_or(0)
 }
 
 /// Sample variance of the out-degree distribution.
-pub fn degree_variance<O: OffsetIndex>(g: &Graph<O>) -> f64 {
+pub fn degree_variance(g: &Graph) -> f64 {
     let n = g.num_vertices();
     if n == 0 {
         return 0.0;
@@ -68,7 +68,7 @@ pub fn degree_variance<O: OffsetIndex>(g: &Graph<O>) -> f64 {
 /// * **bounded** — the maximum degree is a small constant (road networks);
 /// * **power** — the maximum degree dwarfs the mean (heavy tail);
 /// * **normal** — otherwise (degrees concentrate around the mean).
-pub fn classify_degrees<O: OffsetIndex>(g: &Graph<O>) -> DegreeFamily {
+pub fn classify_degrees(g: &Graph) -> DegreeFamily {
     let max = max_degree(g) as f64;
     let mean = g.average_degree().max(f64::MIN_POSITIVE);
     if max <= 16.0 && max <= mean * 4.0 {
@@ -82,7 +82,7 @@ pub fn classify_degrees<O: OffsetIndex>(g: &Graph<O>) -> DegreeFamily {
 
 /// Sequential BFS returning the eccentricity (greatest finite depth) and the
 /// farthest vertex reached from `source`, following out-edges.
-pub fn bfs_eccentricity<O: OffsetIndex>(g: &Graph<O>, source: NodeId) -> (usize, NodeId) {
+pub fn bfs_eccentricity(g: &Graph, source: NodeId) -> (usize, NodeId) {
     let n = g.num_vertices();
     let mut depth = vec![usize::MAX; n];
     let mut queue = VecDeque::new();
@@ -111,7 +111,7 @@ pub fn bfs_eccentricity<O: OffsetIndex>(g: &Graph<O>, source: NodeId) -> (usize,
 ///
 /// GAP's Table I itself reports an *approximate* diameter, so a heuristic
 /// probe is faithful to the benchmark's own methodology.
-pub fn approx_diameter<O: OffsetIndex>(g: &Graph<O>) -> usize {
+pub fn approx_diameter(g: &Graph) -> usize {
     let n = g.num_vertices();
     if n == 0 {
         return 0;
@@ -212,7 +212,7 @@ impl FrontierProfile {
 
 /// Computes the [`FrontierProfile`] of a BFS from `source` with GAP's
 /// direction-optimizing thresholds ([`DO_ALPHA`], [`DO_BETA`]).
-pub fn frontier_profile<O: OffsetIndex>(g: &Graph<O>, source: NodeId) -> FrontierProfile {
+pub fn frontier_profile(g: &Graph, source: NodeId) -> FrontierProfile {
     let n = g.num_vertices();
     let mut depth = vec![usize::MAX; n];
     let mut frontier = vec![source];
@@ -251,7 +251,7 @@ pub fn frontier_profile<O: OffsetIndex>(g: &Graph<O>, source: NodeId) -> Frontie
 }
 
 /// Histogram of out-degrees as `(degree, count)` pairs sorted by degree.
-pub fn degree_histogram<O: OffsetIndex>(g: &Graph<O>) -> Vec<(usize, usize)> {
+pub fn degree_histogram(g: &Graph) -> Vec<(usize, usize)> {
     let mut hist = std::collections::BTreeMap::new();
     for u in g.vertices() {
         *hist.entry(g.out_degree(u)).or_insert(0usize) += 1;

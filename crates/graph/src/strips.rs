@@ -18,7 +18,7 @@
 //! bit-identical across thread counts and schedules.
 
 use crate::csr::CsrGraph;
-use crate::types::{NodeId, OffsetIndex};
+use crate::types::NodeId;
 use std::ops::Range;
 
 /// Per-strip byte budget for the streamed in-edge targets plus the
@@ -41,19 +41,19 @@ impl Strips {
     /// Partitions the destinations of `csr` (the *in*-adjacency a pull
     /// kernel walks) into strips of roughly [`STRIP_BYTES`] streamed
     /// bytes each.
-    pub fn pull<O: OffsetIndex>(csr: &CsrGraph<O>) -> Self {
+    pub fn pull(csr: &CsrGraph) -> Self {
         Strips::with_budget(csr, STRIP_BYTES)
     }
 
     /// [`Strips::pull`] with an explicit byte budget (small budgets let
     /// tests exercise many strips on small graphs).
-    fn with_budget<O: OffsetIndex>(csr: &CsrGraph<O>, budget_bytes: usize) -> Self {
+    fn with_budget(csr: &CsrGraph, budget_bytes: usize) -> Self {
         let offsets = csr.offsets_raw();
         Self::build(
             csr.num_vertices(),
             csr.num_edges(),
             budget_bytes,
-            |target| offsets.partition_point(|&o| o.to_usize() <= target) - 1,
+            |target| offsets.partition_point(|&o| o as usize <= target) - 1,
         )
     }
 

@@ -1,9 +1,10 @@
 //! Fundamental scalar types shared across the workspace.
 //!
 //! Like five of the six frameworks in the paper, the substrate uses 32-bit
-//! vertex identifiers ("the other frameworks use 32-bit indices throughout by
-//! default"). The GraphBLAS-style crate widens these to 64 bits internally to
-//! reproduce the index-width tax discussed in Section V.
+//! indices throughout ("the other frameworks use 32-bit indices throughout by
+//! default"): vertex identifiers here, and CSR row offsets in
+//! [`crate::csr`]. The GraphBLAS-style crate widens indices to 64 bits
+//! internally to reproduce the index-width tax discussed in Section V.
 
 /// Identifier of a vertex. 32 bits, matching the GAP reference code.
 pub type NodeId = u32;
@@ -27,77 +28,6 @@ pub const NO_PARENT: NodeId = NodeId::MAX;
 
 /// Floating-point score type used by PageRank and betweenness centrality.
 pub type Score = f64;
-
-/// Storage width of CSR row offsets.
-///
-/// Five of the six evaluated frameworks index with 32 bits; the paper's
-/// Section V attributes part of SuiteSparse's traversal deficit to its
-/// 64-bit indices. Parameterizing the offset width lets the substrate
-/// reproduce both sides of that tax: every in-repo graph fits `u32`
-/// offsets (halving the bytes touched per row lookup), while `usize`
-/// remains available as the runtime fallback for arc counts at or above
-/// `u32::MAX`.
-pub trait OffsetIndex:
-    Copy
-    + Ord
-    + Eq
-    + Default
-    + std::fmt::Debug
-    + std::hash::Hash
-    + Send
-    + Sync
-    + 'static
-    + crate::segment::Pod
-{
-    /// Short label used in benchmark output and ledgers.
-    const NAME: &'static str;
-    /// Largest arc count this width can index.
-    const MAX_OFFSET: usize;
-
-    /// Converts from a `usize` offset. Debug-asserts the value fits; the
-    /// builder checks [`Self::fits`] on the total before narrowing.
-    fn from_usize(v: usize) -> Self;
-
-    /// Widens to `usize` for slicing.
-    fn to_usize(self) -> usize;
-
-    /// `true` if `v` is representable in this width.
-    #[inline]
-    fn fits(v: usize) -> bool {
-        v <= Self::MAX_OFFSET
-    }
-}
-
-impl OffsetIndex for u32 {
-    const NAME: &'static str = "u32";
-    const MAX_OFFSET: usize = u32::MAX as usize;
-
-    #[inline(always)]
-    fn from_usize(v: usize) -> Self {
-        debug_assert!(v <= u32::MAX as usize, "offset {v} exceeds u32 range");
-        v as u32
-    }
-
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-impl OffsetIndex for usize {
-    const NAME: &'static str = "usize";
-    const MAX_OFFSET: usize = usize::MAX;
-
-    #[inline(always)]
-    fn from_usize(v: usize) -> Self {
-        v
-    }
-
-    #[inline(always)]
-    fn to_usize(self) -> usize {
-        self
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use gapbs_graph::builder::symmetrize_graph;
 use gapbs_graph::edgelist::{Edge, WEdge};
 use gapbs_graph::gen;
 use gapbs_graph::perm::{self, Permutation};
-use gapbs_graph::types::{NodeId, OffsetIndex, Weight};
+use gapbs_graph::types::{NodeId, Weight};
 use gapbs_graph::{Builder, Graph, WGraph};
 use gapbs_parallel::ThreadPool;
 use std::collections::{BTreeMap, BTreeSet};
@@ -327,17 +327,17 @@ fn oracle_in_adjacency(
 
 /// The `in` direction is a transpose of the finished `out` CSR; it must
 /// equal what an independent pass over the raw edge list says, at every
-/// thread count and on both offset widths.
+/// thread count.
 #[test]
 fn transposed_in_direction_matches_oracle() {
-    fn check<O: OffsetIndex>(name: &str, n: usize, edges: &[Edge], drop_loops: bool) {
+    fn check(name: &str, n: usize, edges: &[Edge], drop_loops: bool) {
         let oracle = oracle_in_adjacency(n, edges, drop_loops);
         for threads in THREADS {
-            let g: Graph<O> = Builder::new()
+            let g = Builder::new()
                 .num_vertices(n)
                 .remove_self_loops(drop_loops)
                 .pool(&ThreadPool::new(threads))
-                .build_as(edges.to_vec())
+                .build(edges.to_vec())
                 .expect("in-range endpoints");
             assert!(g.is_directed());
             for (&v, expected) in &oracle {
@@ -345,8 +345,7 @@ fn transposed_in_direction_matches_oracle() {
                 assert_eq!(
                     g.in_neighbors(v as NodeId),
                     want.as_slice(),
-                    "{name}: in-row {v}, loops={drop_loops} @ {threads} threads, {} offsets",
-                    O::NAME
+                    "{name}: in-row {v}, loops={drop_loops} @ {threads} threads"
                 );
             }
             assert_eq!(g.in_csr().num_edges(), g.out_csr().num_edges());
@@ -354,8 +353,7 @@ fn transposed_in_direction_matches_oracle() {
     }
     for (name, n, edges) in adversarial_inputs() {
         for drop_loops in [false, true] {
-            check::<u32>(name, n, &edges, drop_loops);
-            check::<usize>(name, n, &edges, drop_loops);
+            check(name, n, &edges, drop_loops);
         }
     }
 }
@@ -404,21 +402,21 @@ fn min_weight_rule_survives_the_transpose() {
 
 /// `symmetrize_graph` merges the stored `out` and `in` rows; the result
 /// must be the oracle's symmetric adjacency and the graph the builder's
-/// own `symmetrize(true)` produces, on both offset widths.
+/// own `symmetrize(true)` produces.
 #[test]
 fn merged_symmetrize_matches_oracle_and_builder() {
-    fn check<O: OffsetIndex>(name: &str, n: usize, edges: &[Edge]) {
+    fn check(name: &str, n: usize, edges: &[Edge]) {
         let builder = Builder::new().num_vertices(n);
-        let directed: Graph<O> = builder.build_as(edges.to_vec()).unwrap();
-        let expect: Graph<O> = builder
+        let directed = builder.build(edges.to_vec()).unwrap();
+        let expect = builder
             .clone()
             .symmetrize(true)
-            .build_as(edges.to_vec())
+            .build(edges.to_vec())
             .unwrap();
         let oracle = oracle_adjacency(n, edges, true, false);
         for threads in THREADS {
             let sym = symmetrize_graph(&directed, &ThreadPool::new(threads));
-            assert_eq!(sym, expect, "{name} @ {threads} threads, {}", O::NAME);
+            assert_eq!(sym, expect, "{name} @ {threads} threads");
             for (&u, expected) in &oracle {
                 let want: Vec<NodeId> = expected.iter().copied().collect();
                 assert_eq!(sym.out_neighbors(u as NodeId), want.as_slice(), "{name}");
@@ -441,7 +439,6 @@ fn merged_symmetrize_matches_oracle_and_builder() {
     loops.extend([Edge::new(0, 1), Edge::new(1, 0)]);
     cases.push(("all-loops", 6, loops));
     for (name, n, edges) in cases {
-        check::<u32>(name, n, &edges);
-        check::<usize>(name, n, &edges);
+        check(name, n, &edges);
     }
 }

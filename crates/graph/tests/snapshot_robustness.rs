@@ -8,9 +8,7 @@
 //! section bytes) and assert the loader's verdict on each.
 
 use gapbs_graph::snapshot::{self, LoadOptions, SnapshotContents};
-use gapbs_graph::{
-    gen, Builder, Compression, Graph, GraphError, OffsetIndex, Snapshot, SnapshotError,
-};
+use gapbs_graph::{gen, Builder, Compression, Graph, GraphError, Snapshot, SnapshotError};
 use gapbs_parallel::ThreadPool;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,7 +207,7 @@ fn implausible_counts_are_malformed_not_allocated() {
     let e = expect_snapshot_error(open_bytes(&path, &b), "unknown flags");
     assert!(matches!(e, SnapshotError::Malformed { .. }), "got {e:?}");
 
-    // An offset width that is neither 4 nor 8.
+    // An offset width that is not 4.
     let mut b = bytes.clone();
     b[10] = 3;
     patch_header_checksum(&mut b);
@@ -220,26 +218,29 @@ fn implausible_counts_are_malformed_not_allocated() {
 
 #[test]
 fn wrong_width_read_is_a_structured_error_not_a_reinterpretation() {
-    let graph = gen::kron(7, 6, 11);
-    let path = tmp_path("width");
-    snapshot::write(
-        &path,
-        &SnapshotContents::graph_only(&graph, 0),
-        Compression::Never,
-    )
-    .expect("write narrow");
-    let snap = Snapshot::open(&path).expect("open");
-    match snap.graph::<usize>() {
-        Err(GraphError::Snapshot(SnapshotError::WidthMismatch { stored, requested })) => {
-            assert_eq!(stored, 4);
-            assert_eq!(requested, "usize");
+    // Header byte 10 is the offset width, always 4. A file claiming
+    // 8-byte offsets (checksum resealed, so only the width is wrong) must
+    // be refused before any offset section is reinterpreted.
+    let (path, mut bytes) = good_snapshot("width", Compression::Never);
+    assert_eq!(bytes[10], 4);
+    bytes[10] = 8;
+    patch_header_checksum(&mut bytes);
+    for force_heap in [false, true] {
+        std::fs::write(&path, &bytes).expect("rewriting variant");
+        let opened = Snapshot::open_with(
+            &path,
+            LoadOptions {
+                paranoid: false,
+                force_heap,
+            },
+        )
+        .and_then(|snap| snap.graph());
+        match opened {
+            Err(GraphError::Snapshot(SnapshotError::Malformed { message })) => {
+                assert!(message.contains("width 8"), "{message}")
+            }
+            other => panic!("expected a width error (heap={force_heap}), got {other:?}"),
         }
-        other => panic!("expected WidthMismatch, got {other:?}"),
-    }
-    // Bundle loads hit the same guard.
-    match snap.bundle_in::<usize>(None) {
-        Err(GraphError::Snapshot(SnapshotError::WidthMismatch { .. })) => {}
-        other => panic!("expected WidthMismatch from bundle, got {other:?}"),
     }
     std::fs::remove_file(&path).ok();
 }
@@ -257,7 +258,7 @@ fn missing_bundle_sections_are_named() {
     )
     .expect("write");
     let snap = Snapshot::open(&path).expect("open");
-    match snap.bundle_in::<u32>(None) {
+    match snap.bundle_in(None) {
         Err(GraphError::Snapshot(SnapshotError::MissingSection { section })) => {
             assert!(!section.is_empty());
         }
@@ -306,7 +307,7 @@ fn compressed_stream_corruption_fails_decode_not_process() {
     std::fs::write(&path, &bytes).expect("rewrite");
 
     let snap = Snapshot::open(&path).expect("checksums now match");
-    match snap.graph::<u32>() {
+    match snap.graph() {
         Err(GraphError::Snapshot(SnapshotError::Malformed { .. })) => {}
         Err(other) => panic!("expected Malformed from decode, got {other:?}"),
         Ok(_) => panic!("hostile varint stream decoded successfully"),
@@ -362,7 +363,7 @@ fn non_monotone_offsets_fail_structurally_on_default_loads() {
         std::fs::write(&path, &bytes).expect("rewrite");
 
         let snap = Snapshot::open(&path).expect("checksums are consistent");
-        match snap.graph::<u32>() {
+        match snap.graph() {
             Err(GraphError::Snapshot(SnapshotError::Malformed { message })) => {
                 assert!(message.contains("monotone"), "message: {message}");
             }
@@ -384,7 +385,7 @@ fn out_of_range_raw_target_fails_structurally_on_default_loads() {
     std::fs::write(&path, &bytes).expect("rewrite");
 
     let snap = Snapshot::open(&path).expect("checksums are consistent");
-    match snap.graph::<u32>() {
+    match snap.graph() {
         Err(GraphError::Snapshot(SnapshotError::Malformed { message })) => {
             assert!(message.contains("out of range"), "message: {message}");
         }
@@ -417,7 +418,7 @@ fn non_monotone_compressed_row_index_fails_decode_not_process() {
     std::fs::write(&path, &bytes).expect("rewrite");
 
     let snap = Snapshot::open(&path).expect("checksums are consistent");
-    match snap.graph::<u32>() {
+    match snap.graph() {
         Err(GraphError::Snapshot(SnapshotError::Malformed { .. })) => {}
         other => panic!("expected Malformed from decode, got {other:?}"),
     }
@@ -499,7 +500,7 @@ fn paranoid_mode_catches_semantically_invalid_but_well_checksummed_files() {
         },
     )
     .expect("open itself succeeds; validation is per-structure");
-    match snap.graph::<u32>() {
+    match snap.graph() {
         Err(GraphError::Snapshot(SnapshotError::Invalid { message })) => {
             assert!(message.contains("sorted"), "message: {message}");
         }
@@ -557,36 +558,29 @@ fn good_files_still_load_after_all_that() {
         std::fs::remove_file(&path).ok();
     }
     // The parallel decode matches the built graph at every pool size
-    // (crossing the parallel cutoffs from both sides), for both offset
-    // widths and both directions of a directed graph.
+    // (crossing the parallel cutoffs from both sides), for both
+    // directions of a directed graph.
     let edges = gen::kron_edges(10, 16, 0x5eed);
     for symmetrize in [true, false] {
-        let builder = || Builder::new().num_vertices(1 << 10).symmetrize(symmetrize);
-        let narrow: Graph<u32> = builder().build(edges.clone()).expect("build narrow");
-        let wide: Graph<usize> = builder().build_as(edges.clone()).expect("build wide");
+        let graph = Builder::new()
+            .num_vertices(1 << 10)
+            .symmetrize(symmetrize)
+            .build(edges.clone())
+            .expect("build");
         for compression in [Compression::Never, Compression::Always] {
-            loads_identically_at_every_pool_size(&narrow, compression);
-            loads_identically_at_every_pool_size(&wide, compression);
+            loads_identically_at_every_pool_size(&graph, compression);
         }
     }
 }
 
-fn loads_identically_at_every_pool_size<O: OffsetIndex>(
-    graph: &Graph<O>,
-    compression: Compression,
-) {
+fn loads_identically_at_every_pool_size(graph: &Graph, compression: Compression) {
     let path = tmp_path("pooled");
     snapshot::write(&path, &SnapshotContents::graph_only(graph, 99), compression).expect("write");
     let snap = Snapshot::open(&path).expect("open");
     for threads in [1, 2, 7, 16] {
         let pool = ThreadPool::new(threads);
-        let loaded: Graph<O> = snap.graph_in(Some(&pool)).expect("load");
-        assert_eq!(
-            &loaded,
-            graph,
-            "{compression:?}, {}-byte offsets, {threads} threads",
-            std::mem::size_of::<O>()
-        );
+        let loaded = snap.graph_in(Some(&pool)).expect("load");
+        assert_eq!(&loaded, graph, "{compression:?}, {threads} threads");
     }
     std::fs::remove_file(&path).ok();
 }

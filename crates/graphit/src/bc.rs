@@ -10,7 +10,7 @@
 
 use crate::schedule::FrontierLayout;
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{AtomicBitmap, ThreadPool};
@@ -20,8 +20,8 @@ const UNVISITED: u32 = u32::MAX;
 
 /// Runs Brandes BC from `sources` under the given frontier layout,
 /// normalized by the maximum score.
-pub fn bc<O: OffsetIndex>(
-    g: &Graph<O>,
+pub fn bc(
+    g: &Graph,
     sources: &[NodeId],
     frontier_layout: FrontierLayout,
     pool: &ThreadPool,
@@ -43,8 +43,8 @@ pub fn bc<O: OffsetIndex>(
     scores
 }
 
-fn single_source<O: OffsetIndex>(
-    g: &Graph<O>,
+fn single_source(
+    g: &Graph,
     source: NodeId,
     frontier_layout: FrontierLayout,
     pool: &ThreadPool,
@@ -116,8 +116,8 @@ fn single_source<O: OffsetIndex>(
     }
 }
 
-fn expand<O: OffsetIndex, F: Fn(NodeId) + Sync>(
-    g: &Graph<O>,
+fn expand<F: Fn(NodeId) + Sync>(
+    g: &Graph,
     frontier: &[NodeId],
     d: u32,
     depth: &[AtomicU32],

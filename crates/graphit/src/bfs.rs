@@ -8,19 +8,14 @@
 use crate::schedule::{Direction, FrontierLayout, Schedule};
 use gapbs_graph::stats;
 use gapbs_graph::types::{NodeId, NO_PARENT};
-use gapbs_graph::{Graph, OffsetIndex, Strips};
+use gapbs_graph::{Graph, Strips};
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{AtomicBitmap, Schedule as LoopSched, ThreadPool};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Runs BFS from `source` under the given schedule.
-pub fn bfs<O: OffsetIndex>(
-    g: &Graph<O>,
-    source: NodeId,
-    schedule: &Schedule,
-    pool: &ThreadPool,
-) -> Vec<NodeId> {
+pub fn bfs(g: &Graph, source: NodeId, schedule: &Schedule, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut parent = vec![NO_PARENT; n];
     if n == 0 {
@@ -106,8 +101,8 @@ pub fn bfs<O: OffsetIndex>(
     parent
 }
 
-fn push_step<O: OffsetIndex>(
-    g: &Graph<O>,
+fn push_step(
+    g: &Graph,
     parents: &[AtomicU32],
     visited: &AtomicBitmap,
     frontier: &[NodeId],

@@ -10,14 +10,14 @@
 //! that still loses to Afforest.
 
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::{as_atomic_u32, fetch_min_u32};
 use gapbs_parallel::{AtomicBitmap, Schedule as LoopSched, ThreadPool};
 use std::sync::atomic::Ordering;
 
 /// Runs label propagation; `short_circuit` enables the pointer-jumping
 /// pass of the Optimized Road schedule.
-pub fn cc<O: OffsetIndex>(g: &Graph<O>, short_circuit: bool, pool: &ThreadPool) -> Vec<NodeId> {
+pub fn cc(g: &Graph, short_circuit: bool, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut labels: Vec<NodeId> = (0..n as NodeId).collect();
     if n == 0 {

@@ -5,7 +5,7 @@
 //! is part of the kernel here for the same reason.
 
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::{Schedule as LoopSched, ThreadPool};
 
 /// Source-block size for the tiled schedule (vertices per tile).
@@ -16,8 +16,8 @@ const TILE: usize = 4096;
 type TileSegments = Vec<Vec<(NodeId, Vec<NodeId>)>>;
 
 /// Runs PageRank; returns `(scores, iterations)`.
-pub fn pr<O: OffsetIndex>(
-    g: &Graph<O>,
+pub fn pr(
+    g: &Graph,
     damping: f64,
     tolerance: f64,
     max_iters: usize,

@@ -7,7 +7,7 @@
 //! imbalance."
 
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
-use gapbs_graph::{OffsetIndex, WGraph, Weight};
+use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::ThreadPool;
@@ -19,8 +19,8 @@ pub const FUSION_THRESHOLD: usize = 512;
 
 /// Runs delta-stepping from `source`; `bucket_fusion` toggles the
 /// optimization (the Schedule's knob).
-pub fn sssp<O: OffsetIndex>(
-    g: &WGraph<O>,
+pub fn sssp(
+    g: &WGraph,
     source: NodeId,
     delta: Weight,
     bucket_fusion: bool,
@@ -94,8 +94,8 @@ pub fn sssp<O: OffsetIndex>(
     dist
 }
 
-fn relax<O: OffsetIndex>(
-    g: &WGraph<O>,
+fn relax(
+    g: &WGraph,
     u: NodeId,
     level: Distance,
     delta: Distance,

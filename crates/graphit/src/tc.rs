@@ -12,7 +12,7 @@
 use crate::schedule::Intersection;
 use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::{Schedule as LoopSched, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// # Panics
 ///
 /// Panics if `g` is directed.
-pub fn tc<O: OffsetIndex>(g: &Graph<O>, intersection: Intersection, pool: &ThreadPool) -> u64 {
+pub fn tc(g: &Graph, intersection: Intersection, pool: &ThreadPool) -> u64 {
     assert!(!g.is_directed(), "TC expects the symmetrized graph");
     if skewed(g) {
         let relabeled = {
@@ -35,12 +35,12 @@ pub fn tc<O: OffsetIndex>(g: &Graph<O>, intersection: Intersection, pool: &Threa
     }
 }
 
-fn skewed<O: OffsetIndex>(g: &Graph<O>) -> bool {
+fn skewed(g: &Graph) -> bool {
     perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
         .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
-fn count<O: OffsetIndex>(g: &Graph<O>, intersection: Intersection, pool: &ThreadPool) -> u64 {
+fn count(g: &Graph, intersection: Intersection, pool: &ThreadPool) -> u64 {
     let total = AtomicU64::new(0);
     pool.for_each_index(g.num_vertices(), LoopSched::Dynamic(64), |u| {
         let u = u as NodeId;

@@ -24,7 +24,7 @@ pub use tc::tc;
 
 use crate::matrix::GrbMatrix;
 use crate::workspace::OpWorkspace;
-use gapbs_graph::{Graph, OffsetIndex, WGraph};
+use gapbs_graph::{Graph, WGraph};
 
 /// Prepared GraphBLAS state for one benchmark graph: the adjacency matrix,
 /// its transpose, and (for SSSP) the weighted matrix.
@@ -54,7 +54,7 @@ pub struct LaGraphContext {
 
 impl LaGraphContext {
     /// Prepares matrices for an unweighted graph.
-    pub fn from_graph<O: OffsetIndex>(g: &Graph<O>) -> Self {
+    pub fn from_graph(g: &Graph) -> Self {
         let a = GrbMatrix::from_graph(g);
         let at = GrbMatrix::from_graph_transposed(g);
         let out_degree = g.vertices().map(|u| g.out_degree(u) as u64).collect();
@@ -69,7 +69,7 @@ impl LaGraphContext {
     }
 
     /// Prepares matrices for a weighted graph (adds `aw`).
-    pub fn from_wgraph<O: OffsetIndex>(g: &Graph<O>, wg: &WGraph<O>) -> Self {
+    pub fn from_wgraph(g: &Graph, wg: &WGraph) -> Self {
         let mut ctx = Self::from_graph(g);
         ctx.aw = Some(GrbMatrix::from_wgraph(wg));
         ctx

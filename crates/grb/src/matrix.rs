@@ -6,7 +6,7 @@
 //! matrices.
 
 use crate::GrbIndex;
-use gapbs_graph::{Graph, OffsetIndex, WGraph};
+use gapbs_graph::{Graph, WGraph};
 
 /// A sparse matrix in CSR form with `u64` row offsets and column indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,23 +43,19 @@ impl GrbMatrix {
 
     /// Adjacency matrix of `g` (row `i` = out-neighbors of vertex `i`).
     ///
-    /// Accepts either offset width; the matrix always widens to `u64`
-    /// indices internally (the paper's index-width tax, kept on purpose).
-    pub fn from_graph<O: OffsetIndex>(g: &Graph<O>) -> Self {
+    /// The graph's `u32` offsets and targets widen to `u64` indices here
+    /// (the paper's index-width tax, kept on purpose).
+    pub fn from_graph(g: &Graph) -> Self {
         Self::convert(g.num_vertices(), g.out_csr())
     }
 
     /// Transposed adjacency (row `i` = in-neighbors of vertex `i`).
-    pub fn from_graph_transposed<O: OffsetIndex>(g: &Graph<O>) -> Self {
+    pub fn from_graph_transposed(g: &Graph) -> Self {
         Self::convert(g.num_vertices(), g.in_csr())
     }
 
-    fn convert<O: OffsetIndex>(n: usize, csr: &gapbs_graph::CsrGraph<O>) -> Self {
-        let offsets: Vec<u64> = csr
-            .offsets_raw()
-            .iter()
-            .map(|&o| o.to_usize() as u64)
-            .collect();
+    fn convert(n: usize, csr: &gapbs_graph::CsrGraph) -> Self {
+        let offsets: Vec<u64> = csr.offsets_raw().iter().map(|&o| u64::from(o)).collect();
         let cols: Vec<GrbIndex> = csr
             .targets_raw()
             .iter()
@@ -75,14 +71,14 @@ impl GrbMatrix {
     }
 
     /// Weighted adjacency matrix of `wg`.
-    pub fn from_wgraph<O: OffsetIndex>(wg: &WGraph<O>) -> Self {
+    pub fn from_wgraph(wg: &WGraph) -> Self {
         let csr = wg.out_wcsr();
         let n = wg.num_vertices();
         let offsets: Vec<u64> = csr
             .unweighted()
             .offsets_raw()
             .iter()
-            .map(|&o| o.to_usize() as u64)
+            .map(|&o| u64::from(o))
             .collect();
         let cols: Vec<GrbIndex> = csr
             .unweighted()

@@ -2,7 +2,7 @@
 //! iterables.
 
 use gapbs_graph::types::{NodeId, Weight};
-use gapbs_graph::{Graph, OffsetIndex, WGraph};
+use gapbs_graph::{Graph, WGraph};
 
 /// A graph viewed as a range of neighbor ranges.
 ///
@@ -40,9 +40,9 @@ pub trait WeightedAdjacencyRange: Sync {
 
 /// Out-edge view of a [`Graph`].
 #[derive(Debug, Clone, Copy)]
-pub struct OutRange<'g, O: OffsetIndex = u32>(pub &'g Graph<O>);
+pub struct OutRange<'g>(pub &'g Graph);
 
-impl<'g, O: OffsetIndex> AdjacencyRange for OutRange<'g, O> {
+impl AdjacencyRange for OutRange<'_> {
     type Neighbors<'a>
         = std::iter::Copied<std::slice::Iter<'a, NodeId>>
     where
@@ -63,9 +63,9 @@ impl<'g, O: OffsetIndex> AdjacencyRange for OutRange<'g, O> {
 
 /// In-edge view of a [`Graph`].
 #[derive(Debug, Clone, Copy)]
-pub struct InRange<'g, O: OffsetIndex = u32>(pub &'g Graph<O>);
+pub struct InRange<'g>(pub &'g Graph);
 
-impl<'g, O: OffsetIndex> AdjacencyRange for InRange<'g, O> {
+impl AdjacencyRange for InRange<'_> {
     type Neighbors<'a>
         = std::iter::Copied<std::slice::Iter<'a, NodeId>>
     where
@@ -86,9 +86,9 @@ impl<'g, O: OffsetIndex> AdjacencyRange for InRange<'g, O> {
 
 /// Weighted out-edge view of a [`WGraph`].
 #[derive(Debug, Clone, Copy)]
-pub struct WeightedOutRange<'g, O: OffsetIndex = u32>(pub &'g WGraph<O>);
+pub struct WeightedOutRange<'g>(pub &'g WGraph);
 
-impl<'g, O: OffsetIndex> WeightedAdjacencyRange for WeightedOutRange<'g, O> {
+impl WeightedAdjacencyRange for WeightedOutRange<'_> {
     type NeighborsW<'a>
         = std::iter::Zip<
         std::iter::Copied<std::slice::Iter<'a, NodeId>>,

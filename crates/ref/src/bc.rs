@@ -8,7 +8,7 @@
 //! Galois on BC (§V-E).
 
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::AtomicF64;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{AtomicBitmap, ThreadPool};
@@ -18,7 +18,7 @@ const UNVISITED: u32 = u32::MAX;
 
 /// Runs Brandes from each vertex in `sources`, returning centrality scores
 /// normalized by the largest score (matching the GAP reference output).
-pub fn bc<O: OffsetIndex>(g: &Graph<O>, sources: &[NodeId], pool: &ThreadPool) -> Vec<Score> {
+pub fn bc(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Score> {
     let n = g.num_vertices();
     let mut scores = vec![0.0 as Score; n];
     if n == 0 {
@@ -39,8 +39,8 @@ pub fn bc<O: OffsetIndex>(g: &Graph<O>, sources: &[NodeId], pool: &ThreadPool) -
     scores
 }
 
-fn single_source<O: OffsetIndex>(
-    g: &Graph<O>,
+fn single_source(
+    g: &Graph,
     source: NodeId,
     pool: &ThreadPool,
     succ: &AtomicBitmap,
@@ -143,7 +143,7 @@ fn single_source<O: OffsetIndex>(
 /// claim and the subsequent same-depth checks; this oracle is used by the
 /// tests to pin the behaviour.
 #[doc(hidden)]
-pub fn bc_exact_oracle<O: OffsetIndex>(g: &Graph<O>, sources: &[NodeId]) -> Vec<Score> {
+pub fn bc_exact_oracle(g: &Graph, sources: &[NodeId]) -> Vec<Score> {
     use std::collections::VecDeque;
     let n = g.num_vertices();
     let mut scores = vec![0.0; n];

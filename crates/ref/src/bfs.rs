@@ -9,7 +9,7 @@
 
 use gapbs_graph::stats;
 use gapbs_graph::types::{NodeId, NO_PARENT};
-use gapbs_graph::{Graph, OffsetIndex, Strips};
+use gapbs_graph::{Graph, Strips};
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{AtomicBitmap, PerWorker, QueueBuffer, Schedule, SlidingQueue, ThreadPool};
 use gapbs_telemetry::trace::Dir;
@@ -41,13 +41,13 @@ impl Default for BfsConfig {
 /// Runs direction-optimizing BFS from `source`, returning the parent array:
 /// `parent[source] == source`, unreached vertices hold
 /// [`NO_PARENT`].
-pub fn bfs<O: OffsetIndex>(g: &Graph<O>, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
+pub fn bfs(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
     bfs_with_config(g, source, pool, &BfsConfig::default())
 }
 
 /// [`bfs`] with explicit direction-optimization knobs.
-pub fn bfs_with_config<O: OffsetIndex>(
-    g: &Graph<O>,
+pub fn bfs_with_config(
+    g: &Graph,
     source: NodeId,
     pool: &ThreadPool,
     config: &BfsConfig,
@@ -123,8 +123,8 @@ pub fn bfs_with_config<O: OffsetIndex>(
 
 /// One push step: frontier vertices claim their unvisited neighbors.
 /// Returns the total out-degree of newly visited vertices (scout count).
-fn top_down_step<O: OffsetIndex>(
-    g: &Graph<O>,
+fn top_down_step(
+    g: &Graph,
     parents: &[AtomicU32],
     queue: &SlidingQueue<NodeId>,
     pool: &ThreadPool,
@@ -176,8 +176,8 @@ fn top_down_step<O: OffsetIndex>(
 /// Vertices are walked in degree-aware strips whose in-edge mass fits the
 /// LLC, so the frontier bitmap words touched by a strip stay resident
 /// while its columns are scanned.
-fn bottom_up_step<O: OffsetIndex>(
-    g: &Graph<O>,
+fn bottom_up_step(
+    g: &Graph,
     parents: &[AtomicU32],
     front: &AtomicBitmap,
     next: &AtomicBitmap,

@@ -8,7 +8,7 @@
 //! propagation (§V-C).
 
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{Schedule, ThreadPool};
 use std::collections::HashMap;
@@ -23,7 +23,7 @@ const SAMPLE_SIZE: usize = 1024;
 /// weakly connected iff their labels are equal; labels are each component's
 /// minimum-reachable representative after compression (an arbitrary but
 /// consistent vertex id within the component).
-pub fn cc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> Vec<NodeId> {
+pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut comp: Vec<NodeId> = (0..n as NodeId).collect();
     if n == 0 {
@@ -147,7 +147,7 @@ mod tests {
     }
 
     /// Oracle: sequential union-find over all arcs (plus in-arcs).
-    pub(crate) fn cc_oracle<O: OffsetIndex>(g: &Graph<O>) -> Vec<NodeId> {
+    pub(crate) fn cc_oracle(g: &Graph) -> Vec<NodeId> {
         let n = g.num_vertices();
         let mut parent: Vec<usize> = (0..n).collect();
         fn find(p: &mut [usize], x: usize) -> usize {

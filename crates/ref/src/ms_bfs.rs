@@ -23,7 +23,7 @@
 //! the parent arrays are valid BFS trees but compare via depths.
 
 use gapbs_graph::types::{NodeId, NO_PARENT};
-use gapbs_graph::{Graph, OffsetIndex};
+use gapbs_graph::Graph;
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{PerWorker, QueueBuffer, Schedule, SlidingQueue, ThreadPool};
 use gapbs_telemetry::trace::Dir;
@@ -93,7 +93,7 @@ pub fn depths_from_parents(parents: &[NodeId]) -> Vec<u32> {
 /// # Panics
 ///
 /// Panics if any source is out of the graph's vertex range.
-pub fn ms_bfs<O: OffsetIndex>(g: &Graph<O>, sources: &[NodeId], pool: &ThreadPool) -> MsBfsResult {
+pub fn ms_bfs(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> MsBfsResult {
     let mut result = MsBfsResult {
         parents: Vec::with_capacity(sources.len()),
         depths: Vec::with_capacity(sources.len()),
@@ -108,8 +108,8 @@ pub fn ms_bfs<O: OffsetIndex>(g: &Graph<O>, sources: &[NodeId], pool: &ThreadPoo
 
 /// One word-packed sweep over at most [`MAX_BATCH`] sources.
 #[allow(clippy::type_complexity)]
-fn ms_bfs_word<O: OffsetIndex>(
-    g: &Graph<O>,
+fn ms_bfs_word(
+    g: &Graph,
     sources: &[NodeId],
     pool: &ThreadPool,
 ) -> (Vec<Vec<NodeId>>, Vec<Vec<u32>>) {
@@ -265,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_bfs_across_thread_counts_and_widths() {
+    fn matches_bfs_across_thread_counts_and_batch_widths() {
         let kron = gen::kron(9, 12, 5);
         let road = gen::road(&gen::RoadConfig::gap_like(24), 8);
         for threads in [1, 2, 7, 16] {

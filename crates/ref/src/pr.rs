@@ -7,7 +7,7 @@
 //! frameworks use — a contrast this reproduction preserves.
 
 use gapbs_graph::types::{NodeId, Score};
-use gapbs_graph::{Graph, OffsetIndex, Strips};
+use gapbs_graph::{Graph, Strips};
 use gapbs_parallel::{Schedule, ThreadPool};
 
 /// PageRank parameters.
@@ -42,16 +42,12 @@ pub struct PrResult {
 }
 
 /// Runs Jacobi PageRank until the L1 residual drops below the tolerance.
-pub fn pr<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> PrResult {
+pub fn pr(g: &Graph, pool: &ThreadPool) -> PrResult {
     pr_with_config(g, pool, &PrConfig::default())
 }
 
 /// [`pr`] with explicit parameters.
-pub fn pr_with_config<O: OffsetIndex>(
-    g: &Graph<O>,
-    pool: &ThreadPool,
-    config: &PrConfig,
-) -> PrResult {
+pub fn pr_with_config(g: &Graph, pool: &ThreadPool, config: &PrConfig) -> PrResult {
     let n = g.num_vertices();
     if n == 0 {
         return PrResult {

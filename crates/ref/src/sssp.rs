@@ -8,7 +8,7 @@
 //! the overhead that dominates small, high-diameter graphs like Road.
 
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
-use gapbs_graph::{OffsetIndex, WGraph, Weight};
+use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::ThreadPool;
@@ -51,18 +51,13 @@ pub fn default_delta(avg_degree: f64) -> Weight {
 
 /// Runs delta-stepping from `source`, returning tentative distances
 /// ([`INF_DIST`] for unreachable vertices).
-pub fn sssp<O: OffsetIndex>(
-    g: &WGraph<O>,
-    source: NodeId,
-    delta: Weight,
-    pool: &ThreadPool,
-) -> Vec<Distance> {
+pub fn sssp(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec<Distance> {
     sssp_with_config(g, source, pool, &SsspConfig::with_delta(delta))
 }
 
 /// [`sssp`] with explicit knobs.
-pub fn sssp_with_config<O: OffsetIndex>(
-    g: &WGraph<O>,
+pub fn sssp_with_config(
+    g: &WGraph,
     source: NodeId,
     pool: &ThreadPool,
     config: &SsspConfig,
@@ -148,8 +143,8 @@ pub fn sssp_with_config<O: OffsetIndex>(
 /// Relaxes all out-edges of `u` if `u`'s distance still belongs to the
 /// bucket being drained. Improved vertices are reported with their new
 /// bucket level.
-fn relax_vertex<O: OffsetIndex>(
-    g: &WGraph<O>,
+fn relax_vertex(
+    g: &WGraph,
     u: NodeId,
     level: Distance,
     delta: Distance,

@@ -14,7 +14,7 @@
 
 use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
-use gapbs_graph::{intersect, Graph, OffsetIndex};
+use gapbs_graph::{intersect, Graph};
 use gapbs_parallel::{Schedule, ThreadPool};
 
 /// Relabeling decision knobs.
@@ -32,7 +32,7 @@ pub struct TcConfig {
 ///
 /// Panics if `g` is directed — the GAP spec defines TC on the symmetrized
 /// graph, which the harness prepares ahead of timing.
-pub fn tc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
+pub fn tc(g: &Graph, pool: &ThreadPool) -> u64 {
     tc_with_config(g, pool, &TcConfig::default())
 }
 
@@ -41,7 +41,7 @@ pub fn tc<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool) -> u64 {
 /// # Panics
 ///
 /// Panics if `g` is directed.
-pub fn tc_with_config<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool, config: &TcConfig) -> u64 {
+pub fn tc_with_config(g: &Graph, pool: &ThreadPool, config: &TcConfig) -> u64 {
     assert!(
         !g.is_directed(),
         "triangle counting expects the symmetrized (undirected) graph"
@@ -67,14 +67,14 @@ pub fn tc_with_config<O: OffsetIndex>(g: &Graph<O>, pool: &ThreadPool, config: &
 
 /// GAP's `WorthRelabelling` heuristic: sample vertex degrees; relabel only
 /// when the sample is sufficiently skewed (average well above the median).
-pub fn worth_relabeling<O: OffsetIndex>(g: &Graph<O>) -> bool {
+pub fn worth_relabeling(g: &Graph) -> bool {
     perm::sampled_degrees(g.num_vertices(), |u| g.out_degree(u as NodeId))
         .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
 /// Brute-force triangle oracle for tests (O(n·d²)).
 #[doc(hidden)]
-pub fn tc_oracle<O: OffsetIndex>(g: &Graph<O>) -> u64 {
+pub fn tc_oracle(g: &Graph) -> u64 {
     let mut count = 0u64;
     for u in g.vertices() {
         for &v in g.out_neighbors(u) {

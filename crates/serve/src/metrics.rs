@@ -62,7 +62,7 @@ pub struct ServeMetrics {
     snapshot_loads: Mutex<BTreeMap<String, (CounterHandle, CounterHandle)>>,
     /// Per-graph resident CSR bytes, registered lazily by graph name.
     /// Fixed at load time (the registry is immutable) but kept as a
-    /// gauge so dashboards can plot layout-width savings across deploys.
+    /// gauge so dashboards can plot layout savings across deploys.
     graph_bytes: Mutex<BTreeMap<String, GaugeHandle>>,
     /// Last pool stats folded into the mirrors, so concurrent scrapes
     /// can't double-add a delta.

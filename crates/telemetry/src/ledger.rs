@@ -62,9 +62,8 @@ pub struct TrialRecord {
     /// it across ledgers cell by cell, as `perf_compare` does.
     pub peak_rss_bytes: u64,
     /// Bytes of the CSR arrays (offsets + targets + weights, both
-    /// directions) of the graph this trial ran on. Tracks the offset
-    /// width: the compact `u32` layout roughly halves this against the
-    /// `usize` form. 0 when the producer predates the field.
+    /// directions) of the graph this trial ran on. 0 when the producer
+    /// predates the field.
     pub graph_bytes: u64,
     /// Git revision of the producing build ("unknown" outside a repo).
     pub git_rev: String,

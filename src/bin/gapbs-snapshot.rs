@@ -145,7 +145,6 @@ fn info(path: &Path) {
     let snap = open_or_die(path, false);
     println!("{}", path.display());
     println!("  format version : {}", snap.version());
-    println!("  offset width   : {} bytes", snap.width_bytes());
     println!("  directed       : {}", snap.is_directed());
     println!("  vertices       : {}", snap.num_vertices());
     println!("  arcs           : {}", snap.num_arcs());
@@ -168,14 +167,9 @@ fn info(path: &Path) {
 /// compressed decoders) actually run, not just the header checks.
 fn verify(path: &Path, paranoid: bool) {
     let snap = open_or_die(path, paranoid);
-    let loaded = match snap.width_bytes() {
-        4 => snap
-            .bundle_in::<u32>(None)
-            .map(|b| (b.graph.num_vertices(), b.graph.num_arcs())),
-        _ => snap
-            .bundle_in::<usize>(None)
-            .map(|b| (b.graph.num_vertices(), b.graph.num_arcs())),
-    };
+    let loaded = snap
+        .bundle_in(None)
+        .map(|b| (b.graph.num_vertices(), b.graph.num_arcs()));
     match loaded {
         Ok((n, m)) => {
             let depth = if paranoid { "paranoid" } else { "checksum" };
