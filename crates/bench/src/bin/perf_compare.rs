@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `--lint` sanity-checks one ledger instead of diffing two: times
-//! finite, outputs verified, graphs non-empty, and (in telemetry builds)
-//! every trial examined at least one edge.
+//! finite, outputs verified, graphs non-empty, and (unless the ledger
+//! carries no edge counts at all) every batch trial examined at least
+//! one edge.
 //!
 //! `--lint-stats` sanity-checks one `{"cmd":"stats"}` snapshot from the
 //! serve daemon (a JSON file, or `-` for stdin): lifecycle counters

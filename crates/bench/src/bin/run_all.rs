@@ -22,11 +22,10 @@ fn main() {
         ..Default::default()
     };
     // `--ledger [path]` appends one JSONL record per trial (default
-    // results/ledger.jsonl). Counters are non-zero only when built with
-    // `--features telemetry`; times and phases are always real.
+    // results/ledger.jsonl) with times, phases and work counters.
     // `--trace [path]` writes a Chrome trace-event timeline of the whole
-    // matrix (default results/trace.json); iteration and pool events need
-    // `--features telemetry`, trial spans and RSS samples are always on.
+    // matrix (default results/trace.json): trial spans, kernel iterations,
+    // pool regions and RSS samples.
     let mut trace_path: Option<String> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {

@@ -301,7 +301,7 @@ pub fn render(events: &[TraceEvent]) -> String {
         }
         out.push_str(&format!("imbalance: {ratio:.3}\n\n"));
     } else {
-        out.push_str("POOL WORKER TIME: no region events (build with --features telemetry)\n");
+        out.push_str("POOL WORKER TIME: no region events\n");
         out.push_str("imbalance: n/a\n\n");
     }
 

@@ -40,9 +40,8 @@ pub struct TrialConfig {
     pub min_cell_seconds: f64,
     /// Hard cap on trials per cell.
     pub max_trials: usize,
-    /// Append one JSONL record per trial to this ledger file. Counters in
-    /// the records are all-zero unless the build has the `telemetry`
-    /// feature; times and phases are always real.
+    /// Append one JSONL record per trial to this ledger file, with the
+    /// trial's times, phases and work counters.
     pub ledger_path: Option<PathBuf>,
 }
 
@@ -186,7 +185,7 @@ fn run_cell_with_oracle(
         let verify_this = config.verify && (kernel.takes_source() || trial == 0);
         // Trace mark: one "Trial" duration event spans the kernel run plus
         // its verification (cold path — records only while a session is
-        // active, in any build).
+        // active).
         let trial_trace_start = gapbs_telemetry::trace::now_ns();
         match kernel {
             Kernel::Bfs => {

@@ -50,10 +50,6 @@ fn single_source(
             let worklist = ChunkedWorklist::new(pool.clone());
             worklist.for_each(vec![source], |u, push| {
                 let du = depth[u as usize].load(Ordering::Relaxed);
-                gapbs_telemetry::record(
-                    gapbs_telemetry::Counter::EdgesExamined,
-                    g.out_degree(u) as u64,
-                );
                 for &v in g.out_neighbors(u) {
                     let nd = du + 1;
                     let mut cur = depth[v as usize].load(Ordering::Relaxed);
@@ -72,6 +68,7 @@ fn single_source(
                         }
                     }
                 }
+                g.out_degree(u) as u64
             });
         }
         ExecutionStyle::BulkSynchronous => {

@@ -42,10 +42,6 @@ fn asynchronous(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
     let worklist = ChunkedWorklist::new(pool.clone());
     worklist.for_each(vec![source], |u, push| {
         let du = depth[u as usize].load(Ordering::Relaxed);
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::EdgesExamined,
-            g.out_degree(u) as u64,
-        );
         for &v in g.out_neighbors(u) {
             let nd = du + 1;
             // Operator: relax the depth label (fetch-min via CAS loop).
@@ -66,6 +62,7 @@ fn asynchronous(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
                 }
             }
         }
+        g.out_degree(u) as u64
     });
     // A racing relaxation can leave parent[v] pointing at a vertex whose
     // own depth later improved; one repair sweep restores the BFS-tree
@@ -161,9 +158,11 @@ fn bulk_sync(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
                 }
             }
             queue.reset();
+            let mut buf = QueueBuffer::new();
             for v in front.iter_ones() {
-                queue.push(v as NodeId);
+                buf.push(v as NodeId, &queue);
             }
+            buf.flush(&queue);
             queue.slide_window();
             scout = 1;
         } else {

@@ -43,24 +43,36 @@ pub fn cc(g: &Graph, variant: CcVariant, pool: &ThreadPool) -> Vec<NodeId> {
                 round: round as u32,
                 changed: 0
             });
-            pool.for_each_index(n, Schedule::Dynamic(512), |u| {
-                if let Some(&v) = g.out_neighbors(u as NodeId).get(round) {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, 1);
-                    link(u as NodeId, v, cells);
-                }
-            });
+            let sampled = pool.reduce_index(
+                n,
+                Schedule::Dynamic(512),
+                0u64,
+                |u| match g.out_neighbors(u as NodeId).get(round) {
+                    Some(&v) => {
+                        link(u as NodeId, v, cells);
+                        1
+                    }
+                    None => 0,
+                },
+                |a, b| a + b,
+            );
+            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, sampled);
             compress(cells, pool);
         }
         let giant = sample_largest(cells, n);
-        match variant {
-            CcVariant::VertexAfforest => {
-                pool.for_each_index(n, Schedule::Dynamic(512), |u| {
+        let scanned = match variant {
+            CcVariant::VertexAfforest => pool.reduce_index(
+                n,
+                Schedule::Dynamic(512),
+                0u64,
+                |u| {
                     if find(cells, u as NodeId) == giant {
-                        return;
+                        return 0;
                     }
-                    finish_vertex(g, u as NodeId, cells);
-                });
-            }
+                    finish_vertex(g, u as NodeId, cells)
+                },
+                |a, b| a + b,
+            ),
             CcVariant::EdgeBlockedAfforest => {
                 // Collect the remaining work as (vertex) spans, then walk
                 // them in fixed-size edge blocks.
@@ -81,20 +93,29 @@ pub fn cc(g: &Graph, variant: CcVariant, pool: &ThreadPool) -> Vec<NodeId> {
                 if start < pending.len() {
                     blocks.push((start, pending.len() - start));
                 }
-                pool.for_each_index(blocks.len(), Schedule::Dynamic(1), |b| {
-                    let (s, len) = blocks[b];
-                    for &u in &pending[s..s + len] {
-                        finish_vertex(g, u, cells);
-                    }
-                });
+                pool.reduce_index(
+                    blocks.len(),
+                    Schedule::Dynamic(1),
+                    0u64,
+                    |b| {
+                        let (s, len) = blocks[b];
+                        pending[s..s + len]
+                            .iter()
+                            .map(|&u| finish_vertex(g, u, cells))
+                            .sum()
+                    },
+                    |a, b| a + b,
+                )
             }
-        }
+        };
+        gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
         compress(cells, pool);
     }
     comp
 }
 
-fn finish_vertex(g: &Graph, u: NodeId, cells: &[AtomicU32]) {
+/// Links `u`'s edges past the sampled prefix; returns the number scanned.
+fn finish_vertex(g: &Graph, u: NodeId, cells: &[AtomicU32]) -> u64 {
     let mut scanned = 0u64;
     for &v in g.out_neighbors(u).iter().skip(NEIGHBOR_ROUNDS) {
         scanned += 1;
@@ -106,7 +127,7 @@ fn finish_vertex(g: &Graph, u: NodeId, cells: &[AtomicU32]) {
             link(u, v, cells);
         }
     }
-    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
+    scanned
 }
 
 fn link(u: NodeId, v: NodeId, comp: &[AtomicU32]) {

@@ -10,6 +10,7 @@ use crate::heuristic::ExecutionStyle;
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
 use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
+use gapbs_parallel::buckets::file_relaxations;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{OrderedWorklist, ThreadPool};
 use std::sync::atomic::Ordering;
@@ -46,16 +47,13 @@ fn asynchronous(g: &WGraph, source: NodeId, pool: &ThreadPool) -> Vec<Distance> 
     let worklist = OrderedWorklist::new(pool.clone());
     worklist.for_each(vec![(0usize, source)], |u, push| {
         let du = cells[u as usize].load(Ordering::Relaxed);
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::EdgesExamined,
-            g.out_degree(u) as u64,
-        );
         for (v, w) in g.out_neighbors_weighted(u) {
             let nd = du + Distance::from(w);
             if fetch_min_i64(&cells[v as usize], nd) {
                 push((nd / PRIORITY_DELTA) as usize, v);
             }
         }
+        g.out_degree(u) as u64
     });
     dist
 }
@@ -114,16 +112,7 @@ fn bulk_sync(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Ve
                 gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, examined);
                 collected.lock().append(&mut out);
             });
-            for (lvl, v) in collected.into_inner() {
-                if buckets.len() <= lvl {
-                    buckets.resize_with(lvl + 1, Vec::new);
-                }
-                gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
-                if lvl < current {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::BucketReRelaxations, 1);
-                }
-                buckets[lvl.max(current)].push(v);
-            }
+            file_relaxations(&mut buckets, current, collected.into_inner());
         }
         current += 1;
         if current >= buckets.len() {

@@ -12,7 +12,6 @@ use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
 use gapbs_graph::Graph;
 use gapbs_parallel::{Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Relabel handling for a TC run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,43 +62,43 @@ fn skewed(g: &Graph) -> bool {
 }
 
 fn count(g: &Graph, pool: &ThreadPool) -> u64 {
-    let total = AtomicU64::new(0);
+    // Per row: (triangles, element comparisons, adjacency entries read).
     // Chunk size 16: finer than GAP's, trading steal overhead for balance.
-    pool.for_each_index(g.num_vertices(), Schedule::Dynamic(16), |u| {
-        let u = u as NodeId;
-        let adj_u = g.out_neighbors(u);
-        let prefix_u = &adj_u[..adj_u.partition_point(|&x| x < u)];
-        let mut local = 0u64;
-        let mut comparisons = 0u64;
-        for &v in prefix_u {
-            let adj_v = g.out_neighbors(v);
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < prefix_u.len() && j < adj_v.len() && prefix_u[i] < v && adj_v[j] < v {
-                comparisons += 1;
-                match prefix_u[i].cmp(&adj_v[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        local += 1;
-                        i += 1;
-                        j += 1;
+    let (triangles, comparisons, read) = pool.reduce_index(
+        g.num_vertices(),
+        Schedule::Dynamic(16),
+        (0u64, 0u64, 0u64),
+        |u| {
+            let u = u as NodeId;
+            let adj_u = g.out_neighbors(u);
+            let prefix_u = &adj_u[..adj_u.partition_point(|&x| x < u)];
+            let (mut local, mut comparisons) = (0u64, 0u64);
+            for &v in prefix_u {
+                let adj_v = g.out_neighbors(v);
+                let (mut i, mut j) = (0usize, 0usize);
+                while i < prefix_u.len() && j < adj_v.len() && prefix_u[i] < v && adj_v[j] < v {
+                    comparisons += 1;
+                    match prefix_u[i].cmp(&adj_v[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            local += 1;
+                            i += 1;
+                            j += 1;
+                        }
                     }
                 }
             }
-        }
-        // TcIntersections counts element comparisons (shared definition
-        // across frameworks); they examine adjacency elements, so they
-        // feed EdgesExamined too.
-        gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, comparisons);
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::EdgesExamined,
-            adj_u.len() as u64 + comparisons,
-        );
-        if local > 0 {
-            total.fetch_add(local, Ordering::Relaxed);
-        }
-    });
-    total.into_inner()
+            (local, comparisons, adj_u.len() as u64)
+        },
+        |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
+    );
+    // TcIntersections counts element comparisons (shared definition
+    // across frameworks); they examine adjacency elements, so they feed
+    // EdgesExamined too.
+    gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, comparisons);
+    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, read + comparisons);
+    triangles
 }
 
 #[cfg(test)]

@@ -96,9 +96,11 @@ pub fn bfs(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
                 }
             }
             queue.reset();
+            let mut buf = QueueBuffer::with_capacity(LOCAL_BUFFER);
             for v in front.iter_ones() {
-                queue.push(v as NodeId);
+                buf.push(v as NodeId, &queue);
             }
+            buf.flush(&queue);
             queue.slide_window();
             scout = 1;
         } else {

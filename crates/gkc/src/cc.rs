@@ -14,7 +14,7 @@ use gapbs_graph::types::NodeId;
 use gapbs_graph::Graph;
 use gapbs_parallel::atomics::as_atomic_u32;
 use gapbs_parallel::{Schedule, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Runs Shiloach–Vishkin, returning component labels.
 pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
@@ -28,34 +28,34 @@ pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
         let mut round: u32 = 0;
         loop {
             gapbs_telemetry::record(gapbs_telemetry::Counter::Iterations, 1);
-            let hooked = AtomicU64::new(0);
             // Hook phase: for every edge (u, v), point the larger root at
-            // the smaller.
-            pool.for_each_index(n, Schedule::Dynamic(1024), |u| {
-                let mut local_hooks = 0u64;
-                gapbs_telemetry::record(
-                    gapbs_telemetry::Counter::EdgesExamined,
-                    g.out_degree(u as NodeId) as u64,
-                );
-                for &v in g.out_neighbors(u as NodeId) {
-                    let cu = cells[u].load(Ordering::Relaxed);
-                    let cv = cells[v as usize].load(Ordering::Relaxed);
-                    if cu == cv {
-                        continue;
+            // the smaller. Every round scans every arc.
+            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, g.num_arcs() as u64);
+            let changed = pool.reduce_index(
+                n,
+                Schedule::Dynamic(1024),
+                0u64,
+                |u| {
+                    let mut local_hooks = 0u64;
+                    for &v in g.out_neighbors(u as NodeId) {
+                        let cu = cells[u].load(Ordering::Relaxed);
+                        let cv = cells[v as usize].load(Ordering::Relaxed);
+                        if cu == cv {
+                            continue;
+                        }
+                        let (high, low) = if cu > cv { (cu, cv) } else { (cv, cu) };
+                        // Hook only roots, classic SV.
+                        if cells[high as usize]
+                            .compare_exchange(high, low, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            local_hooks += 1;
+                        }
                     }
-                    let (high, low) = if cu > cv { (cu, cv) } else { (cv, cu) };
-                    // Hook only roots, classic SV.
-                    if cells[high as usize]
-                        .compare_exchange(high, low, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        local_hooks += 1;
-                    }
-                }
-                if local_hooks > 0 {
-                    hooked.fetch_add(local_hooks, Ordering::Relaxed);
-                }
-            });
+                    local_hooks
+                },
+                |a, b| a + b,
+            );
             // Shortcut phase: pointer jumping.
             pool.for_each_index(n, Schedule::Static, |u| {
                 let mut c = cells[u].load(Ordering::Relaxed);
@@ -64,7 +64,6 @@ pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
                 }
                 cells[u].store(c, Ordering::Relaxed);
             });
-            let changed = hooked.into_inner();
             gapbs_telemetry::trace_iter!(CcRound { round, changed });
             round += 1;
             if changed == 0 {

@@ -7,6 +7,7 @@
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
 use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
+use gapbs_parallel::buckets::file_relaxations;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{LocalBuffer, ThreadPool};
 use std::sync::atomic::Ordering;
@@ -69,16 +70,7 @@ pub fn sssp(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec
                 buf.flush(&mut sink);
                 gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, examined);
             });
-            for (lvl, v) in collected.into_inner() {
-                if buckets.len() <= lvl {
-                    buckets.resize_with(lvl + 1, Vec::new);
-                }
-                gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
-                if lvl < current {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::BucketReRelaxations, 1);
-                }
-                buckets[lvl.max(current)].push(v);
-            }
+            file_relaxations(&mut buckets, current, collected.into_inner());
         }
         current += 1;
         if current >= buckets.len() {

@@ -34,37 +34,40 @@ pub fn cc(g: &Graph, short_circuit: bool, pool: &ThreadPool) -> Vec<NodeId> {
     loop {
         gapbs_telemetry::record(gapbs_telemetry::Counter::Iterations, 1);
         let next = AtomicBitmap::new(n);
-        pool.for_each_index(n, LoopSched::Dynamic(512), |u| {
-            if !active.get(u) {
-                return;
-            }
-            let scanned = g.out_degree(u as NodeId) as u64
-                + if g.is_directed() {
-                    g.in_degree(u as NodeId) as u64
-                } else {
-                    0
-                };
-            let lu = cells[u].load(Ordering::Relaxed);
-            for &v in g.out_neighbors(u as NodeId) {
-                if fetch_min_u32(&cells[v as usize], lu) {
-                    next.set(v as usize);
+        let scanned = pool.reduce_index(
+            n,
+            LoopSched::Dynamic(512),
+            0u64,
+            |u| {
+                if !active.get(u) {
+                    return 0;
                 }
-                // Propagation is symmetric: also pull the neighbor's label.
-                let lv = cells[v as usize].load(Ordering::Relaxed);
-                if fetch_min_u32(&cells[u], lv) {
-                    next.set(u);
-                }
-            }
-            if g.is_directed() {
-                for &v in g.in_neighbors(u as NodeId) {
-                    let lu = cells[u].load(Ordering::Relaxed);
+                let lu = cells[u].load(Ordering::Relaxed);
+                for &v in g.out_neighbors(u as NodeId) {
                     if fetch_min_u32(&cells[v as usize], lu) {
                         next.set(v as usize);
                     }
+                    // Propagation is symmetric: also pull the neighbor's label.
+                    let lv = cells[v as usize].load(Ordering::Relaxed);
+                    if fetch_min_u32(&cells[u], lv) {
+                        next.set(u);
+                    }
                 }
-            }
-            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
-        });
+                let mut scanned = g.out_degree(u as NodeId) as u64;
+                if g.is_directed() {
+                    for &v in g.in_neighbors(u as NodeId) {
+                        let lu = cells[u].load(Ordering::Relaxed);
+                        if fetch_min_u32(&cells[v as usize], lu) {
+                            next.set(v as usize);
+                        }
+                    }
+                    scanned += g.in_degree(u as NodeId) as u64;
+                }
+                scanned
+            },
+            |a, b| a + b,
+        );
+        gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
         if short_circuit {
             // Pointer jumping: collapse label chains each round.
             pool.for_each_index(n, LoopSched::Static, |u| {

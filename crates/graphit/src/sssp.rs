@@ -9,6 +9,7 @@
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
 use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
+use gapbs_parallel::buckets::file_relaxations;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::ThreadPool;
 use std::sync::atomic::Ordering;
@@ -57,34 +58,29 @@ pub fn sssp(
             let fused = bucket_fusion && frontier.len() <= FUSION_THRESHOLD;
             let produced: Vec<(usize, NodeId)> = if fused || pool.num_threads() == 1 {
                 let mut out = Vec::new();
-                for &u in &frontier {
-                    relax(g, u, level, delta, cells, &mut out);
-                }
+                let examined: u64 = frontier
+                    .iter()
+                    .map(|&u| relax(g, u, level, delta, cells, &mut out))
+                    .sum();
+                gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, examined);
                 out
             } else {
                 let collected = Mutex::new(Vec::new());
                 let stride = pool.num_threads();
                 pool.run(|tid| {
                     let mut out = Vec::new();
+                    let mut examined = 0u64;
                     let mut i = tid;
                     while i < frontier.len() {
-                        relax(g, frontier[i], level, delta, cells, &mut out);
+                        examined += relax(g, frontier[i], level, delta, cells, &mut out);
                         i += stride;
                     }
+                    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, examined);
                     collected.lock().append(&mut out);
                 });
                 collected.into_inner()
             };
-            for (lvl, v) in produced {
-                if buckets.len() <= lvl {
-                    buckets.resize_with(lvl + 1, Vec::new);
-                }
-                gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
-                if lvl < current {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::BucketReRelaxations, 1);
-                }
-                buckets[lvl.max(current)].push(v);
-            }
+            file_relaxations(&mut buckets, current, produced);
         }
         current += 1;
         if current >= buckets.len() {
@@ -94,6 +90,8 @@ pub fn sssp(
     dist
 }
 
+/// Relaxes `u`'s out-edges if it is still in the bucket being drained;
+/// returns the number of edges examined.
 fn relax(
     g: &WGraph,
     u: NodeId,
@@ -101,21 +99,18 @@ fn relax(
     delta: Distance,
     cells: &[std::sync::atomic::AtomicI64],
     out: &mut Vec<(usize, NodeId)>,
-) {
+) -> u64 {
     let du = cells[u as usize].load(Ordering::Relaxed);
     if du / delta != level {
-        return;
+        return 0;
     }
-    gapbs_telemetry::record(
-        gapbs_telemetry::Counter::EdgesExamined,
-        g.out_degree(u) as u64,
-    );
     for (v, w) in g.out_neighbors_weighted(u) {
         let nd = du + Distance::from(w);
         if fetch_min_i64(&cells[v as usize], nd) {
             out.push(((nd / delta) as usize, v));
         }
     }
+    g.out_degree(u) as u64
 }
 
 #[cfg(test)]

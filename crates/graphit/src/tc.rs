@@ -14,7 +14,6 @@ use gapbs_graph::perm;
 use gapbs_graph::types::NodeId;
 use gapbs_graph::Graph;
 use gapbs_parallel::{Schedule as LoopSched, ThreadPool};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts triangles of an undirected graph under the given intersection
 /// schedule (relabeling decided by heuristic, timed in-kernel).
@@ -41,34 +40,34 @@ fn skewed(g: &Graph) -> bool {
 }
 
 fn count(g: &Graph, intersection: Intersection, pool: &ThreadPool) -> u64 {
-    let total = AtomicU64::new(0);
-    pool.for_each_index(g.num_vertices(), LoopSched::Dynamic(64), |u| {
-        let u = u as NodeId;
-        let adj_u = g.out_neighbors(u);
-        let prefix_u = &adj_u[..adj_u.partition_point(|&x| x < u)];
-        let mut local = 0u64;
-        let mut comparisons = 0u64;
-        for &v in prefix_u {
-            let adj_v = g.out_neighbors(v);
-            let (found, compared) = match intersection {
-                Intersection::Merge => merge_below(prefix_u, adj_v, v),
-                Intersection::Naive => probe_below(prefix_u, adj_v, v),
-            };
-            local += found;
-            comparisons += compared;
-        }
-        // TcIntersections counts element comparisons (shared definition
-        // across frameworks); each one examines an adjacency element.
-        gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, comparisons);
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::EdgesExamined,
-            adj_u.len() as u64 + comparisons,
-        );
-        if local > 0 {
-            total.fetch_add(local, Ordering::Relaxed);
-        }
-    });
-    total.into_inner()
+    // Per row: (triangles, element comparisons, adjacency entries read).
+    let (triangles, comparisons, read) = pool.reduce_index(
+        g.num_vertices(),
+        LoopSched::Dynamic(64),
+        (0u64, 0u64, 0u64),
+        |u| {
+            let u = u as NodeId;
+            let adj_u = g.out_neighbors(u);
+            let prefix_u = &adj_u[..adj_u.partition_point(|&x| x < u)];
+            let mut row = (0u64, 0u64, adj_u.len() as u64);
+            for &v in prefix_u {
+                let adj_v = g.out_neighbors(v);
+                let (found, compared) = match intersection {
+                    Intersection::Merge => merge_below(prefix_u, adj_v, v),
+                    Intersection::Naive => probe_below(prefix_u, adj_v, v),
+                };
+                row.0 += found;
+                row.1 += compared;
+            }
+            row
+        },
+        |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2),
+    );
+    // TcIntersections counts element comparisons (shared definition
+    // across frameworks); each one examines an adjacency element.
+    gapbs_telemetry::record(gapbs_telemetry::Counter::TcIntersections, comparisons);
+    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, read + comparisons);
+    triangles
 }
 
 /// Returns `(matches, element comparisons)`.

@@ -69,18 +69,20 @@ pub fn sssp(
             );
             let reached = reach.sparse_entries().expect("engine products are sparse");
             let mut next_active = Vec::new();
+            let mut relaxed = 0u64;
             {
                 let tv = t.as_full_slice_mut();
                 for &(j, nd) in reached {
                     if nd < tv[j as usize] {
                         tv[j as usize] = nd;
-                        gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
+                        relaxed += 1;
                         if nd < hi {
                             next_active.push((j, nd));
                         }
                     }
                 }
             }
+            gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, relaxed);
             active = GrbVector::from_sorted_entries(n, next_active);
         }
         // Find the next non-empty bucket by scanning the minimum

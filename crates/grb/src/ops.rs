@@ -176,6 +176,9 @@ impl<'a, X: Clone> VecProbe<'a, X> {
 
 /// Wraps one engine operation in a session-gated `grb:{op}` trace event.
 pub(crate) fn traced<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
+    if !trace::is_on() {
+        return f();
+    }
     let start = trace::now_ns();
     let out = f();
     trace::grb_op(op, start);

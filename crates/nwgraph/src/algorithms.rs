@@ -10,6 +10,7 @@ use crate::adjacency::{AdjacencyRange, WeightedAdjacencyRange};
 use gapbs_graph::types::{Distance, NodeId, Score, INF_DIST, NO_PARENT};
 use gapbs_graph::Weight;
 use gapbs_parallel::atomics::{as_atomic_i64, as_atomic_u32, fetch_min_i64, AtomicF64};
+use gapbs_parallel::buckets::file_relaxations;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::{AtomicBitmap, Schedule, ThreadPool};
 use std::collections::HashMap;
@@ -57,8 +58,14 @@ where
                 front.set(u as usize);
             }
             let next = Mutex::new(Vec::new());
-            pool.for_each_index(n, Schedule::Dynamic(1024), |v| {
-                if !visited.get(v) {
+            let scanned = pool.reduce_index(
+                n,
+                Schedule::Dynamic(1024),
+                0u64,
+                |v| {
+                    if visited.get(v) {
+                        return 0;
+                    }
                     let mut scanned = 0u64;
                     for u in incoming.neighbors(v as NodeId) {
                         scanned += 1;
@@ -69,9 +76,11 @@ where
                             break;
                         }
                     }
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
-                }
-            });
+                    scanned
+                },
+                |a, b| a + b,
+            );
+            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
             frontier = next.into_inner();
         } else {
             let next = Mutex::new(Vec::new());
@@ -157,16 +166,7 @@ where
                 gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, local_edges);
                 collected.lock().append(&mut out);
             });
-            for (lvl, v) in collected.into_inner() {
-                if buckets.len() <= lvl {
-                    buckets.resize_with(lvl + 1, Vec::new);
-                }
-                gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
-                if lvl < current {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::BucketReRelaxations, 1);
-                }
-                buckets[lvl.max(current)].push(v);
-            }
+            file_relaxations(&mut buckets, current, collected.into_inner());
         }
         current += 1;
         if current >= buckets.len() {
@@ -198,11 +198,14 @@ where
     let base = (1.0 - damping) / nf;
     let scores: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(1.0 / nf)).collect();
     let out_degree: Vec<usize> = (0..n as NodeId).map(|u| out.degree(u)).collect();
+    // Every sweep pulls over every in-edge, i.e. every arc once.
+    let arcs = out_degree.iter().sum::<usize>() as u64;
     let mut iterations = 0;
     for iter in 0..max_iters {
         iterations = iter + 1;
         gapbs_telemetry::record(gapbs_telemetry::Counter::PrIterations, 1);
         gapbs_telemetry::record(gapbs_telemetry::Counter::Iterations, 1);
+        gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, arcs);
         let dangling: Score = (0..n)
             .filter(|&v| out_degree[v] == 0)
             .map(|v| scores[v].load())
@@ -213,10 +216,6 @@ where
             Schedule::Guided,
             0.0f64,
             |v| {
-                gapbs_telemetry::record(
-                    gapbs_telemetry::Counter::EdgesExamined,
-                    incoming.degree(v as NodeId) as u64,
-                );
                 let sum: Score = incoming
                     .neighbors(v as NodeId)
                     .map(|u| scores[u as usize].load() / out_degree[u as usize] as Score)
@@ -273,36 +272,51 @@ where
                 round: round as u32,
                 changed: 0
             });
-            pool.for_each_index(n, Schedule::Dynamic(512), |u| {
-                if let Some(v) = g.neighbors(u as NodeId).nth(round) {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, 1);
-                    link(u as NodeId, v, cells);
-                }
-            });
+            let sampled = pool.reduce_index(
+                n,
+                Schedule::Dynamic(512),
+                0u64,
+                |u| match g.neighbors(u as NodeId).nth(round) {
+                    Some(v) => {
+                        link(u as NodeId, v, cells);
+                        1
+                    }
+                    None => 0,
+                },
+                |a, b| a + b,
+            );
+            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, sampled);
             compress(cells, pool);
         }
         let giant = sample_largest(cells, n);
         // Process every remaining edge of non-giant vertices; to stay
         // correct with only an out-range, giant vertices still link edges
         // that lead *outside* the giant component.
-        pool.for_each_index(n, Schedule::Dynamic(512), |u| {
-            let cu = find(cells, u as NodeId);
-            let mut scanned = 0u64;
-            if cu == giant {
-                for v in g.neighbors(u as NodeId) {
-                    scanned += 1;
-                    if find(cells, v) != giant {
+        let scanned = pool.reduce_index(
+            n,
+            Schedule::Dynamic(512),
+            0u64,
+            |u| {
+                let cu = find(cells, u as NodeId);
+                let mut scanned = 0u64;
+                if cu == giant {
+                    for v in g.neighbors(u as NodeId) {
+                        scanned += 1;
+                        if find(cells, v) != giant {
+                            link(u as NodeId, v, cells);
+                        }
+                    }
+                } else {
+                    for v in g.neighbors(u as NodeId).skip(ROUNDS) {
+                        scanned += 1;
                         link(u as NodeId, v, cells);
                     }
                 }
-            } else {
-                for v in g.neighbors(u as NodeId).skip(ROUNDS) {
-                    scanned += 1;
-                    link(u as NodeId, v, cells);
-                }
-            }
-            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
-        });
+                scanned
+            },
+            |a, b| a + b,
+        );
+        gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
         compress(cells, pool);
     }
     comp

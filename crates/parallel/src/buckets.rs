@@ -1,127 +1,30 @@
-//! Bucket priority structure for delta-stepping SSSP, with the bucket
-//! fusion fast path.
+//! Delta-stepping bucket filing, shared by the bulk-synchronous SSSP
+//! kernels of the frameworks.
 //!
-//! Delta-stepping partitions tentative distances into buckets of width
-//! `delta`; buckets are processed in order, and a vertex whose distance
-//! improves is pushed into the bucket of its new distance. GraphIt's
-//! *bucket fusion* optimization (§VI) lets a thread keep processing the
-//! next bucket without a global synchronization when it is small enough —
-//! reducing rounds by ~10× on high-diameter graphs. The structure here
-//! supports both styles; the fusion decision is the caller's.
+//! A drain wave of delta-stepping produces `(bucket, vertex)` pairs for
+//! every improved distance; between parallel rounds the coordinator files
+//! them into a growable array of buckets. A pair aimed at a bucket that
+//! is already finished lands in the current one instead: that is a
+//! re-relaxation, work the round in progress has to redo.
 
-use crate::sync::Mutex;
+use gapbs_telemetry::{record, Counter};
 
-/// A concurrent bucket array keyed by priority level.
-///
-/// Levels are unbounded: the structure grows lazily as higher buckets are
-/// touched. Each bucket is a mutex-protected vector — pushes are batched by
-/// callers (per-thread buffers) so lock traffic stays low.
-#[derive(Debug)]
-pub struct BucketQueue<T> {
-    buckets: Vec<Mutex<Vec<T>>>,
-    current: usize,
-}
-
-impl<T> BucketQueue<T> {
-    /// Creates an empty bucket queue with `initial_levels` pre-allocated.
-    pub fn new(initial_levels: usize) -> Self {
-        BucketQueue {
-            buckets: (0..initial_levels.max(1))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            current: 0,
+/// Files `items` into `buckets`, growing the array as needed and clamping
+/// levels below `current` up to `current`. Records the wave's
+/// `bucket_relaxations` and `bucket_re_relaxations` once.
+pub fn file_relaxations<T>(buckets: &mut Vec<Vec<T>>, current: usize, items: Vec<(usize, T)>) {
+    let relaxations = items.len() as u64;
+    let mut stale = 0u64;
+    for (level, item) in items {
+        stale += u64::from(level < current);
+        let level = level.max(current);
+        if buckets.len() <= level {
+            buckets.resize_with(level + 1, Vec::new);
         }
+        buckets[level].push(item);
     }
-
-    /// Index of the bucket currently being processed.
-    pub fn current_level(&self) -> usize {
-        self.current
-    }
-
-    /// Pushes one item into `level`.
-    ///
-    /// Levels below the current one are clamped up to the current level:
-    /// delta-stepping re-relaxations can land in the active bucket but
-    /// never in a completed one.
-    pub fn push(&self, level: usize, item: T) {
-        gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
-        if level < self.current {
-            gapbs_telemetry::record(gapbs_telemetry::Counter::BucketReRelaxations, 1);
-        }
-        let level = level.max(self.current);
-        assert!(
-            level < self.buckets.len(),
-            "bucket level {level} beyond capacity {}; call ensure_levels first",
-            self.buckets.len()
-        );
-        self.buckets[level].lock().push(item);
-    }
-
-    /// Pushes a batch into `level`.
-    pub fn push_batch(&self, level: usize, items: &mut Vec<T>) {
-        if items.is_empty() {
-            return;
-        }
-        gapbs_telemetry::record(
-            gapbs_telemetry::Counter::BucketRelaxations,
-            items.len() as u64,
-        );
-        if level < self.current {
-            gapbs_telemetry::record(
-                gapbs_telemetry::Counter::BucketReRelaxations,
-                items.len() as u64,
-            );
-        }
-        let level = level.max(self.current);
-        assert!(
-            level < self.buckets.len(),
-            "bucket level {level} beyond capacity {}; call ensure_levels first",
-            self.buckets.len()
-        );
-        self.buckets[level].lock().append(items);
-    }
-
-    /// Grows the structure so that `level` is addressable.
-    pub fn ensure_levels(&mut self, level: usize) {
-        while self.buckets.len() <= level {
-            self.buckets.push(Mutex::new(Vec::new()));
-        }
-    }
-
-    /// Takes the entire contents of the current bucket, leaving it empty.
-    pub fn take_current(&self) -> Vec<T> {
-        std::mem::take(&mut *self.buckets[self.current].lock())
-    }
-
-    /// Number of items waiting in the current bucket (approximate under
-    /// concurrency).
-    pub fn current_len(&self) -> usize {
-        self.buckets[self.current].lock().len()
-    }
-
-    /// Advances to the next non-empty bucket. Returns `false` when every
-    /// remaining bucket is empty (the algorithm is done).
-    pub fn advance(&mut self) -> bool {
-        let start = self.current + 1;
-        for level in start..self.buckets.len() {
-            if !self.buckets[level].get_mut().is_empty() {
-                self.current = level;
-                return true;
-            }
-        }
-        self.current = self.buckets.len();
-        false
-    }
-
-    /// Total items across all buckets (exact only when quiescent).
-    pub fn total_len(&self) -> usize {
-        self.buckets.iter().map(|b| b.lock().len()).sum()
-    }
-
-    /// Number of addressable levels.
-    pub fn num_levels(&self) -> usize {
-        self.buckets.len()
-    }
+    record(Counter::BucketRelaxations, relaxations);
+    record(Counter::BucketReRelaxations, stale);
 }
 
 #[cfg(test)]
@@ -129,55 +32,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn processes_levels_in_order() {
-        let mut q = BucketQueue::new(8);
-        q.push(2, "c");
-        q.push(0, "a");
-        q.push(1, "b");
-        assert_eq!(q.take_current(), vec!["a"]);
-        assert!(q.advance());
-        assert_eq!(q.current_level(), 1);
-        assert_eq!(q.take_current(), vec!["b"]);
-        assert!(q.advance());
-        assert_eq!(q.take_current(), vec!["c"]);
-        assert!(!q.advance());
+    fn files_by_level_and_grows_the_array() {
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new()];
+        file_relaxations(&mut buckets, 0, vec![(2, 20), (0, 1), (2, 21)]);
+        assert_eq!(buckets, vec![vec![1], vec![], vec![20, 21]]);
     }
 
     #[test]
-    fn stale_pushes_clamp_to_current_level() {
-        let mut q = BucketQueue::new(4);
-        q.push(1, 10u32);
-        assert!(q.advance());
-        // A relaxation targeting an already-completed bucket lands in the
-        // active one instead.
-        q.push(0, 11);
-        let mut items = q.take_current();
-        items.sort_unstable();
-        assert_eq!(items, vec![10, 11]);
-    }
-
-    #[test]
-    fn ensure_levels_grows() {
-        let mut q = BucketQueue::new(1);
-        q.ensure_levels(10);
-        q.push(10, 1u8);
-        assert_eq!(q.num_levels(), 11);
-        assert_eq!(q.total_len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond capacity")]
-    fn pushing_past_capacity_panics() {
-        let q = BucketQueue::new(2);
-        q.push(5, 0u8);
-    }
-
-    #[test]
-    fn batch_push_moves_items() {
-        let q = BucketQueue::new(2);
-        let mut batch = vec![1u32, 2, 3];
-        q.push_batch(0, &mut batch);
-        assert!(batch.is_empty());
-        assert_eq!(q.current_len(), 3);
+    fn stale_levels_clamp_to_the_current_bucket() {
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(), Vec::new(), Vec::new()];
+        file_relaxations(&mut buckets, 2, vec![(0, 7), (1, 8), (3, 9)]);
+        assert_eq!(buckets, vec![vec![], vec![], vec![7, 8], vec![9]]);
     }
 }

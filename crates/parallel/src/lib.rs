@@ -16,8 +16,8 @@
 //!   with termination detection,
 //! * [`OrderedWorklist`] — the OBIM-style approximate-priority variant
 //!   asynchronous delta-stepping needs for work efficiency,
-//! * [`BucketQueue`] — the delta-stepping bucket priority structure,
-//!   including the bucket-fusion fast path from GraphIt,
+//! * [`buckets::file_relaxations`] — the between-rounds bucket filing
+//!   every bulk-synchronous delta-stepping coordinator shares,
 //! * [`AtomicBitmap`] — dense visited/frontier sets,
 //! * [`LocalBuffer`] — GKC-style cache-sized thread-local output buffers,
 //! * [`scan`] / [`scatter`] — exclusive prefix sum and a stable
@@ -48,7 +48,6 @@ pub mod sync;
 pub mod worklist;
 
 pub use bitmap::AtomicBitmap;
-pub use buckets::BucketQueue;
 pub use local_buffer::LocalBuffer;
 pub use ordered::OrderedWorklist;
 pub use per_worker::PerWorker;

@@ -33,6 +33,7 @@ const CHUNK: usize = 64;
 ///     if item > 0 {
 ///         push(1, item - 1);
 ///     }
+///     0 // edges examined
 /// });
 /// assert_eq!(processed.into_inner(), 11);
 /// ```
@@ -53,12 +54,14 @@ impl OrderedWorklist {
     /// scheduler is *approximate*, so an item pushed below the level a
     /// thread is currently draining may be processed "late" — operators
     /// must tolerate out-of-order application (label-correcting
-    /// operators do).
+    /// operators do). `op` returns the number of edges it examined; each
+    /// worker records its total once, when it leaves the worklist.
     pub fn for_each<T, F>(&self, initial: Vec<(usize, T)>, op: F)
     where
         T: Send,
-        F: Fn(T, &mut dyn FnMut(usize, T)) + Sync,
+        F: Fn(T, &mut dyn FnMut(usize, T)) -> u64 + Sync,
     {
+        use gapbs_telemetry::{record, Counter};
         let buckets = Buckets::new();
         let pending = AtomicUsize::new(initial.len());
         for (priority, item) in initial {
@@ -67,25 +70,28 @@ impl OrderedWorklist {
         if self.pool.num_threads() == 1 {
             // Sequential: exact priority order.
             let mut local: Vec<(usize, T)> = Vec::new();
+            let mut edges = 0u64;
             while let Some(batch) = buckets.pop_chunk() {
                 for item in batch {
-                    op(item, &mut |p, v| local.push((p, v)));
+                    edges += op(item, &mut |p, v| local.push((p, v)));
                     for (p, v) in local.drain(..) {
                         buckets.push(p, v);
                     }
                 }
             }
+            record(Counter::EdgesExamined, edges);
             return;
         }
         self.pool.run(|_| {
             let mut local: Vec<(usize, T)> = Vec::new();
+            let mut edges = 0u64;
             loop {
                 match buckets.pop_chunk() {
                     Some(batch) => {
                         let taken = batch.len();
                         let mut produced = 0usize;
                         for item in batch {
-                            op(item, &mut |p, v| {
+                            edges += op(item, &mut |p, v| {
                                 local.push((p, v));
                                 produced += 1;
                             });
@@ -106,6 +112,7 @@ impl OrderedWorklist {
                     }
                 }
             }
+            record(Counter::EdgesExamined, edges);
         });
     }
 }
@@ -189,6 +196,7 @@ mod tests {
                 (0..200usize).map(|i| (i % 7, i as u32)).collect(),
                 |_, _| {
                     count.fetch_add(1, Ordering::Relaxed);
+                    0
                 },
             );
             assert_eq!(count.into_inner(), 200, "threads={threads}");
@@ -205,6 +213,7 @@ mod tests {
                 if item > 0 {
                     push(item as usize, item - 1);
                 }
+                0
             });
             assert_eq!(count.into_inner(), 7, "threads={threads}");
         }
@@ -220,6 +229,7 @@ mod tests {
             vec![(3usize, 3u32), (1, 1), (2, 2), (0, 0), (1, 11)],
             |item, _| {
                 seen.lock().push(item);
+                0
             },
         );
         let seen = seen.into_inner();
@@ -246,6 +256,7 @@ mod tests {
             if item == 100 {
                 push(1, 1);
             }
+            0
         });
         assert_eq!(count.into_inner(), 2);
     }

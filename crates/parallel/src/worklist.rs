@@ -76,6 +76,7 @@ impl<T> Deque<T> {
 ///     if item > 0 {
 ///         push(item - 1);
 ///     }
+///     0 // edges examined
 /// });
 /// assert_eq!(processed.into_inner(), 4 + 3); // 3,2,1,0 and 2,1,0
 /// ```
@@ -97,12 +98,14 @@ impl ChunkedWorklist {
 
     /// Processes `initial` and everything transitively pushed by `op` until
     /// the worklist drains. `op` receives the item and a `push` callback to
-    /// add new work; work is processed in no particular order (asynchronous
-    /// execution).
+    /// add new work, and returns the number of edges it examined; work is
+    /// processed in no particular order (asynchronous execution). Each
+    /// worker counts its pushes, steals and examined edges locally and
+    /// records them once, when it leaves the worklist.
     pub fn for_each<T, F>(&self, initial: Vec<T>, op: F)
     where
         T: Send,
-        F: Fn(T, &mut dyn FnMut(T)) + Sync,
+        F: Fn(T, &mut dyn FnMut(T)) -> u64 + Sync,
     {
         let nthreads = self.pool.num_threads();
         if nthreads == 1 {
@@ -111,12 +114,14 @@ impl ChunkedWorklist {
             // process items in near-priority order under FIFO but do
             // exponentially redundant work under LIFO on deep graphs.
             let mut queue = VecDeque::from(initial);
+            let (mut pushes, mut edges) = (0u64, 0u64);
             while let Some(item) = queue.pop_front() {
-                op(item, &mut |v| {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::WorklistPushes, 1);
+                edges += op(item, &mut |v| {
+                    pushes += 1;
                     queue.push_back(v);
                 });
             }
+            record_worker(pushes, 0, edges);
             return;
         }
         let pending = AtomicUsize::new(initial.len());
@@ -127,19 +132,21 @@ impl ChunkedWorklist {
         }
         self.pool.run(|tid| {
             let local = &deques[tid];
+            let (mut pushes, mut steals, mut edges) = (0u64, 0u64, 0u64);
             loop {
-                let item = local.pop().or_else(|| Self::steal(tid, local, &deques));
+                let item = local.pop().or_else(|| {
+                    let stolen = Self::steal(tid, local, &deques);
+                    steals += u64::from(stolen.is_some());
+                    stolen
+                });
                 match item {
                     Some(item) => {
                         let mut pushed = 0usize;
-                        op(item, &mut |v| {
+                        edges += op(item, &mut |v| {
                             local.push(v);
                             pushed += 1;
                         });
-                        gapbs_telemetry::record(
-                            gapbs_telemetry::Counter::WorklistPushes,
-                            pushed as u64,
-                        );
+                        pushes += pushed as u64;
                         // One pop finished, `pushed` new items appeared.
                         if pushed > 0 {
                             pending.fetch_add(pushed, Ordering::SeqCst);
@@ -156,6 +163,7 @@ impl ChunkedWorklist {
                     }
                 }
             }
+            record_worker(pushes, steals, edges);
         });
     }
 
@@ -165,12 +173,19 @@ impl ChunkedWorklist {
                 continue;
             }
             if let Some(item) = victim.steal_batch_and_pop(local) {
-                gapbs_telemetry::record(gapbs_telemetry::Counter::WorklistSteals, 1);
                 return Some(item);
             }
         }
         None
     }
+}
+
+/// One worker's totals, recorded once as it leaves the worklist.
+fn record_worker(pushes: u64, steals: u64, edges: u64) {
+    use gapbs_telemetry::{record, Counter};
+    record(Counter::WorklistPushes, pushes);
+    record(Counter::WorklistSteals, steals);
+    record(Counter::EdgesExamined, edges);
 }
 
 #[cfg(test)]
@@ -188,6 +203,7 @@ mod tests {
             let count = AtomicUsize::new(0);
             worklist(threads).for_each((0..100u32).collect(), |_, _| {
                 count.fetch_add(1, Ordering::Relaxed);
+                0
             });
             assert_eq!(count.into_inner(), 100, "threads={threads}");
         }
@@ -203,6 +219,7 @@ mod tests {
                 if item > 0 {
                     push(item - 1);
                 }
+                0
             });
             assert_eq!(count.into_inner(), 6, "threads={threads}");
         }
@@ -229,6 +246,7 @@ mod tests {
                 if r < 64 {
                     push(r);
                 }
+                0
             });
             assert_eq!(count.into_inner(), 63, "threads={threads}");
         }

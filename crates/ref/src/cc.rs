@@ -39,13 +39,20 @@ pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
                 round: round as u32,
                 changed: 0
             });
-            pool.for_each_index(n, Schedule::Dynamic(512), |u| {
-                let neighbors = g.out_neighbors(u as NodeId);
-                if let Some(&v) = neighbors.get(round) {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, 1);
-                    link(u as NodeId, v, comp_atomic);
-                }
-            });
+            let sampled = pool.reduce_index(
+                n,
+                Schedule::Dynamic(512),
+                0u64,
+                |u| match g.out_neighbors(u as NodeId).get(round) {
+                    Some(&v) => {
+                        link(u as NodeId, v, comp_atomic);
+                        1
+                    }
+                    None => 0,
+                },
+                |a, b| a + b,
+            );
+            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, sampled);
             compress(comp_atomic, pool);
         }
 
@@ -54,24 +61,31 @@ pub fn cc(g: &Graph, pool: &ThreadPool) -> Vec<NodeId> {
 
         // Phase 3: only vertices outside the giant component finish their
         // adjacency (skipping the first NEIGHBOR_ROUNDS already done).
-        pool.for_each_index(n, Schedule::Dynamic(512), |u| {
-            if find(comp_atomic, u as NodeId) == giant {
-                return;
-            }
-            let mut scanned = 0u64;
-            for &v in g.out_neighbors(u as NodeId).iter().skip(NEIGHBOR_ROUNDS) {
-                scanned += 1;
-                link(u as NodeId, v, comp_atomic);
-            }
-            if g.is_directed() {
-                // Weak connectivity on directed graphs needs in-edges too.
-                for &v in g.in_neighbors(u as NodeId) {
+        let scanned = pool.reduce_index(
+            n,
+            Schedule::Dynamic(512),
+            0u64,
+            |u| {
+                if find(comp_atomic, u as NodeId) == giant {
+                    return 0;
+                }
+                let mut scanned = 0u64;
+                for &v in g.out_neighbors(u as NodeId).iter().skip(NEIGHBOR_ROUNDS) {
                     scanned += 1;
                     link(u as NodeId, v, comp_atomic);
                 }
-            }
-            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
-        });
+                if g.is_directed() {
+                    // Weak connectivity on directed graphs needs in-edges too.
+                    for &v in g.in_neighbors(u as NodeId) {
+                        scanned += 1;
+                        link(u as NodeId, v, comp_atomic);
+                    }
+                }
+                scanned
+            },
+            |a, b| a + b,
+        );
+        gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, scanned);
         compress(comp_atomic, pool);
     }
     comp

@@ -10,6 +10,7 @@
 use gapbs_graph::types::{Distance, NodeId, INF_DIST};
 use gapbs_graph::{WGraph, Weight};
 use gapbs_parallel::atomics::{as_atomic_i64, fetch_min_i64};
+use gapbs_parallel::buckets::file_relaxations;
 use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::ThreadPool;
 use std::sync::atomic::Ordering;
@@ -101,36 +102,31 @@ pub fn sssp_with_config(
             let new_items: Vec<(usize, NodeId)> = if fused || pool.num_threads() == 1 {
                 // Fused drain: no parallel round, no synchronization.
                 let mut out = Vec::new();
-                for &u in &frontier {
-                    relax_vertex(g, u, level, delta, dist_atomic, &mut out);
-                }
+                let examined: u64 = frontier
+                    .iter()
+                    .map(|&u| relax_vertex(g, u, level, delta, dist_atomic, &mut out))
+                    .sum();
+                gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, examined);
                 out
             } else {
                 let collected = Mutex::new(Vec::new());
                 let nthreads = pool.num_threads();
                 pool.run(|tid| {
                     let mut out = Vec::new();
+                    let mut examined = 0u64;
                     let mut i = tid;
                     while i < frontier.len() {
-                        relax_vertex(g, frontier[i], level, delta, dist_atomic, &mut out);
+                        examined +=
+                            relax_vertex(g, frontier[i], level, delta, dist_atomic, &mut out);
                         i += nthreads;
                     }
+                    gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, examined);
                     collected.lock().append(&mut out);
                 });
                 collected.into_inner()
             };
-            for (lvl, v) in new_items {
-                if buckets.len() <= lvl {
-                    buckets.resize_with(lvl + 1, Vec::new);
-                }
-                gapbs_telemetry::record(gapbs_telemetry::Counter::BucketRelaxations, 1);
-                if lvl < current {
-                    gapbs_telemetry::record(gapbs_telemetry::Counter::BucketReRelaxations, 1);
-                }
-                // Stale entries for completed buckets go to the current one.
-                let lvl = lvl.max(current);
-                buckets[lvl].push(v);
-            }
+            // Stale entries for completed buckets go to the current one.
+            file_relaxations(&mut buckets, current, new_items);
         }
         current += 1;
         if current >= buckets.len() {
@@ -142,7 +138,7 @@ pub fn sssp_with_config(
 
 /// Relaxes all out-edges of `u` if `u`'s distance still belongs to the
 /// bucket being drained. Improved vertices are reported with their new
-/// bucket level.
+/// bucket level; returns the number of edges examined.
 fn relax_vertex(
     g: &WGraph,
     u: NodeId,
@@ -150,21 +146,18 @@ fn relax_vertex(
     delta: Distance,
     dist: &[std::sync::atomic::AtomicI64],
     out: &mut Vec<(usize, NodeId)>,
-) {
+) -> u64 {
     let du = dist[u as usize].load(Ordering::Relaxed);
     if du / delta != level {
-        return; // stale: u was improved into a later wave of this bucket
+        return 0; // stale: u was improved into a later wave of this bucket
     }
-    gapbs_telemetry::record(
-        gapbs_telemetry::Counter::EdgesExamined,
-        g.out_degree(u) as u64,
-    );
     for (v, w) in g.out_neighbors_weighted(u) {
         let nd = du + Distance::from(w);
         if relax_to(&dist[v as usize], nd) {
             out.push(((nd / delta) as usize, v));
         }
     }
+    g.out_degree(u) as u64
 }
 
 fn relax_to(slot: &std::sync::atomic::AtomicI64, value: Distance) -> bool {

@@ -64,8 +64,8 @@ struct GateState {
 
 /// Cumulative gate statistics, monotone over the daemon lifetime.
 ///
-/// These are always-on, independent of the `telemetry` feature: the
-/// serve ledger and the `stats` command report them in every build. The
+/// These are the gate's own cells, not reads of the global counter
+/// registry (which `gapbs_telemetry::capture` may reset mid-run). The
 /// cells are atomics only so [`GateSnapshot`]-free readers stay legal;
 /// the invariant-bearing ones are written exclusively under the gate's
 /// state mutex (see the module docs).

@@ -226,9 +226,9 @@ impl Engine {
     /// Runs one query under an exclusive process-global trace session
     /// and captures its Chrome-trace events into `payload`. Coalescing
     /// is skipped — the session would attribute the whole batch's work
-    /// to this query. In default builds the capture holds the per-query
-    /// trial span, thread names, and RSS bookends; `--features
-    /// telemetry` adds the per-iteration kernel and pool events.
+    /// to this query. The capture holds the per-query trial span, the
+    /// per-iteration kernel and pool events, thread names, and RSS
+    /// bookends.
     fn run_traced(
         &self,
         query: &Query,
@@ -987,8 +987,13 @@ mod tests {
     fn expired_deadline_never_executes_a_kernel() {
         let registry = Arc::clone(tiny_registry());
         let pool = ThreadPool::new(2);
-        let engine = Engine::new(Arc::clone(&registry), pool, EngineConfig::default(), None);
-        let before = gapbs_telemetry::snapshot();
+        let engine = Engine::new(
+            Arc::clone(&registry),
+            pool.clone(),
+            EngineConfig::default(),
+            None,
+        );
+        let before = pool.stats();
         let q = query(r#"{"kernel":"bfs","graph":"kron","source":1,"deadline_ms":0}"#);
         let v = Json::parse(&engine.handle(&q)).unwrap();
         assert_eq!(v.get("ok").and_then(Json::as_bool), Some(false));
@@ -996,11 +1001,10 @@ mod tests {
             v.get("code").and_then(Json::as_str),
             Some("deadline_exceeded")
         );
-        // The fail-fast path returns before touching the pool: the query
-        // examined zero edges (meaningful in telemetry builds; trivially
-        // zero otherwise).
-        let delta = gapbs_telemetry::snapshot().delta(&before);
-        assert_eq!(delta.get(Counter::EdgesExamined), 0);
+        // The fail-fast path returns before touching the pool. (The pool
+        // is this test's own; the global counters would also see the
+        // kernels of concurrently running tests.)
+        assert_eq!(pool.stats().delta(&before).regions, 0);
         assert_eq!(engine.gate().snapshot().deadline_exceeded, 1);
         assert_eq!(engine.gate().snapshot().completed, 1, "permit was released");
     }

@@ -406,7 +406,7 @@ fn shutdown_flushes_a_lint_clean_ledger() {
             .unwrap_or(0);
         assert!(
             admitted >= 1,
-            "lifecycle counters are recorded even without --features telemetry"
+            "every record carries the daemon's lifecycle counters"
         );
         assert!(completed <= admitted, "the lint invariant holds per record");
         assert!(record.get("seconds").and_then(Json::as_f64).unwrap_or(-1.0) >= 0.0);

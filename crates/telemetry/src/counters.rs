@@ -321,22 +321,15 @@ pub fn global() -> &'static Registry {
     &GLOBAL
 }
 
-/// Records `n` units of `counter` against the global registry.
+/// Records `n` units of `counter` against the global registry: one relaxed
+/// `fetch_add` on the calling thread's shard.
 ///
-/// With the `enabled` feature off this is an empty inline function — the
-/// instrumentation sites compile to the uninstrumented code.
-#[cfg(feature = "enabled")]
+/// Always compiled. Hot loops never call this per element: they count
+/// into a local and record once per chunk, worker or round, which keeps
+/// the counters cheap enough that there is no uninstrumented build.
 #[inline]
 pub fn record(counter: Counter, n: u64) {
     GLOBAL.add(counter, n);
-}
-
-/// Records `n` units of `counter` against the global registry (no-op: the
-/// `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn record(counter: Counter, n: u64) {
-    let _ = (counter, n);
 }
 
 /// Aggregated view of the global registry.

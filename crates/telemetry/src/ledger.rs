@@ -56,8 +56,8 @@ pub struct TrialRecord {
     /// Per-phase seconds accrued during this trial (build on trial 0).
     pub phases: PhaseTimes,
     /// Peak resident set size of the process when the trial finished
-    /// (VmHWM from `/proc/self/status`, in bytes). Always recorded — it
-    /// needs no feature flag — and 0 where procfs is unavailable. This is
+    /// (VmHWM from `/proc/self/status`, in bytes), 0 where procfs is
+    /// unavailable. This is
     /// a process-lifetime high-water mark, not a per-trial delta: compare
     /// it across ledgers cell by cell, as `perf_compare` does.
     pub peak_rss_bytes: u64,

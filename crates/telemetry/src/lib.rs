@@ -18,13 +18,13 @@
 //!   registry with Prometheus text exposition, for the serving daemon's
 //!   scrapeable stats plane (`docs/OPERATIONS.md`).
 //!
-//! # Feature gating
+//! # One build
 //!
-//! Instrumentation sites in the framework crates call [`record`]
-//! unconditionally. With the `enabled` cargo feature off (the default)
-//! that call is an empty `#[inline(always)]` function and the hot loops
-//! compile to the uninstrumented code — Baseline timing claims are
-//! unaffected. Each dependent crate forwards a `telemetry` feature here.
+//! Counters and kernel trace events are always compiled; there is no
+//! cargo feature and no uninstrumented twin. What keeps that affordable
+//! is where [`record`] is called: hot loops count into locals and record
+//! once per chunk, worker or round, and trace emitters sit behind one
+//! relaxed load of the session flag ([`trace::is_on`]).
 
 pub mod counters;
 pub mod json;
@@ -38,11 +38,6 @@ pub use ledger::{Ledger, LedgerSink, TrialRecord};
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use span::{Phase, PhaseTimes, Span};
 pub use trace::Trace;
-
-/// `true` when the crate was compiled with global recording active.
-pub const fn is_enabled() -> bool {
-    cfg!(feature = "enabled")
-}
 
 /// Runs `f` with the global counter registry zeroed, returning its result
 /// plus everything counted during the call.
@@ -61,12 +56,6 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, CounterSet) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn enabled_flag_matches_feature() {
-        assert_eq!(is_enabled(), cfg!(feature = "enabled"));
-    }
-
-    #[cfg(feature = "enabled")]
     #[test]
     fn capture_scopes_global_counts() {
         let ((), counts) = capture(|| {

@@ -8,10 +8,9 @@
 //!
 //! The recording discipline matches [`crate::counters`]: per-thread
 //! cache-line-padded shards of relaxed atomics, so the hot path is one
-//! uncontended `fetch_add`. Unlike the work counters these are *always
-//! on* — no feature gate — because the serving plane's lifecycle stats
-//! must exist in Baseline builds too (same rule as `GateStats`). The
-//! cost per record is a leading-zeros instruction plus one relaxed add.
+//! uncontended `fetch_add`. Like the work counters they are always on.
+//! The cost per record is a leading-zeros instruction plus one relaxed
+//! add.
 //!
 //! Buckets are log₂ of the recorded value: bucket `i` holds values in
 //! `[2^(i-1), 2^i)` (bucket 0 holds 0). With microsecond latencies this

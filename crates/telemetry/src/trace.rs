@@ -15,14 +15,11 @@
 //! * **resource samples** — VmRSS/VmHWM read from `/proc/self/status` by
 //!   a sampler thread at a fixed cadence.
 //!
-//! # Feature gating
+//! # Cost outside a session
 //!
-//! Like the counters, the hot-path emitters compile to nothing without
-//! the `enabled` cargo feature: [`is_on`] is then a compile-time `false`
-//! and every `trace_iter!` / pool call site folds away. The session
-//! machinery itself (start/stop, the sampler, [`read_vm_status`]) is
-//! always compiled — a non-telemetry build still traces trial spans and
-//! memory samples, just not per-iteration detail.
+//! Every emitter is guarded by [`is_on`], one relaxed load of the session
+//! flag, and emitters fire per round, per region or per stage — never
+//! per element. With no session active that load is the whole cost.
 
 use crate::json::Json;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -34,9 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 /// gapbs_telemetry::trace_iter!(BfsLevel { depth: 0, frontier: 1, dir: Dir::Push });
 /// ```
 ///
-/// Expands to a branch on [`trace::is_on`](crate::trace::is_on), so with
-/// the `enabled` feature off the condition is compile-time `false` and
-/// the argument expressions are never evaluated.
+/// Expands to a branch on [`trace::is_on`](crate::trace::is_on), so
+/// outside a trace session the argument expressions are never evaluated.
 #[macro_export]
 macro_rules! trace_iter {
     ($variant:ident { $($body:tt)* }) => {
@@ -447,19 +443,10 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// `true` when the hot-path emitters should record: the `enabled`
-/// feature is compiled in *and* a trace session is active. Without the
-/// feature this is a compile-time `false` and guarded call sites fold
-/// away entirely.
+/// `true` while a trace session is active: the guard every emitter sits
+/// behind.
 #[inline(always)]
 pub fn is_on() -> bool {
-    cfg!(feature = "enabled") && ACTIVE.load(Ordering::Relaxed)
-}
-
-/// `true` while a trace session is active, regardless of the `enabled`
-/// feature — the guard for cold-path emitters (trial spans, samples).
-#[inline]
-pub fn session_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
@@ -497,10 +484,9 @@ pub fn steal(worker: usize, ranges: u64) {
 }
 
 /// Records one timed trial as a duration event (cold path: emitted once
-/// per trial by the runner; records in any build while a session is
-/// active).
+/// per trial by the runner, while a session is active).
 pub fn trial(label: String, start_ns: u64) {
-    if !session_active() {
+    if !is_on() {
         return;
     }
     let end = now_ns();
@@ -512,10 +498,9 @@ pub fn trial(label: String, start_ns: u64) {
 }
 
 /// Records one graph-build pipeline stage as a duration event (cold
-/// path: a handful per build; records in any build while a session is
-/// active).
+/// path: a handful per build, while a session is active).
 pub fn build_stage(stage: &'static str, start_ns: u64) {
-    if !session_active() {
+    if !is_on() {
         return;
     }
     let end = now_ns();
@@ -527,10 +512,10 @@ pub fn build_stage(stage: &'static str, start_ns: u64) {
 }
 
 /// Records one GraphBLAS engine operation as a duration event. Callers
-/// should gate the paired [`now_ns`] with [`is_on`] so untraced runs pay
-/// nothing.
+/// gate the paired [`now_ns`] with [`is_on`] so untraced runs read no
+/// clock.
 pub fn grb_op(op: &'static str, start_ns: u64) {
-    if !session_active() {
+    if !is_on() {
         return;
     }
     let end = now_ns();
@@ -661,7 +646,6 @@ mod tests {
         assert_eq!(ev.name(), "bfs_level");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn session_collects_events_across_threads() {
         let _guard = lock(&SESSION_LOCK);
@@ -690,7 +674,6 @@ mod tests {
         assert!(stop().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn sampler_emits_rss_counter_events() {
         if read_vm_status().is_none() {
@@ -708,12 +691,19 @@ mod tests {
         assert!(samples >= 1, "sampler produced no Rss events");
     }
 
-    #[cfg(not(feature = "enabled"))]
     #[test]
-    fn hot_path_is_off_without_the_feature() {
-        assert!(!is_on());
-        // The macro's guard means this records nothing even mid-session.
+    fn iteration_macro_records_only_inside_a_session() {
         let _guard = lock(&SESSION_LOCK);
+        let mut evaluated = false;
+        crate::trace_iter!(BfsLevel {
+            depth: 0,
+            frontier: {
+                evaluated = true;
+                1
+            },
+            dir: Dir::Push
+        });
+        assert!(!evaluated, "arguments are not evaluated outside a session");
         start(Duration::ZERO);
         crate::trace_iter!(BfsLevel {
             depth: 0,
@@ -721,12 +711,13 @@ mod tests {
             dir: Dir::Push
         });
         let trace = stop();
-        assert!(
-            !trace
+        assert_eq!(
+            trace
                 .events
                 .iter()
-                .any(|e| matches!(e.kind, EventKind::Iter(_))),
-            "iteration events must not record without the feature"
+                .filter(|e| matches!(e.kind, EventKind::Iter(_)))
+                .count(),
+            1
         );
     }
 

@@ -23,10 +23,6 @@ cargo fmt --check
 echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== telemetry feature parity: build + tests with counters on =="
-cargo build -q --features telemetry
-cargo test -q --features telemetry --test shape_claims
-
 echo "== repo benchmark: build + its own tests =="
 # benchmark/ is its own package linking the workspace crates: break it here.
 cargo build --release --manifest-path benchmark/Cargo.toml
@@ -52,14 +48,14 @@ snapshot() { cargo run -q --release --bin gapbs-snapshot -- "$@"; }
 echo "== smoke: tiny-corpus run_all --ledger =="
 ledger="$smoke_dir/ledger.jsonl"
 GAPBS_SCALE=tiny GAPBS_TRIALS=1 GAPBS_CSV="$smoke_dir/results.csv" \
-    cargo run -q --release --features telemetry -p gapbs-bench --bin run_all -- \
+    cargo run -q --release -p gapbs-bench --bin run_all -- \
     --ledger "$ledger" > "$smoke_dir/run_all.out"
 [[ -s "$ledger" ]] || fail "ledger is empty"
 for fw in GAP SuiteSparse Galois GraphIt GKC NWGraph; do
     grep -q "\"framework\":\"$fw\"" "$ledger" || fail "no ledger records for $fw"
 done
 # Structured ledger sanity: finite times, verified outputs, non-empty
-# graphs, and (telemetry build) every trial examined at least one edge.
+# graphs, and every trial examined at least one edge.
 # A tiny-corpus run must fit in 8 GiB, and an absurd 1 MiB budget must
 # trip, proving the RSS gate actually gates.
 perf_compare --lint --max-rss-mb 8192 "$ledger"
@@ -74,7 +70,7 @@ fi
 echo "== smoke: execution trace + trace_stats =="
 # A traced Kron BFS must produce a loadable Chrome trace with
 # direction-optimizing level events, distilled to a parseable metric.
-cargo run -q --release --features telemetry --bin bfs -- \
+cargo run -q --release --bin bfs -- \
     -g 10 -k 16 -n 2 --trace "$smoke_dir/trace.json" > /dev/null
 [[ -s "$smoke_dir/trace.json" ]] || fail "trace is empty"
 trace_stats "$smoke_dir/trace.json" > "$smoke_dir/trace_stats.out"

@@ -322,9 +322,7 @@ pub fn run_kernel_binary(kernel: crate::core::Kernel) {
     let pool = gapbs_parallel::ThreadPool::new(config.threads);
     // A trace session wraps graph construction and the whole trial
     // protocol, so build:{stage} boxes, warm-up, and verification all
-    // land on the timeline. Iteration and pool events need the
-    // `telemetry` feature; build stages, trial spans, and RSS samples
-    // record in any build.
+    // land on the timeline beside the iteration and pool events.
     if opts.trace.is_some() {
         gapbs_telemetry::trace::start(std::time::Duration::from_millis(10));
     }

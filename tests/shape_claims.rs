@@ -5,6 +5,8 @@
 //! (`cargo test --release --test shape_claims -- --ignored`) and are
 //! `#[ignore]`d by default to keep `cargo test` fast and robust on
 //! loaded machines. `run_all` evaluates the same claims at Medium scale.
+//! The work-counter forms of the claims live in `tests/work_claims.rs`,
+//! a binary of their own because the counter registry is process-global.
 
 use gapbs::core::adapters::{GaloisFramework, GapReference, GraphItFramework};
 use gapbs::core::framework::Framework;
@@ -101,91 +103,6 @@ fn gauss_seidel_needs_fewer_iterations_than_jacobi() {
         gs < jacobi,
         "gauss-seidel used {gs} iterations, jacobi {jacobi}"
     );
-}
-
-/// §V-D as a *work* claim: the counters show Gauss–Seidel's advantage is
-/// fewer PageRank sweeps, not faster sweeps. Unlike the timing variant
-/// above, this holds on any machine at any load.
-#[cfg(feature = "telemetry")]
-#[test]
-fn gauss_seidel_pr_records_fewer_sweeps_than_jacobi() {
-    use gapbs::parallel::ThreadPool;
-    use gapbs_telemetry::{capture, Counter};
-    let g = GraphSpec::Road.generate(Scale::Tiny);
-    let pool = ThreadPool::new(1);
-    let config = gapbs::gap_ref::pr::PrConfig {
-        damping: 0.85,
-        tolerance: 1e-7,
-        max_iters: 500,
-    };
-    let (_, jacobi) = capture(|| gapbs::gap_ref::pr::pr_with_config(&g, &pool, &config));
-    let (_, gs) = capture(|| gapbs::galois::pr(&g, 0.85, 1e-7, 500, &pool));
-    let (j, s) = (
-        jacobi.get(Counter::PrIterations),
-        gs.get(Counter::PrIterations),
-    );
-    assert!(
-        j > 0 && s > 0,
-        "both runs must count sweeps (jacobi={j}, gauss-seidel={s})"
-    );
-    assert!(s < j, "gauss-seidel counted {s} sweeps, jacobi {j}");
-}
-
-/// §V-A as a *work* claim: direction optimization's whole point is that
-/// the pull phase stops scanning a vertex's row at the first visited
-/// parent, so a DO-BFS on a low-diameter power-law graph examines fewer
-/// than m edges — where a pure top-down BFS must examine all m reachable
-/// arcs.
-#[cfg(feature = "telemetry")]
-#[test]
-fn direction_optimizing_bfs_examines_under_m_edges_on_kron() {
-    use gapbs::parallel::ThreadPool;
-    use gapbs_telemetry::{capture, Counter};
-    let g = GraphSpec::Kron.generate(Scale::Tiny);
-    let pool = ThreadPool::new(1);
-    // Kron leaves many vertices isolated; start from the densest one.
-    let source = (0..g.num_vertices() as u32)
-        .max_by_key(|&u| g.out_degree(u))
-        .expect("non-empty graph");
-    let (_, counters) = capture(|| gapbs::gap_ref::bfs::bfs(&g, source, &pool));
-    let examined = counters.get(Counter::EdgesExamined);
-    let m = g.num_arcs() as u64;
-    assert!(examined > 0, "DO-BFS must count examined edges");
-    assert!(
-        examined < m,
-        "DO-BFS examined {examined} edges, expected fewer than m = {m}"
-    );
-    assert!(
-        counters.get(Counter::DirectionSwitches) >= 2,
-        "kron should trigger at least one push->pull->push round trip"
-    );
-}
-
-/// §V-F as a *work* claim: the marked-row engine spends one probe per
-/// adjacency element read plus one per mark set, so `tc_intersections`
-/// is a property of the graph, not of the schedule — it repeats exactly
-/// at any thread count and is the same for GAP and GKC (same
-/// orientation).
-#[cfg(feature = "telemetry")]
-#[test]
-fn marked_row_tc_work_is_exact_at_any_thread_count() {
-    use gapbs::parallel::ThreadPool;
-    use gapbs_telemetry::{capture, Counter};
-    let g = BenchGraph::generate(GraphSpec::Kron, Scale::Tiny).sym_graph;
-    let probes = |tc: &dyn Fn(&ThreadPool) -> u64, threads: usize| {
-        let pool = ThreadPool::new(threads);
-        let (triangles, counters) = capture(|| tc(&pool));
-        let probes = counters.get(Counter::TcIntersections);
-        assert!(probes > 0 && probes <= counters.get(Counter::EdgesExamined));
-        (triangles, probes)
-    };
-    let gap = |pool: &ThreadPool| gapbs::gap_ref::tc(&g, pool);
-    let gkc = |pool: &ThreadPool| gapbs::gkc::tc(&g, pool);
-    let serial = probes(&gap, 1);
-    for threads in [2, 7, 16] {
-        assert_eq!(probes(&gap, threads), serial, "GAP @ {threads} threads");
-        assert_eq!(probes(&gkc, threads), serial, "GKC @ {threads} threads");
-    }
 }
 
 /// The Baseline-mode Galois heuristic misreads Urand as high-diameter —
