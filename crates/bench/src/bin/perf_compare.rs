@@ -17,8 +17,10 @@
 //!
 //! `--lint-stats` sanity-checks one `{"cmd":"stats"}` snapshot from the
 //! serve daemon (a JSON file, or `-` for stdin): lifecycle counters
-//! balance exactly (`admitted == completed + active`), the latency
-//! histogram count equals completions, and the bucket table is monotone.
+//! balance exactly (`admitted == completed + active`), width-1 queries
+//! never outnumber completions (`queries_inline <= completed`), the
+//! latency histogram count equals completions, and the bucket table is
+//! monotone.
 //!
 //! Exit codes: 0 clean, 1 regressions/lint problems found, 2 usage or
 //! read error.

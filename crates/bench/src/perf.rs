@@ -566,6 +566,7 @@ pub fn lint_stats(stats: &Json) -> Vec<String> {
     let completed = field("queries_completed");
     let active = field("active");
     let batch_queries = field("batch_queries");
+    let inline = field("queries_inline");
     if let (Some(admitted), Some(completed), Some(active)) = (admitted, completed, active) {
         // Exact, not >=: the gate takes admission, completion, and the
         // active count under one lock, so any single snapshot balances.
@@ -579,6 +580,15 @@ pub fn lint_stats(stats: &Json) -> Vec<String> {
         if batched > admitted {
             problems.push(format!(
                 "{batched} batched queries but only {admitted} admitted"
+            ));
+        }
+    }
+    // A query is counted inline at release, under the same lock as its
+    // completion, so the inline count never runs ahead of completions.
+    if let (Some(inline), Some(completed)) = (inline, completed) {
+        if inline > completed {
+            problems.push(format!(
+                "{inline} queries ran inline but only {completed} completed"
             ));
         }
     }
@@ -1041,6 +1051,7 @@ mod tests {
             ("queries_completed".to_string(), Json::Num(completed as f64)),
             ("active".to_string(), Json::Num(active as f64)),
             ("batch_queries".to_string(), Json::Num(0.0)),
+            ("queries_inline".to_string(), Json::Num(completed as f64)),
             (
                 "metrics".to_string(),
                 Json::obj([
@@ -1082,6 +1093,20 @@ mod tests {
         assert!(problems[0].contains("incoherent lifecycle"), "{problems:?}");
         // Completed ahead of admitted is the classic torn-scrape symptom.
         assert!(!lint_stats(&stats_snapshot(5, 7, 0, 7)).is_empty());
+    }
+
+    #[test]
+    fn lint_stats_caps_inline_queries_at_completions() {
+        let mut stats = stats_snapshot(7, 5, 2, 5);
+        if let Json::Obj(fields) = &mut stats {
+            fields.insert("queries_inline".to_string(), Json::Num(6.0));
+        }
+        let problems = lint_stats(&stats);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].contains("6 queries ran inline but only 5 completed"),
+            "{problems:?}"
+        );
     }
 
     #[test]

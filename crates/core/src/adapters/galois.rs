@@ -61,6 +61,33 @@ impl Framework for GaloisFramework {
         mode: Mode,
         pool: &ThreadPool,
     ) -> Box<dyn PreparedKernels + 'g> {
+        Box::new(Prepared::build(input, mode, true, pool))
+    }
+
+    fn prepare_kernel<'g>(
+        &self,
+        input: &'g BenchGraph,
+        mode: Mode,
+        kernel: Kernel,
+        pool: &ThreadPool,
+    ) -> Box<dyn PreparedKernels + 'g> {
+        Box::new(Prepared::build(input, mode, kernel == Kernel::Tc, pool))
+    }
+}
+
+struct Prepared<'g> {
+    input: &'g BenchGraph,
+    style: ExecutionStyle,
+    cc_variant: CcVariant,
+    tc_graph: Option<Graph>,
+    tc_relabeling: Relabeling,
+    pool: ThreadPool,
+}
+
+impl<'g> Prepared<'g> {
+    /// Picks the heuristics for `mode`; relabels for Optimized TC only
+    /// when `tc` may run.
+    fn build(input: &'g BenchGraph, mode: Mode, tc: bool, pool: &ThreadPool) -> Self {
         // Baseline: degree-sampling heuristic guesses the diameter
         // (wrongly for Urand, §V). Optimized: the team knows the
         // diameter — async only for the genuinely deep Road.
@@ -82,31 +109,22 @@ impl Framework for GaloisFramework {
         let (tc_graph, tc_relabeling) = match mode {
             Mode::Baseline => (None, Relabeling::HeuristicTimed),
             Mode::Optimized => (
-                Some({
+                tc.then(|| {
                     let _relabel = gapbs_telemetry::Span::enter(gapbs_telemetry::Phase::Relabel);
                     gapbs_galois::tc::relabel_for_optimized(&input.sym_graph, pool)
                 }),
                 Relabeling::AlreadyRelabeled,
             ),
         };
-        Box::new(Prepared {
+        Prepared {
             input,
             style,
             cc_variant,
             tc_graph,
             tc_relabeling,
             pool: pool.clone(),
-        })
+        }
     }
-}
-
-struct Prepared<'g> {
-    input: &'g BenchGraph,
-    style: ExecutionStyle,
-    cc_variant: CcVariant,
-    tc_graph: Option<Graph>,
-    tc_relabeling: Relabeling,
-    pool: ThreadPool,
 }
 
 impl PreparedKernels for Prepared<'_> {

@@ -187,7 +187,10 @@ impl AlgorithmChoice {
 /// The kernels of one framework, prepared for one graph and mode.
 ///
 /// Preparation (building matrices, picking heuristics) happens before the
-/// timer; calls on this trait are what the harness times.
+/// timer; calls on this trait are what the harness times. A value from
+/// [`Framework::prepare`] answers every kernel; one from
+/// [`Framework::prepare_kernel`] answers only the kernel it was prepared
+/// for, and may panic on the others.
 pub trait PreparedKernels: Sync {
     /// BFS parent array from `source`.
     fn bfs(&self, source: NodeId) -> Vec<NodeId>;
@@ -214,13 +217,34 @@ pub trait Framework: Send + Sync {
     fn info(&self) -> FrameworkInfo;
     /// Table III algorithm choice for a kernel.
     fn algorithm(&self, kernel: Kernel) -> AlgorithmChoice;
-    /// Prepares the framework's kernels for one graph under one mode.
+    /// Prepares the framework's kernels for one graph under one mode:
+    /// everything any of the six kernels reads.
     fn prepare<'g>(
         &self,
         input: &'g BenchGraph,
         mode: Mode,
         pool: &ThreadPool,
     ) -> Box<dyn PreparedKernels + 'g>;
+
+    /// Prepares only what `kernel` reads; only that kernel may then be
+    /// called on the result. Its output is bit-identical to the same
+    /// kernel on [`prepare`](Self::prepare)'s result. The trial runner
+    /// and the serve daemon call this, since both know the kernel before
+    /// they prepare; the runner keeps it outside the timed region, as
+    /// it does `prepare`.
+    ///
+    /// The default prepares everything. SuiteSparse builds the weighted
+    /// matrix only for SSSP and the symmetrized context only for TC on a
+    /// directed graph; Galois relabels for Optimized TC only.
+    fn prepare_kernel<'g>(
+        &self,
+        input: &'g BenchGraph,
+        mode: Mode,
+        _kernel: Kernel,
+        pool: &ThreadPool,
+    ) -> Box<dyn PreparedKernels + 'g> {
+        self.prepare(input, mode, pool)
+    }
 }
 
 #[cfg(test)]

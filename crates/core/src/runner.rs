@@ -1,10 +1,11 @@
 //! The trial runner: times kernels under the GAP protocol and verifies
 //! every trial's output.
 //!
-//! Protocol per cell (framework × kernel × graph × mode): prepare the
-//! framework (untimed), run `trials` timed executions with rotating
-//! seeded sources, verify each output with `gapbs-verify`, and report the
-//! best time — the statistic Table IV uses.
+//! Protocol per cell (framework × kernel × graph × mode): prepare what
+//! the cell's kernel reads ([`Framework::prepare_kernel`], untimed), run
+//! `trials` timed executions with rotating seeded sources, verify each
+//! output with `gapbs-verify`, and report the best time — the statistic
+//! Table IV uses.
 
 use crate::framework::{BenchGraph, Framework};
 use crate::kernel::{Kernel, Mode};
@@ -167,7 +168,7 @@ fn run_cell_with_oracle(
     let mut counters_mark = gapbs_telemetry::snapshot();
     let prepared = {
         let _build = Span::enter(Phase::Build);
-        framework.prepare(input, mode, pool)
+        framework.prepare_kernel(input, mode, kernel, pool)
     };
     let mut picker = SourcePicker::from_candidates(input.source_candidates.clone(), config.seed);
     let mut times = Vec::with_capacity(config.trials);

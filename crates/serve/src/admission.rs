@@ -1,9 +1,8 @@
 //! Admission control for the serve daemon.
 //!
-//! The persistent pool serializes parallel regions on a leader lock, so
-//! unbounded concurrent queries would not crash — they would queue
-//! invisibly inside the pool and blow through every deadline at once.
-//! The [`AdmissionGate`] makes that queue explicit and bounded: at most
+//! Unbounded concurrent queries would not crash — they would share the
+//! cores ever more thinly and blow through every deadline at once. The
+//! [`AdmissionGate`] makes that queue explicit and bounded: at most
 //! `max_active` queries execute concurrently, at most `max_waiting` more
 //! may block waiting for a slot, and everything beyond that is rejected
 //! immediately with a `rejected` error the client can retry against.
@@ -27,6 +26,7 @@
 //!
 //! * `admitted == completed + active`
 //! * `latency.count == completed`
+//! * `inline <= completed`
 //!
 //! (`rejected` / `deadline_exceeded` stay plain monotone atomics — they
 //! participate in no cross-field equality.)
@@ -34,7 +34,7 @@
 //! [`drain`]: AdmissionGate::drain
 //! [`observe`]: AdmissionGate::observe
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -77,6 +77,7 @@ struct GateStats {
     deadline_exceeded: AtomicU64,
     batch_queries: AtomicU64,
     batch_width: AtomicU64,
+    inline: AtomicU64,
 }
 
 /// Point-in-time copy of the gate's cumulative statistics.
@@ -90,6 +91,9 @@ pub struct GateSnapshot {
     pub batch_queries: u64,
     /// Widest batch executed so far (monotone max).
     pub batch_width: u64,
+    /// Completed queries that ran at width 1 on their own handler thread
+    /// because another query held a permit when they were admitted.
+    pub inline: u64,
 }
 
 /// One coherent reading of the whole gate, taken under the state lock:
@@ -129,6 +133,11 @@ pub struct AdmissionGate {
 pub struct Permit<'g> {
     gate: &'g AdmissionGate,
     admitted_at: Instant,
+    /// Permits held right after this one was granted, itself included.
+    active_at_admit: usize,
+    /// Set by the engine when the query ran at width 1; release counts
+    /// it into `inline` under the state lock, beside `completed`.
+    inline: AtomicBool,
     /// End-to-end latency set by the engine before release; `u64::MAX`
     /// means unset and release falls back to the permit's own hold time.
     latency_us: AtomicU64,
@@ -148,10 +157,12 @@ impl AdmissionGate {
         }
     }
 
-    fn permit(&self) -> Permit<'_> {
+    fn permit(&self, active_at_admit: usize) -> Permit<'_> {
         Permit {
             gate: self,
             admitted_at: Instant::now(),
+            active_at_admit,
+            inline: AtomicBool::new(false),
             latency_us: AtomicU64::new(u64::MAX),
         }
     }
@@ -167,7 +178,7 @@ impl AdmissionGate {
             state.active += 1;
             self.stats.admitted.fetch_add(1, Ordering::Relaxed);
             record_global(gapbs_telemetry::Counter::QueriesAdmitted);
-            return Ok(self.permit());
+            return Ok(self.permit(state.active));
         }
         if state.waiting >= self.max_waiting {
             return Err(self.fail(AdmitError::Rejected));
@@ -209,11 +220,12 @@ impl AdmissionGate {
         if let Some(pos) = state.waiting_since.iter().position(|&(t, _)| t == token) {
             state.waiting_since.swap_remove(pos);
         }
+        let active = state.active;
         drop(state);
         match outcome {
             Ok(()) => {
                 record_global(gapbs_telemetry::Counter::QueriesAdmitted);
-                Ok(self.permit())
+                Ok(self.permit(active))
             }
             Err(err) => Err(self.fail(err)),
         }
@@ -255,14 +267,15 @@ impl AdmissionGate {
             deadline_exceeded: self.stats.deadline_exceeded.load(Ordering::Relaxed),
             batch_queries: self.stats.batch_queries.load(Ordering::Relaxed),
             batch_width: self.stats.batch_width.load(Ordering::Relaxed),
+            inline: self.stats.inline.load(Ordering::Relaxed),
         }
     }
 
     /// One coherent reading of stats, queue gauges, and the latency
     /// histogram, taken under the state lock. The invariant-bearing
     /// writers hold the same lock, so within the returned observation
-    /// `admitted == completed + active` and `latency.count == completed`
-    /// hold exactly — even mid-load.
+    /// `admitted == completed + active`, `latency.count == completed` and
+    /// `inline <= completed` hold exactly — even mid-load.
     pub fn observe(&self) -> GateObservation {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let queue_age_us = state
@@ -279,6 +292,7 @@ impl AdmissionGate {
                 deadline_exceeded: self.stats.deadline_exceeded.load(Ordering::Relaxed),
                 batch_queries: self.stats.batch_queries.load(Ordering::Relaxed),
                 batch_width: self.stats.batch_width.load(Ordering::Relaxed),
+                inline: self.stats.inline.load(Ordering::Relaxed),
             },
             active: state.active,
             waiting: state.waiting,
@@ -346,6 +360,19 @@ impl Permit<'_> {
         self.admitted_at
     }
 
+    /// Whether another query held a permit when this one was granted —
+    /// the engine's cue to run it at width 1 rather than contend for the
+    /// shared pool.
+    pub fn concurrent(&self) -> bool {
+        self.active_at_admit > 1
+    }
+
+    /// Marks the query as run at width 1; counted into
+    /// [`GateSnapshot::inline`] when the permit is released.
+    pub fn note_inline(&self) {
+        self.inline.store(true, Ordering::Relaxed);
+    }
+
     /// Sets the end-to-end latency (µs) this permit's release will record
     /// into the gate's histogram. Unset permits record their own hold
     /// time, so every release contributes exactly one entry either way.
@@ -363,6 +390,9 @@ impl Permit<'_> {
         let mut state = gate.state.lock().unwrap_or_else(|e| e.into_inner());
         state.active -= 1;
         gate.stats.completed.fetch_add(1, Ordering::Relaxed);
+        if self.inline.load(Ordering::Relaxed) {
+            gate.stats.inline.fetch_add(1, Ordering::Relaxed);
+        }
         // Same critical section as the completed count: an observation
         // can never see the two disagree.
         gate.latency_us.record(latency_us);
@@ -514,6 +544,9 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         if let Ok(permit) = gate.admit(None) {
                             permit.set_latency_us(100 + t * 10 + i % 7);
+                            if permit.concurrent() {
+                                permit.note_inline();
+                            }
                             drop(permit);
                         }
                         i += 1;
@@ -536,6 +569,7 @@ mod tests {
                             obs.latency.count, obs.stats.completed,
                             "latency histogram count must equal completed"
                         );
+                        assert!(obs.stats.inline <= obs.stats.completed);
                         observations += 1;
                     }
                     observations
@@ -550,6 +584,22 @@ mod tests {
         assert_eq!(final_obs.active, 0);
         assert_eq!(final_obs.stats.admitted, final_obs.stats.completed);
         assert!(final_obs.latency.quantile(0.5).unwrap() >= 64);
+    }
+
+    #[test]
+    fn permits_report_concurrency_and_count_inline_at_release() {
+        let gate = AdmissionGate::new(2, 0);
+        let first = gate.admit(None).unwrap();
+        assert!(!first.concurrent(), "a lone permit has the gate to itself");
+        let second = gate.admit(None).unwrap();
+        assert!(second.concurrent());
+        second.note_inline();
+        assert_eq!(gate.observe().stats.inline, 0, "counted at release");
+        drop(second);
+        let obs = gate.observe();
+        assert_eq!((obs.stats.inline, obs.stats.completed), (1, 1));
+        drop(first);
+        assert_eq!(gate.snapshot().inline, 1);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! * [`admission`] — a bounded concurrency gate with deadline-aware
 //!   queueing, so overload degrades into fast rejections instead of
 //!   unbounded queueing inside the pool;
-//! * [`coalesce`] — an admission-window collector that transparently
-//!   merges concurrent same-graph single-source BFS queries into one
-//!   multi-source (MS-BFS) execution, with per-source fan-out and
-//!   unchanged canonical fingerprints;
-//! * [`engine`] — per-query lifecycle: admit, execute on the shared
-//!   [`ThreadPool`], deadline-check, account one ledger record;
+//! * [`coalesce`] — an opt-in admission-window collector that
+//!   transparently merges concurrent same-graph single-source BFS
+//!   queries into one multi-source (MS-BFS) execution, with per-source
+//!   fan-out and unchanged canonical fingerprints;
+//! * [`engine`] — per-query lifecycle: admit, prepare what the kernel
+//!   reads, execute at the width concurrency allows, deadline-check,
+//!   account one ledger record;
 //! * [`metrics`] — the live metrics plane: per-{kernel, graph,
 //!   framework} latency histograms, queue/RSS gauges, and pool rates,
 //!   scraped via `{"cmd":"stats"}` and the `--metrics-addr` listener's
@@ -32,10 +33,12 @@
 //! and `tests/protocol.rs` asserts that served fingerprints are
 //! bit-identical to local batch-mode runs.
 //!
-//! Concurrency model: handler threads are plain OS threads; kernel
-//! parallelism comes from the one shared [`ThreadPool`], whose regions
-//! serialize on its leader lock. The admission gate bounds how many
-//! queries contend for that lock, which keeps tail latency legible:
+//! Concurrency model: handler threads are plain OS threads. A query
+//! admitted alone gets the kernel parallelism of the one shared
+//! [`ThreadPool`]; a query admitted beside another runs at width 1 on
+//! its own handler thread, so concurrent queries split the cores rather
+//! than take turns on the pool's leader lock. The admission gate bounds
+//! how many queries share the cores, which keeps tail latency legible:
 //! `max_active` × per-kernel runtime is the worst-case queueing delay a
 //! query sees once admitted.
 //!

@@ -289,6 +289,11 @@ impl ServeMetrics {
                     gate.stats.completed,
                 ),
                 counter(
+                    "queries_inline_total",
+                    "Completed queries run at width 1 on their own handler thread",
+                    gate.stats.inline,
+                ),
+                counter(
                     "deadline_exceeded_total",
                     "Queries that missed their deadline (queued or executed)",
                     gate.stats.deadline_exceeded,
@@ -480,6 +485,8 @@ mod tests {
             .to_prometheus(PROM_PREFIX);
         assert!(text.contains("# TYPE gapbs_serve_queries_admitted_total counter"));
         assert!(text.contains("gapbs_serve_queries_admitted_total 1"));
+        assert!(text.contains("# TYPE gapbs_serve_queries_inline_total counter"));
+        assert!(text.contains("gapbs_serve_queries_inline_total 0"));
         assert!(text.contains("# TYPE gapbs_serve_latency_us histogram"));
         assert!(text.contains("gapbs_serve_latency_us_count 1"));
         assert!(text.contains("kernel=\"pr\""));

@@ -159,6 +159,13 @@ impl GraphRegistry {
     pub fn graphs(&self) -> impl Iterator<Item = (GraphSpec, &Arc<BenchGraph>)> {
         self.graphs.iter().map(|(s, bg)| (*s, bg))
     }
+
+    /// Adds a framework to the roster, so tests can serve a failing one.
+    #[cfg(test)]
+    pub(crate) fn with_framework(mut self, framework: Box<dyn Framework>) -> GraphRegistry {
+        self.frameworks.push(framework);
+        self
+    }
 }
 
 impl std::fmt::Debug for GraphRegistry {

@@ -475,7 +475,8 @@ pub fn serve_main(args: impl Iterator<Item = String>) -> i32 {
     let usage =
         "usage: serve [--addr HOST:PORT] [--port-file PATH] [--scale tiny|small|medium|large] \
                  [--graphs a,b,...] [--threads N] [--max-active N] [--max-waiting N] \
-                 [--deadline-ms N] [--coalesce-ms N] [--slow-ms N] [--ledger PATH] \
+                 [--deadline-ms N] [--coalesce-ms N (0 = off, the default)] \
+                 [--slow-ms N] [--ledger PATH] \
                  [--metrics-addr HOST:PORT] [--metrics-port-file PATH] \
                  [--snapshot-dir DIR] [--paranoid]";
     while let Some(arg) = args.next() {

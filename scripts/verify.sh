@@ -166,7 +166,8 @@ head -n 1 "$smoke_dir/metrics.txt" | grep -q ' 200 ' || fail "/metrics did not r
 sed -e '1,/^$/d' "$smoke_dir/metrics.txt" > "$smoke_dir/metrics.body"
 for needle in '# TYPE gapbs_serve_queries_admitted_total counter' \
     '# TYPE gapbs_serve_latency_us histogram' 'gapbs_serve_latency_us_bucket{le=' \
-    'gapbs_serve_queries_completed_total ' 'gapbs_serve_rss_bytes ' \
+    'gapbs_serve_queries_completed_total ' 'gapbs_serve_queries_inline_total ' \
+    'gapbs_serve_rss_bytes ' \
     'gapbs_serve_pool_regions_total ' 'gapbs_serve_time_to_ready_seconds ' \
     'gapbs_serve_snapshot_hit{graph="Kron"} 1' 'gapbs_serve_snapshot_hit{graph="Road"} 1'; do
     grep -qF "$needle" "$smoke_dir/metrics.body" || fail "/metrics missing $needle" "$smoke_dir/metrics.body"

@@ -4,7 +4,7 @@
 //! This is the reproduction's answer to the paper's §VI call for
 //! "more formally specified verification and validation procedures".
 
-use gapbs::core::{all_frameworks, BenchGraph, Mode};
+use gapbs::core::{all_frameworks, BenchGraph, Kernel, Mode, PreparedKernels};
 use gapbs::graph::gen::{GraphSpec, Scale};
 use gapbs::graph::types::{NodeId, NO_PARENT};
 use gapbs::parallel::ThreadPool;
@@ -152,6 +152,55 @@ fn optimized_mode_matches_baseline_answers() {
             assert_eq!(base.sssp(0), opt.sssp(0), "{} sssp", fw.name());
             assert_eq!(base.tc(), opt.tc(), "{} tc", fw.name());
             assert!(same_partition(&base.cc(), &opt.cc()), "{} cc", fw.name());
+        }
+    }
+}
+
+/// One kernel's raw output, floats as bit patterns, so equality is
+/// bit-for-bit.
+fn raw_output(prepared: &dyn PreparedKernels, kernel: Kernel, source: NodeId) -> Vec<u64> {
+    let widen = |v: Vec<u32>| v.into_iter().map(u64::from).collect();
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect();
+    match kernel {
+        Kernel::Bfs => widen(prepared.bfs(source)),
+        Kernel::Sssp => prepared
+            .sssp(source)
+            .into_iter()
+            .map(|d| d as u64)
+            .collect(),
+        Kernel::Pr => {
+            let (scores, iterations) = prepared.pr();
+            let mut out: Vec<u64> = bits(scores);
+            out.push(iterations as u64);
+            out
+        }
+        Kernel::Cc => widen(prepared.cc()),
+        Kernel::Bc => bits(prepared.bc(&[source])),
+        Kernel::Tc => vec![prepared.tc()],
+    }
+}
+
+#[test]
+fn kernel_scoped_prepare_is_bit_identical_to_full_prepare() {
+    // One thread: several frameworks' PR/BC float sums and CAS-elected
+    // parents follow the schedule, so only a serial run pins them.
+    let p = ThreadPool::new(1);
+    for input in corpus() {
+        let source = input.source_candidates[0];
+        for fw in all_frameworks() {
+            for mode in [Mode::Baseline, Mode::Optimized] {
+                let full = fw.prepare(&input, mode, &p);
+                for kernel in Kernel::ALL {
+                    let scoped = fw.prepare_kernel(&input, mode, kernel, &p);
+                    assert_eq!(
+                        raw_output(scoped.as_ref(), kernel, source),
+                        raw_output(full.as_ref(), kernel, source),
+                        "{} {kernel} {mode} on {}",
+                        fw.name(),
+                        input.spec.name()
+                    );
+                }
+            }
         }
     }
 }
