@@ -11,16 +11,20 @@
 //! frontier — not once per source — which is where the aggregate-TEPS
 //! win comes from.
 //!
-//! The claim primitive is the same word-CAS idea
-//! [`AtomicBitmap`](gapbs_parallel::AtomicBitmap) uses for single-source
-//! claims, widened to a full word: `seen[v].fetch_or(new)` hands the
-//! calling thread exactly the bits it transitioned 0→1, so every
-//! `(vertex, source)` pair gets exactly one parent/depth writer. Depths
-//! are a pure function of graph and sources (level-synchronous), so each
-//! source's depth array is bit-identical to what a standalone
-//! [`bfs`](crate::bfs::bfs) run canonicalizes to, at every thread count.
-//! Parent *choices*, as everywhere else in this suite, are race winners;
-//! the parent arrays are valid BFS trees but compare via depths.
+//! The result is depths only: they are what every caller reads, and a
+//! depth is a pure function of graph and source (level-synchronous), so
+//! each column is bit-identical to what a standalone [`bfs`](crate::bfs::bfs)
+//! run canonicalizes to, at every thread count. Each level runs in two
+//! phases:
+//!
+//! 1. *Expand.* Every frontier vertex takes its word with
+//!    `front[u].swap(0)` and, per out-edge, ORs the searches that have
+//!    not seen `v` into `next[v]`. `seen` is read-only here, so an edge
+//!    costs one atomic read-modify-write only when it adds a bit `next[v]`
+//!    lacks; the RMW that flips `next[v]` from zero enqueues `v`.
+//! 2. *Settle.* Each vertex of the new frontier is owned by exactly one
+//!    iteration, which folds `next[v]` into `seen[v]` with a plain load
+//!    and store and writes depth `level + 1` for each of its bits.
 
 use gapbs_graph::types::{NodeId, NO_PARENT};
 use gapbs_graph::Graph;
@@ -40,10 +44,6 @@ pub const UNREACHED_DEPTH: u32 = u32::MAX;
 /// Per-source results of a multi-source BFS, indexed `[source][vertex]`.
 #[derive(Debug, Clone)]
 pub struct MsBfsResult {
-    /// `parents[s][v]`: parent of `v` in source `s`'s BFS tree
-    /// (`parents[s][sources[s]] == sources[s]`; unreached vertices hold
-    /// [`NO_PARENT`]).
-    pub parents: Vec<Vec<NodeId>>,
     /// `depths[s][v]`: BFS depth of `v` from source `s`, or
     /// [`UNREACHED_DEPTH`]. Deterministic — a pure function of graph and
     /// source.
@@ -86,44 +86,32 @@ pub fn depths_from_parents(parents: &[NodeId]) -> Vec<u32> {
 }
 
 /// Runs BFS from every vertex in `sources` with one shared sweep per
-/// [`MAX_BATCH`]-wide group, returning per-source parent and depth
-/// arrays. Sources may repeat (each occurrence gets its own result
-/// column) and may be isolated vertices.
+/// [`MAX_BATCH`]-wide group, returning per-source depth arrays. Sources
+/// may repeat (each occurrence gets its own result column) and may be
+/// isolated vertices.
 ///
 /// # Panics
 ///
 /// Panics if any source is out of the graph's vertex range.
 pub fn ms_bfs(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> MsBfsResult {
-    let mut result = MsBfsResult {
-        parents: Vec::with_capacity(sources.len()),
-        depths: Vec::with_capacity(sources.len()),
-    };
+    let mut depths = Vec::with_capacity(sources.len());
     for group in sources.chunks(MAX_BATCH) {
-        let (mut parents, mut depths) = ms_bfs_word(g, group, pool);
-        result.parents.append(&mut parents);
-        result.depths.append(&mut depths);
+        depths.append(&mut ms_bfs_word(g, group, pool));
     }
-    result
+    MsBfsResult { depths }
 }
 
 /// One word-packed sweep over at most [`MAX_BATCH`] sources.
-#[allow(clippy::type_complexity)]
-fn ms_bfs_word(
-    g: &Graph,
-    sources: &[NodeId],
-    pool: &ThreadPool,
-) -> (Vec<Vec<NodeId>>, Vec<Vec<u32>>) {
+fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>> {
     let n = g.num_vertices();
     let k = sources.len();
     debug_assert!(k <= MAX_BATCH);
-    let mut parents: Vec<Vec<NodeId>> = (0..k).map(|_| vec![NO_PARENT; n]).collect();
     let mut depths: Vec<Vec<u32>> = (0..k).map(|_| vec![UNREACHED_DEPTH; n]).collect();
     if n == 0 || k == 0 {
-        return (parents, depths);
+        return depths;
     }
     // One result column per source, written through atomic views because
-    // claims land from any worker (each (vertex, source) exactly once).
-    let parent_views: Vec<_> = parents.iter_mut().map(|p| as_atomic_u32(p)).collect();
+    // settles land from any worker (each (vertex, source) exactly once).
     let depth_views: Vec<_> = depths.iter_mut().map(|d| as_atomic_u32(d)).collect();
 
     // Word-packed per-vertex state: bit c of seen[v] ⇔ search c reached v;
@@ -142,7 +130,6 @@ fn ms_bfs_word(
     for (c, &s) in sources.iter().enumerate() {
         assert!((s as usize) < n, "source {s} out of range ({n} vertices)");
         let si = s as usize;
-        parent_views[c][si].store(s, Ordering::Relaxed);
         depth_views[c][si].store(0, Ordering::Relaxed);
         let bit = 1u64 << c;
         seen[si].fetch_or(bit, Ordering::Relaxed);
@@ -177,29 +164,18 @@ fn ms_bfs_word(
                 // running as `tid`; the borrow ends with this body.
                 let w = unsafe { workers.get_mut(tid) };
                 let u = window[i];
-                let word = front[u as usize].load(Ordering::Relaxed);
+                // Taking the word clears it, so the next swap hands this
+                // level's `front` back as an all-clear `next`.
+                let word = front[u as usize].swap(0, Ordering::Relaxed);
                 w.edges += g.out_degree(u) as u64;
                 for &v in g.out_neighbors(u) {
                     let vi = v as usize;
-                    let mut new = word & !seen[vi].load(Ordering::Relaxed);
-                    if new == 0 {
-                        continue;
-                    }
-                    // The fetch_or hands this thread exactly the bits it
-                    // flipped 0→1: each (v, c) claim happens once globally.
-                    new &= !seen[vi].fetch_or(new, Ordering::Relaxed);
-                    if new == 0 {
+                    let new = word & !seen[vi].load(Ordering::Relaxed);
+                    if new & !next[vi].load(Ordering::Relaxed) == 0 {
                         continue;
                     }
                     if next[vi].fetch_or(new, Ordering::Relaxed) == 0 {
                         w.buffer.push(v, nxt);
-                    }
-                    let mut bits = new;
-                    while bits != 0 {
-                        let c = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        parent_views[c][vi].store(u, Ordering::Relaxed);
-                        depth_views[c][vi].store(level + 1, Ordering::Relaxed);
                     }
                 }
             });
@@ -210,29 +186,39 @@ fn ms_bfs_word(
             }
             gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, edges);
         }
-        // Only window vertices hold nonzero front words; zeroing them
-        // here hands the next swap an all-clear `next` buffer.
-        pool.for_each_index(window.len(), Schedule::Dynamic(1024), |i| {
-            front[window[i] as usize].store(0, Ordering::Relaxed);
-        });
         nxt.slide_window();
+        // Relaxed suffices in both phases: the pool's region join orders
+        // every expand write before any settle read, and each settle
+        // before the next level's expand.
+        let settled = nxt.window();
+        pool.for_each_index(settled.len(), Schedule::Dynamic(256), |i| {
+            let v = settled[i] as usize;
+            let mut bits = next[v].load(Ordering::Relaxed);
+            let was = seen[v].load(Ordering::Relaxed);
+            seen[v].store(was | bits, Ordering::Relaxed);
+            while bits != 0 {
+                let c = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                depth_views[c][v].store(level + 1, Ordering::Relaxed);
+            }
+        });
         cur.reset();
         std::mem::swap(&mut cur, &mut nxt);
         std::mem::swap(&mut front, &mut next);
         level += 1;
     }
-    (parents, depths)
+    depths
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
+    use gapbs_graph::gen::{GraphSpec, Scale};
     use gapbs_graph::{gen, Builder};
 
     fn assert_matches_single_source(g: &Graph, sources: &[NodeId], pool: &ThreadPool) {
         let result = ms_bfs(g, sources, pool);
-        assert_eq!(result.parents.len(), sources.len());
         assert_eq!(result.depths.len(), sources.len());
         for (c, &s) in sources.iter().enumerate() {
             let single = depths_from_parents(&crate::bfs::bfs(g, s, pool));
@@ -240,27 +226,6 @@ mod tests {
                 result.depths[c], single,
                 "depth mismatch for source {s} (column {c})"
             );
-            // The packed parent array must agree with its own depth
-            // column: parent at depth d-1 over a real edge.
-            for v in 0..g.num_vertices() {
-                let p = result.parents[c][v];
-                let d = result.depths[c][v];
-                if d == UNREACHED_DEPTH {
-                    assert_eq!(p, NO_PARENT, "unreached vertex {v} has a parent");
-                } else if d == 0 {
-                    assert_eq!(p, v as NodeId, "root parent must be itself");
-                } else {
-                    assert_eq!(
-                        result.depths[c][p as usize],
-                        d - 1,
-                        "vertex {v}'s parent {p} is not one level up"
-                    );
-                    assert!(
-                        g.out_neighbors(p).contains(&(v as NodeId)),
-                        "parent {p} has no edge to {v}"
-                    );
-                }
-            }
         }
     }
 
@@ -268,17 +233,19 @@ mod tests {
     fn matches_bfs_across_thread_counts_and_batch_widths() {
         let kron = gen::kron(9, 12, 5);
         let road = gen::road(&gen::RoadConfig::gap_like(24), 8);
+        // Directed: in-edges are not out-edges, so a search must follow
+        // the arcs' direction only.
+        let twitter = GraphSpec::Twitter.generate(Scale::Tiny);
+        assert!(twitter.is_directed());
         for threads in [1, 2, 7, 16] {
             let pool = ThreadPool::new(threads);
             for width in [1usize, 3, 64] {
-                let sources: Vec<NodeId> = (0..width)
-                    .map(|i| ((i * 37 + 3) % kron.num_vertices()) as NodeId)
-                    .collect();
-                assert_matches_single_source(&kron, &sources, &pool);
-                let sources: Vec<NodeId> = (0..width)
-                    .map(|i| ((i * 11) % road.num_vertices()) as NodeId)
-                    .collect();
-                assert_matches_single_source(&road, &sources, &pool);
+                for (g, stride, offset) in [(&kron, 37, 3), (&road, 11, 0), (&twitter, 29, 1)] {
+                    let sources: Vec<NodeId> = (0..width)
+                        .map(|i| ((i * stride + offset) % g.num_vertices()) as NodeId)
+                        .collect();
+                    assert_matches_single_source(g, &sources, &pool);
+                }
             }
         }
     }
@@ -296,9 +263,46 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_graphs_match_bfs() {
+        let pool = ThreadPool::new(3);
+        // No edges at all: every source reaches only itself.
+        let edgeless = Builder::new().num_vertices(6).build(Vec::new()).unwrap();
+        assert_matches_single_source(&edgeless, &[0, 5, 3, 3], &pool);
+        // One vertex.
+        let single = Builder::new().num_vertices(1).build(Vec::new()).unwrap();
+        assert_matches_single_source(&single, &[0, 0], &pool);
+        // An isolated source beside a connected path.
+        let path = Builder::new()
+            .num_vertices(5)
+            .build(edges([(0, 1), (1, 2), (2, 3)]))
+            .unwrap();
+        assert_matches_single_source(&path, &[4, 0, 4], &pool);
+        // Self-loops only: a loop never reaches a new vertex.
+        let loops = Builder::new()
+            .num_vertices(4)
+            .build(edges([(0, 0), (1, 1), (2, 2), (3, 3)]))
+            .unwrap();
+        assert_matches_single_source(&loops, &[0, 1, 2, 3], &pool);
+        // A max-degree star, entered from the hub and from leaves.
+        let n = 300u32;
+        let star = Builder::new()
+            .num_vertices(n as usize)
+            .symmetrize(true)
+            .build(edges((1..n).map(|leaf| (0, leaf))))
+            .unwrap();
+        let sources: Vec<NodeId> = (0..MAX_BATCH as NodeId).map(|i| i * 4).collect();
+        assert_matches_single_source(&star, &sources, &pool);
+    }
+
+    #[test]
     fn more_than_max_batch_sources_are_chunked() {
         let g = gen::kron(8, 10, 7);
         let pool = ThreadPool::new(4);
+        // 65 sources: the 65th column is the first of a second sweep.
+        let sources: Vec<NodeId> = (0..(MAX_BATCH + 1))
+            .map(|i| ((i * 13) % g.num_vertices()) as NodeId)
+            .collect();
+        assert_matches_single_source(&g, &sources, &pool);
         let sources: Vec<NodeId> = (0..(MAX_BATCH + 5))
             .map(|i| (i % MAX_BATCH) as NodeId)
             .collect();
@@ -310,11 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_source_list_yields_empty_result() {
-        let g = gen::kron(6, 4, 1);
+    fn empty_inputs_yield_empty_results() {
         let pool = ThreadPool::new(2);
-        let result = ms_bfs(&g, &[], &pool);
-        assert!(result.parents.is_empty());
-        assert!(result.depths.is_empty());
+        let g = gen::kron(6, 4, 1);
+        assert!(ms_bfs(&g, &[], &pool).depths.is_empty());
+        let empty = Builder::new().build(Vec::new()).unwrap();
+        assert_eq!(empty.num_vertices(), 0);
+        assert!(ms_bfs(&empty, &[], &pool).depths.is_empty());
     }
 }

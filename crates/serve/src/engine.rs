@@ -10,18 +10,18 @@
 //!
 //! # Execution width
 //!
-//! A query admitted while no other query holds a permit runs on the
-//! whole shared pool. A query admitted while another does runs at width
-//! 1: every region inline on its own handler thread, through that
-//! thread's one-thread pool. Concurrent queries then split the cores
-//! between them instead of taking turns on the shared pool's leader lock
-//! and waking its workers for regions too small to split. Depths,
-//! distances, partitions and triangle counts are thread-count invariant,
-//! so the width never changes them; only the float scores of the
-//! frameworks whose sums follow the schedule (Galois, GKC and NWGraph
+//! A query or `sources` batch admitted while no other query holds a
+//! permit runs on the whole shared pool. One admitted while another does
+//! runs at width 1: every region inline on its own handler thread,
+//! through that thread's one-thread pool. Concurrent queries then split
+//! the cores between them instead of taking turns on the shared pool's
+//! leader lock and waking its workers for regions too small to split.
+//! Depths, distances, partitions and triangle counts are thread-count
+//! invariant, so the width never changes them; only the float scores of
+//! the frameworks whose sums follow the schedule (Galois, GKC and NWGraph
 //! PR, GraphIt BC) differ in their last bits, as they already did
-//! between `--threads` settings. Traced queries, coalesced MS-BFS and
-//! explicit `sources` batches always run on the shared pool.
+//! between `--threads` settings. Traced queries and coalesced MS-BFS
+//! always run on the shared pool.
 //!
 //! [`run_query_local`] — resolve + execute + canonicalize, no admission
 //! or accounting — is deliberately `pub`: the load generator's
@@ -43,9 +43,9 @@ use gapbs_telemetry::{Counter, LedgerSink, TrialRecord};
 use crate::admission::{AdmissionGate, AdmitError, GateObservation};
 use crate::coalesce::{Coalescer, Joined, MemberDepths};
 use crate::metrics::{ServeMetrics, PROM_PREFIX};
+use crate::protocol::canonical::{self, DepthSummary};
 use crate::protocol::{
-    batch_success_line, canonical, error_line, success_line, BatchQuery, ErrorCode, ProtoError,
-    Query,
+    batch_success_line, error_line, success_line, BatchQuery, ErrorCode, ProtoError, Query,
 };
 use crate::registry::GraphRegistry;
 
@@ -351,7 +351,16 @@ impl Engine {
         }
         let queue_wait = permit.admitted_at().duration_since(received);
         let counters_before = gapbs_telemetry::snapshot();
-        let results = self.run_batch_local(batch);
+        let (results, threads) = if permit.concurrent() {
+            permit.note_inline();
+            let results = INLINE_POOL.with(|pool| self.run_batch_local(batch, pool));
+            (results, 1)
+        } else {
+            (
+                self.run_batch_local(batch, &self.pool),
+                self.pool.num_threads(),
+            )
+        };
         let latency = received.elapsed();
         permit.set_latency_us(latency.as_micros() as u64);
         drop(permit);
@@ -371,7 +380,7 @@ impl Engine {
             latency.as_micros() as u64,
             queue_wait.as_micros() as u64,
         );
-        self.append_record(query, latency, self.pool.num_threads(), &counters_before);
+        self.append_record(query, latency, threads, &counters_before);
         if let Some(when) = deadline {
             if Instant::now() > when {
                 self.gate.note_deadline_exceeded();
@@ -394,9 +403,14 @@ impl Engine {
         )
     }
 
-    /// Validates and executes a batch, returning one result object per
-    /// source (request order).
-    fn run_batch_local(&self, batch: &BatchQuery) -> Result<Vec<Json>, ProtoError> {
+    /// Validates and executes a batch on `pool`, returning one result
+    /// object per source (request order). A panic in the kernel fails the
+    /// batch alone ([`catch_internal`]).
+    fn run_batch_local(
+        &self,
+        batch: &BatchQuery,
+        pool: &ThreadPool,
+    ) -> Result<Vec<Json>, ProtoError> {
         let query = &batch.query;
         let bench = self.registry.get(query.graph).ok_or_else(|| {
             ProtoError::new(
@@ -426,16 +440,21 @@ impl Engine {
         if let Some(t) = query.target {
             check("target", t)?;
         }
-        let result = gapbs_ref::ms_bfs(&bench.graph, &batch.sources, &self.pool);
+        let result = catch_internal(
+            || gapbs_ref::ms_bfs(&bench.graph, &batch.sources, pool),
+            || "GAP bfs batch".to_string(),
+        )?;
+        let summaries = canonical::summarize_depths(&result.depths);
         Ok(batch
             .sources
             .iter()
             .zip(&result.depths)
-            .map(|(&source, depths)| {
-                let mut fields = bfs_result_fields(source, query.target, depths);
+            .zip(&summaries)
+            .map(|((&source, depths), summary)| {
+                let mut fields = bfs_result_fields(source, query.target, depths, summary);
                 fields.push((
                     "fingerprint".to_string(),
-                    Json::Str(format!("{:016x}", canonical::fingerprint_depths(depths))),
+                    Json::Str(format!("{:016x}", summary.fingerprint)),
                 ));
                 Json::obj(fields)
             })
@@ -485,9 +504,10 @@ impl Engine {
                     self.metrics.observe_batch_width(1);
                     return outcome;
                 }
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    gapbs_ref::ms_bfs(&bench.graph, &sources, &self.pool)
-                }));
+                let run = catch_internal(
+                    || gapbs_ref::ms_bfs(&bench.graph, &sources, &self.pool),
+                    || "coalesced GAP bfs batch".to_string(),
+                );
                 match run {
                     Ok(result) => {
                         let columns: Vec<MemberDepths> =
@@ -498,13 +518,10 @@ impl Engine {
                         batch.publish(Ok(columns));
                         mine
                     }
-                    Err(panic) => {
-                        // Wake the followers before unwinding this thread.
-                        batch.publish(Err(ProtoError::new(
-                            ErrorCode::Internal,
-                            "batch leader panicked during MS-BFS",
-                        )));
-                        std::panic::resume_unwind(panic);
+                    Err(err) => {
+                        // Every member, the leader too, fails alike.
+                        batch.publish(Err(err.clone()));
+                        return Err(err);
                     }
                 }
             }
@@ -764,10 +781,21 @@ pub fn execute_query(
     check("source", query.source)?;
     check("target", query.target)?;
     check("vertex", query.vertex)?;
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_kernel(bench, framework, query, pool)
-    }))
-    .map_err(|panic| {
+    catch_internal(
+        || run_kernel(bench, framework, query, pool),
+        || format!("{} {}", query.framework, query.kernel.name().to_lowercase()),
+    )
+}
+
+/// Runs `work`, turning a panic into an [`ErrorCode::Internal`] error
+/// that names the work (`what`, built only on a panic) and the panic's
+/// message. A kernel bug then fails its own query or batch, and never
+/// unwinds the handler thread or drops its connection.
+fn catch_internal<T>(
+    work: impl FnOnce() -> T,
+    what: impl FnOnce() -> String,
+) -> Result<T, ProtoError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).map_err(|panic| {
         let reason = panic
             .downcast_ref::<&str>()
             .copied()
@@ -775,11 +803,7 @@ pub fn execute_query(
             .unwrap_or("unknown cause");
         ProtoError::new(
             ErrorCode::Internal,
-            format!(
-                "{} {} panicked: {reason}",
-                query.framework,
-                query.kernel.name().to_lowercase()
-            ),
+            format!("{} panicked: {reason}", what()),
         )
     })
 }
@@ -875,29 +899,23 @@ fn run_kernel(
     }
 }
 
-/// BFS response fields from a canonical depth array. One code path
-/// builds these whether the depths came from a solo parent-array run, a
-/// coalesced MS-BFS column, or an explicit batch — which is what makes
-/// batching invisible in responses.
+/// BFS response fields from a canonical depth array and its
+/// [`DepthSummary`]. One code path builds these whether the depths came
+/// from a solo parent-array run, a coalesced MS-BFS column, or an
+/// explicit batch — which is what makes batching invisible in responses.
 fn bfs_result_fields(
     source: NodeId,
     target: Option<NodeId>,
     depths: &[u32],
+    summary: &DepthSummary,
 ) -> Vec<(String, Json)> {
-    let reached = depths
-        .iter()
-        .filter(|&&d| d != canonical::UNREACHED)
-        .count();
-    let max_depth = depths
-        .iter()
-        .filter(|&&d| d != canonical::UNREACHED)
-        .max()
-        .copied()
-        .unwrap_or(0);
     let mut fields = vec![
         ("source".to_string(), Json::Num(f64::from(source))),
-        ("reached".to_string(), Json::Num(reached as f64)),
-        ("max_depth".to_string(), Json::Num(f64::from(max_depth))),
+        ("reached".to_string(), Json::Num(summary.reached as f64)),
+        (
+            "max_depth".to_string(),
+            Json::Num(f64::from(summary.max_depth)),
+        ),
     ];
     if let Some(t) = target {
         let d = depths[t as usize];
@@ -915,9 +933,10 @@ fn bfs_result_fields(
 
 /// A BFS [`QueryOutcome`] from canonical depths (see [`bfs_result_fields`]).
 fn bfs_outcome(query: &Query, source: NodeId, depths: &[u32]) -> QueryOutcome {
+    let summary = canonical::summarize_depths(&[depths])[0];
     QueryOutcome {
-        result: Json::obj(bfs_result_fields(source, query.target, depths)),
-        fingerprint: canonical::fingerprint_depths(depths),
+        result: Json::obj(bfs_result_fields(source, query.target, depths, &summary)),
+        fingerprint: summary.fingerprint,
     }
 }
 
@@ -1127,6 +1146,65 @@ mod tests {
         assert_eq!(snap.batch_width, 3);
         assert_eq!(snap.admitted, 3);
         assert_eq!(snap.completed, 3);
+    }
+
+    #[test]
+    fn a_batch_under_a_held_permit_runs_at_width_one() {
+        let path = std::env::temp_dir().join(format!(
+            "gapbs-serve-batch-width-ledger-{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let registry = Arc::clone(tiny_registry());
+        let engine = Engine::new(
+            Arc::clone(&registry),
+            ThreadPool::new(2),
+            EngineConfig::default(),
+            Some(LedgerSink::open(&path).unwrap()),
+        );
+        let single = ThreadPool::new(1);
+        let b = match parse_request(r#"{"kernel":"bfs","graph":"kron","sources":[1,5,9,1]}"#)
+            .unwrap()
+        {
+            Command::Batch(b) => b,
+            other => panic!("expected batch, got {other:?}"),
+        };
+        let held = engine.gate().admit(None).unwrap();
+        let line = engine.handle_batch(&b);
+        assert_eq!(engine.gate().snapshot().inline, 1, "one batch, one count");
+        drop(held);
+        let v = Json::parse(&line).unwrap();
+        let Some(Json::Arr(results)) = v.get("results") else {
+            panic!("missing results array: {line}");
+        };
+        assert_eq!(results.len(), b.sources.len());
+        for (entry, &source) in results.iter().zip(&b.sources) {
+            let solo = query(&format!(
+                r#"{{"kernel":"bfs","graph":"kron","source":{source}}}"#
+            ));
+            let expected = run_query_local(&registry, &solo, &single).unwrap();
+            assert_eq!(
+                entry.get("fingerprint").and_then(Json::as_str),
+                Some(format!("{:016x}", expected.fingerprint).as_str()),
+                "source {source}"
+            );
+        }
+        let obs = engine.observe();
+        assert!(obs.stats.inline <= obs.stats.completed);
+        engine.flush_ledger().unwrap();
+        let ledger = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let threads: Vec<u64> = ledger
+            .lines()
+            .map(|l| {
+                Json::parse(l)
+                    .unwrap()
+                    .get("threads")
+                    .and_then(Json::as_u64)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(threads, vec![1]);
     }
 
     #[test]
@@ -1380,6 +1458,21 @@ mod tests {
             execute_query(bench, &Panicking, &panicking_query(), &ThreadPool::new(2)).unwrap_err();
         assert_eq!(err.code, ErrorCode::Internal);
         assert!(err.message.contains("bfs bug"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_caught_panic_is_an_internal_error_naming_the_work() {
+        assert_eq!(catch_internal(|| 7, || unreachable!()), Ok(7));
+        let err =
+            catch_internal(|| -> u32 { panic!("ms-bfs bug") }, || "batch".to_string()).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Internal);
+        assert_eq!(err.message, "batch panicked: ms-bfs bug");
+        let err = catch_internal(
+            || -> u32 { std::panic::panic_any(7u8) },
+            || "batch".to_string(),
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "batch panicked: unknown cause");
     }
 
     #[test]

@@ -473,13 +473,19 @@ pub fn error_line(id: Option<&Json>, err: &ProtoError) -> String {
     Json::obj(fields).encode()
 }
 
+/// FNV-1a's 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit over a byte stream — the response fingerprint hash.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        Fnv1a(FNV_OFFSET)
     }
 }
 
@@ -493,7 +499,7 @@ impl Fnv1a {
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
@@ -520,44 +526,17 @@ impl Fnv1a {
 /// engine, whose PR-5 contract is bit-identical output at every thread
 /// count).
 pub mod canonical {
-    use super::Fnv1a;
-    use gapbs_graph::types::{Distance, NodeId, Score, NO_PARENT};
+    use super::{Fnv1a, FNV_OFFSET, FNV_PRIME};
+    use gapbs_graph::types::{Distance, NodeId, Score};
 
     /// Depth meaning "unreached" in canonical BFS depth arrays.
-    pub const UNREACHED: u32 = u32::MAX;
+    pub const UNREACHED: u32 = gapbs_ref::ms_bfs::UNREACHED_DEPTH;
 
     /// Converts a BFS parent array into the canonical depth array.
     /// Depths are a pure function of graph and source; parent choices
     /// are not. Unreached vertices get [`UNREACHED`].
     pub fn bfs_depths(parents: &[NodeId]) -> Vec<u32> {
-        let n = parents.len();
-        let mut depth = vec![UNREACHED; n];
-        for start in 0..n {
-            if depth[start] != UNREACHED || parents[start] == NO_PARENT {
-                continue;
-            }
-            // Chase parents until a known depth or the root, then unwind.
-            let mut chain = Vec::new();
-            let mut v = start;
-            loop {
-                if depth[v] != UNREACHED {
-                    break;
-                }
-                let p = parents[v] as usize;
-                if p == v {
-                    depth[v] = 0; // root: parent[source] == source
-                    break;
-                }
-                chain.push(v);
-                v = p;
-            }
-            let mut d = depth[v];
-            while let Some(u) = chain.pop() {
-                d += 1;
-                depth[u] = d;
-            }
-        }
-        depth
+        gapbs_ref::depths_from_parents(parents)
     }
 
     /// Canonicalizes component labels: every vertex gets the minimum
@@ -573,13 +552,83 @@ pub mod canonical {
         labels.iter().map(|&l| min_of[l as usize]).collect()
     }
 
-    /// Fingerprint of a canonical BFS depth array.
+    /// Fingerprint of a canonical BFS depth array: FNV-1a over each
+    /// depth as a little-endian `u64` ([`summarize_depths`]' one-column
+    /// case).
     pub fn fingerprint_depths(depths: &[u32]) -> u64 {
-        let mut h = Fnv1a::new();
-        for &d in depths {
-            h.write_u64(u64::from(d));
+        summarize_depths(&[depths])[0].fingerprint
+    }
+
+    /// What a BFS reply reports of one canonical depth column.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DepthSummary {
+        /// [`fingerprint_depths`] of the column.
+        pub fingerprint: u64,
+        /// Vertices at a depth other than [`UNREACHED`].
+        pub reached: usize,
+        /// Deepest reached depth (0 when only the source is reached).
+        pub max_depth: u32,
+    }
+
+    /// Columns hashed in lockstep: independent FNV chains, so each
+    /// chain's multiply latency hides behind the others'.
+    const LANES: usize = 8;
+
+    /// The prime to the fourth power: a depth widened to a `u64` has four
+    /// zero high bytes, and XOR with a zero byte is the identity, so
+    /// absorbing them is four multiplications, folded into one.
+    const FNV_PRIME_4: u64 = FNV_PRIME
+        .wrapping_mul(FNV_PRIME)
+        .wrapping_mul(FNV_PRIME)
+        .wrapping_mul(FNV_PRIME);
+
+    /// Fingerprint, reached count and maximum depth of every column in
+    /// one pass over it, [`LANES`] columns at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length.
+    pub fn summarize_depths<D: AsRef<[u32]>>(columns: &[D]) -> Vec<DepthSummary> {
+        let mut out = Vec::with_capacity(columns.len());
+        let mut groups = columns.chunks_exact(LANES);
+        for group in &mut groups {
+            let lanes: [&[u32]; LANES] = std::array::from_fn(|j| group[j].as_ref());
+            out.extend(summarize_lanes(lanes));
         }
-        h.finish()
+        for column in groups.remainder() {
+            out.extend(summarize_lanes([column.as_ref()]));
+        }
+        out
+    }
+
+    /// [`summarize_depths`] over exactly `L` equal-length columns.
+    fn summarize_lanes<const L: usize>(columns: [&[u32]; L]) -> [DepthSummary; L] {
+        let n = columns[0].len();
+        assert!(
+            columns.iter().all(|c| c.len() == n),
+            "depth columns differ in length"
+        );
+        let mut hash = [FNV_OFFSET; L];
+        let mut reached = [0usize; L];
+        let mut max_depth = [0u32; L];
+        for i in 0..n {
+            for (j, column) in columns.iter().enumerate() {
+                let d = column[i];
+                let mut h = hash[j];
+                for b in d.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                }
+                hash[j] = h.wrapping_mul(FNV_PRIME_4);
+                let hit = d != UNREACHED;
+                reached[j] += usize::from(hit);
+                max_depth[j] = max_depth[j].max(if hit { d } else { 0 });
+            }
+        }
+        std::array::from_fn(|j| DepthSummary {
+            fingerprint: hash[j],
+            reached: reached[j],
+            max_depth: max_depth[j],
+        })
     }
 
     /// Fingerprint of an SSSP distance array (distances are the unique
@@ -828,6 +877,56 @@ mod tests {
         let b = canonical::cc_labels(&by_rep_2);
         assert_eq!(a, b);
         assert_eq!(a, vec![0, 0, 0, 3, 3]);
+    }
+
+    #[test]
+    fn one_pass_depth_summaries_equal_the_naive_passes() {
+        let naive = |depths: &[u32]| {
+            let mut h = Fnv1a::new();
+            for &d in depths {
+                h.write_u64(u64::from(d));
+            }
+            let reached: Vec<u32> = depths
+                .iter()
+                .copied()
+                .filter(|&d| d != canonical::UNREACHED)
+                .collect();
+            canonical::DepthSummary {
+                fingerprint: h.finish(),
+                reached: reached.len(),
+                max_depth: reached.into_iter().max().unwrap_or(0),
+            }
+        };
+        let n = 333;
+        for width in [1usize, 7, 8, 9, 64] {
+            let columns: Vec<Vec<u32>> = (0..width)
+                .map(|c| {
+                    (0..n)
+                        .map(|v| match (v * 7 + c * 13) % 11 {
+                            // Column 2 is all unreached.
+                            _ if c == 2 => canonical::UNREACHED,
+                            0 | 1 => canonical::UNREACHED,
+                            // Some depths past 255: all four low bytes count.
+                            r => (r as u32) * (c as u32 + 1) * if v % 5 == 0 { 97 } else { 1 },
+                        })
+                        .collect()
+                })
+                .collect();
+            let summaries = canonical::summarize_depths(&columns);
+            assert_eq!(summaries.len(), width);
+            for (c, (column, summary)) in columns.iter().zip(&summaries).enumerate() {
+                assert_eq!(*summary, naive(column), "width {width}, column {c}");
+                assert_eq!(
+                    summary.fingerprint,
+                    canonical::fingerprint_depths(column),
+                    "width {width}, column {c}"
+                );
+            }
+            if width > 2 {
+                assert_eq!((summaries[2].reached, summaries[2].max_depth), (0, 0));
+            }
+        }
+        assert!(canonical::summarize_depths::<Vec<u32>>(&[]).is_empty());
     }
 
     #[test]

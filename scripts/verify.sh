@@ -149,9 +149,15 @@ for q in {bfs,sssp,pr,cc,bc,tc}:{kron,road}:{GAP,SuiteSparse}; do
     IFS=: read -r kernel graph fw <<< "$q"
     queries+=("{\"kernel\":\"$kernel\",\"graph\":\"$graph\",\"framework\":\"$fw\",\"source\":1}")
 done
+# Last: a batch line, then its sources one line each.
+queries+=('{"kernel":"bfs","graph":"kron","sources":[1,2,3]}')
+for s in 1 2 3; do queries+=("{\"kernel\":\"bfs\",\"graph\":\"kron\",\"source\":$s}"); done
 serve_send "${queries[@]}" > "$smoke_dir/replies.jsonl"
 [[ "$(grep -c '"ok":true' "$smoke_dir/replies.jsonl")" -eq "${#queries[@]}" ]] \
     || fail "not every query succeeded" "$smoke_dir/replies.jsonl"
+mapfile -t fps < <(tail -n 4 "$smoke_dir/replies.jsonl" | grep -o '"fingerprint":"[0-9a-f]*"')
+[[ "${#fps[@]}" -eq 6 && "${fps[*]:0:3}" == "${fps[*]:3:3}" ]] \
+    || fail "batch fingerprints differ from the single-source replies" "$smoke_dir/replies.jsonl"
 # Stats consistency: lifecycle balances, histogram count == completions.
 serve_send '{"cmd":"stats"}' > "$smoke_dir/stats.json"
 perf_compare --lint-stats "$smoke_dir/stats.json"
