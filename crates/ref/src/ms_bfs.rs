@@ -14,8 +14,12 @@
 //! The result is depths only: they are what every caller reads, and a
 //! depth is a pure function of graph and source (level-synchronous), so
 //! each column is bit-identical to what a standalone [`bfs`](crate::bfs::bfs)
-//! run canonicalizes to, at every thread count. Each level runs in two
-//! phases:
+//! run canonicalizes to, at every thread count.
+//!
+//! Like `bfs`, the sweep picks a direction per level: it pulls when the
+//! frontier's out-degree sum (`scout`) times [`MS_PULL_ALPHA`] exceeds one
+//! pass over every vertex and arc, and pushes otherwise. A push level runs
+//! in two phases:
 //!
 //! 1. *Expand.* Every frontier vertex takes its word with
 //!    `front[u].swap(0)` and, per out-edge, ORs the searches that have
@@ -25,6 +29,16 @@
 //! 2. *Settle.* Each vertex of the new frontier is owned by exactly one
 //!    iteration, which folds `next[v]` into `seen[v]` with a plain load
 //!    and store and writes depth `level + 1` for each of its bits.
+//!
+//! On a 1-thread pool the two phases fold into one pass: with no other
+//! worker to race, an edge claims its new searches in `seen` at once and
+//! settles them, with plain loads and stores.
+//!
+//! A pull level is one region over all vertices, and the owner of `v`
+//! does everything: unless `seen[v]` already holds every search, it ORs
+//! `front[u]` over `v`'s in-arcs, keeps the searches `v` has not seen,
+//! and settles them itself. Every store is plain — no atomic RMW and no
+//! branch per arc. The old window's `front` words are cleared afterwards.
 
 use gapbs_graph::types::{NodeId, NO_PARENT};
 use gapbs_graph::Graph;
@@ -101,6 +115,26 @@ pub fn ms_bfs(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> MsBfsResult {
     MsBfsResult { depths }
 }
 
+/// Push/pull crossover of the per-level direction rule: a level pulls
+/// when `scout * MS_PULL_ALPHA > num_arcs + n`, where `scout` is the
+/// frontier's out-degree sum and the right side is one pull sweep (every
+/// vertex plus every in-arc).
+///
+/// Derivation, on a 2-core x86 host over the medium corpus: with the
+/// two-pass push at width 1, a pushed edge cost about 29 ns (a load of
+/// `seen`, a data-dependent branch and, when productive, an atomic RMW on
+/// a random `next` word); a pulled vertex or in-arc costs about 4.4 ns (a
+/// streaming OR of `front` words, no branch per arc). That puts
+/// break-even near 6.6, but a lattice's pushed edges are cheaper
+/// (neighbours share cache lines), and cheaper still in the width-1
+/// single pass: at 6, Road pulls about 130 levels and its width-1 line
+/// goes from about 60 to 113 ms. 2 is slower on the low-diameter graphs;
+/// 3 and 4 time the same there (their wide levels hold about 0.93 of a
+/// sweep), and 3 also keeps Road's widest medium levels (0.24–0.26 of a
+/// sweep) on the push side. GAP's [`DO_ALPHA`](gapbs_graph::stats::DO_ALPHA)
+/// divides one search's *unexplored* edges and is not reused here.
+pub const MS_PULL_ALPHA: u64 = 3;
+
 /// One word-packed sweep over at most [`MAX_BATCH`] sources.
 fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>> {
     let n = g.num_vertices();
@@ -113,6 +147,10 @@ fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>
     // One result column per source, written through atomic views because
     // settles land from any worker (each (vertex, source) exactly once).
     let depth_views: Vec<_> = depths.iter_mut().map(|d| as_atomic_u32(d)).collect();
+    // A vertex whose `seen` word holds every search's bit is saturated:
+    // no later level can add to it, so a pull skips its in-arcs.
+    let all = u64::MAX >> (MAX_BATCH - k);
+    let pull_sweep = (g.num_arcs() + n) as u64;
 
     // Word-packed per-vertex state: bit c of seen[v] ⇔ search c reached v;
     // front/next hold the bits active in the current/next level.
@@ -127,6 +165,8 @@ fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>
     let mut cur: SlidingQueue<NodeId> = SlidingQueue::new(n + 1);
     let mut nxt: SlidingQueue<NodeId> = SlidingQueue::new(n + 1);
 
+    // Out-degree sum of the current window: the push cost of the level.
+    let mut scout = 0u64;
     for (c, &s) in sources.iter().enumerate() {
         assert!((s as usize) < n, "source {s} out of range ({n} vertices)");
         let si = s as usize;
@@ -135,6 +175,7 @@ fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>
         seen[si].fetch_or(bit, Ordering::Relaxed);
         if front[si].fetch_or(bit, Ordering::Relaxed) == 0 {
             cur.push(s);
+            scout += g.out_degree(s) as u64;
         }
     }
     cur.slide_window();
@@ -142,26 +183,104 @@ fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>
     struct MsWorker {
         buffer: QueueBuffer<NodeId>,
         edges: u64,
+        scout: u64,
     }
+    let mut workers = PerWorker::new(pool.num_threads(), || MsWorker {
+        buffer: QueueBuffer::new(),
+        edges: 0,
+        scout: 0,
+    });
+    // Writes depth `depth` for every search in `bits` at `v`.
+    let settle = |v: usize, mut bits: u64, depth: u32| {
+        while bits != 0 {
+            let c = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            depth_views[c][v].store(depth, Ordering::Relaxed);
+        }
+    };
 
+    let alone = pool.num_threads() == 1;
     let mut level: u32 = 0;
+    let mut pulling = false;
     while !cur.is_window_empty() {
         gapbs_telemetry::record(gapbs_telemetry::Counter::Iterations, 1);
+        let pull = scout * MS_PULL_ALPHA > pull_sweep;
+        if pull != pulling {
+            gapbs_telemetry::record(gapbs_telemetry::Counter::DirectionSwitches, 1);
+            pulling = pull;
+        }
         trace_iter!(BfsLevel {
             depth: level,
             frontier: cur.window_len() as u64,
-            dir: Dir::Push
+            dir: if pull { Dir::Pull } else { Dir::Push }
         });
         let window = cur.window();
-        let mut workers = PerWorker::new(pool.num_threads(), || MsWorker {
-            buffer: QueueBuffer::new(),
-            edges: 0,
-        });
-        {
+        // Relaxed suffices throughout: the pool's region join orders every
+        // write of one region before any read of the next.
+        if pull {
+            // Pull: the owner of `v` ORs its in-neighbours' `front` words
+            // and settles `v` itself, so `next`, `seen` and the depths take
+            // plain stores. `front` is read-only here.
             let nxt = &nxt;
-            pool.for_each_index_tid(window.len(), Schedule::Dynamic(64), |tid, i| {
+            pool.for_each_index_tid(n, Schedule::Dynamic(1024), |tid, vi| {
+                let s = seen[vi].load(Ordering::Relaxed);
+                if s == all {
+                    next[vi].store(0, Ordering::Relaxed);
+                    return;
+                }
                 // SAFETY: slot `tid` is exclusive to the worker currently
                 // running as `tid`; the borrow ends with this body.
+                let w = unsafe { workers.get_mut(tid) };
+                let v = vi as NodeId;
+                let parents = g.in_neighbors(v);
+                w.edges += parents.len() as u64;
+                let acc = parents
+                    .iter()
+                    .fold(0, |acc, &u| acc | front[u as usize].load(Ordering::Relaxed));
+                let new = acc & !s;
+                next[vi].store(new, Ordering::Relaxed);
+                if new != 0 {
+                    seen[vi].store(s | new, Ordering::Relaxed);
+                    settle(vi, new, level + 1);
+                    w.scout += g.out_degree(v) as u64;
+                    w.buffer.push(v, nxt);
+                }
+            });
+            // Hand this level's `front` back all-clear as the next `next`.
+            pool.for_each_index(window.len(), Schedule::Dynamic(256), |i| {
+                front[window[i] as usize].store(0, Ordering::Relaxed);
+            });
+        } else if alone {
+            // Push at width 1: no other worker can race on `seen`, so an
+            // edge claims its new searches there at once and settles them,
+            // in one pass with plain loads and stores.
+            let w = workers.iter_mut().next().expect("a pool has a worker");
+            for &u in window {
+                let word = front[u as usize].load(Ordering::Relaxed);
+                front[u as usize].store(0, Ordering::Relaxed);
+                w.edges += g.out_degree(u) as u64;
+                for &v in g.out_neighbors(u) {
+                    let vi = v as usize;
+                    let s = seen[vi].load(Ordering::Relaxed);
+                    let new = word & !s;
+                    if new == 0 {
+                        continue;
+                    }
+                    seen[vi].store(s | new, Ordering::Relaxed);
+                    let was = next[vi].load(Ordering::Relaxed);
+                    next[vi].store(was | new, Ordering::Relaxed);
+                    if was == 0 {
+                        w.buffer.push(v, &nxt);
+                        w.scout += g.out_degree(v) as u64;
+                    }
+                    settle(vi, new, level + 1);
+                }
+            }
+        } else {
+            // Push, phase 1 (expand).
+            let nxt = &nxt;
+            pool.for_each_index_tid(window.len(), Schedule::Dynamic(64), |tid, i| {
+                // SAFETY: as above.
                 let w = unsafe { workers.get_mut(tid) };
                 let u = window[i];
                 // Taking the word clears it, so the next swap hands this
@@ -179,33 +298,43 @@ fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>
                     }
                 }
             });
-            let mut edges = 0u64;
-            for w in workers.iter_mut() {
-                w.buffer.flush(nxt);
-                edges += w.edges;
-            }
-            gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, edges);
         }
+        let mut edges = 0u64;
+        for w in workers.iter_mut() {
+            w.buffer.flush(&nxt);
+            edges += std::mem::take(&mut w.edges);
+        }
+        gapbs_telemetry::record(gapbs_telemetry::Counter::EdgesExamined, edges);
         nxt.slide_window();
-        // Relaxed suffices in both phases: the pool's region join orders
-        // every expand write before any settle read, and each settle
-        // before the next level's expand.
-        let settled = nxt.window();
-        pool.for_each_index(settled.len(), Schedule::Dynamic(256), |i| {
-            let v = settled[i] as usize;
-            let mut bits = next[v].load(Ordering::Relaxed);
-            let was = seen[v].load(Ordering::Relaxed);
-            seen[v].store(was | bits, Ordering::Relaxed);
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                depth_views[c][v].store(level + 1, Ordering::Relaxed);
-            }
-        });
+        if !pull && !alone {
+            // Push, phase 2 (settle): each vertex of the new frontier is
+            // owned by one iteration, which folds `next[v]` into `seen[v]`.
+            let settled = nxt.window();
+            pool.for_each_index_tid(settled.len(), Schedule::Dynamic(256), |tid, i| {
+                // SAFETY: as above.
+                let w = unsafe { workers.get_mut(tid) };
+                let v = settled[i];
+                let vi = v as usize;
+                let bits = next[vi].load(Ordering::Relaxed);
+                let was = seen[vi].load(Ordering::Relaxed);
+                seen[vi].store(was | bits, Ordering::Relaxed);
+                settle(vi, bits, level + 1);
+                w.scout += g.out_degree(v) as u64;
+            });
+        }
+        scout = workers
+            .iter_mut()
+            .map(|w| std::mem::take(&mut w.scout))
+            .sum();
         cur.reset();
         std::mem::swap(&mut cur, &mut nxt);
         std::mem::swap(&mut front, &mut next);
         level += 1;
+    }
+    if pulling {
+        // As in `bfs`, a pull phase counts its way back out even when the
+        // sweep ends inside it: switches are twice the pull phases.
+        gapbs_telemetry::record(gapbs_telemetry::Counter::DirectionSwitches, 1);
     }
     depths
 }
@@ -226,6 +355,83 @@ mod tests {
                 result.depths[c], single,
                 "depth mismatch for source {s} (column {c})"
             );
+        }
+    }
+
+    /// The direction the rule picks at each level of each word's sweep
+    /// (`true` = pull), recomputed from the result: level `l`'s frontier
+    /// is every vertex some column of the word reaches at depth `l`.
+    fn directions(g: &Graph, depths: &[Vec<u32>]) -> Vec<Vec<bool>> {
+        let n = g.num_vertices();
+        let sweep = (g.num_arcs() + n) as u64;
+        depths
+            .chunks(MAX_BATCH)
+            .map(|word| {
+                (0..)
+                    .map_while(|level| {
+                        let frontier: Vec<NodeId> = (0..n as NodeId)
+                            .filter(|&v| word.iter().any(|col| col[v as usize] == level))
+                            .collect();
+                        let scout: u64 = frontier.iter().map(|&v| g.out_degree(v) as u64).sum();
+                        (!frontier.is_empty()).then_some(scout * MS_PULL_ALPHA > sweep)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pulled_levels_match_bfs_across_thread_counts() {
+        let kron = GraphSpec::Kron.generate(Scale::Tiny);
+        let hub = (0..kron.num_vertices() as NodeId)
+            .max_by_key(|&u| kron.out_degree(u))
+            .unwrap();
+        let spread = |g: &Graph, k: usize| -> Vec<NodeId> {
+            let live: Vec<NodeId> = g.vertices().filter(|&u| g.out_degree(u) > 0).collect();
+            (0..k).map(|i| live[(i * 37 + 3) % live.len()]).collect()
+        };
+        // A directed out-star: from the hub alone, level 0's scout is half
+        // a sweep, and every leaf must find the hub among its in-arcs.
+        let n = 300u32;
+        let out_star = Builder::new()
+            .num_vertices(n as usize)
+            .build(edges((1..n).map(|leaf| (0, leaf))))
+            .unwrap();
+        let star = Builder::new()
+            .num_vertices(n as usize)
+            .symmetrize(true)
+            .build(edges((1..n).map(|leaf| (0, leaf))))
+            .unwrap();
+        let star_sources: Vec<NodeId> = (0..MAX_BATCH as NodeId).map(|i| i * 4).collect();
+        // Directed: a pull must read in-arcs only, never out-arcs.
+        let twitter = GraphSpec::Twitter.generate(Scale::Tiny);
+        // 65 sources: the second word holds one search, from the hub.
+        let mut wide = spread(&kron, MAX_BATCH);
+        wide.push(hub);
+        // (name, graph, sources, whether level 0 pulls)
+        let cases: [(&str, &Graph, Vec<NodeId>, bool); 6] = [
+            ("kron, k = 1", &kron, vec![hub], false),
+            ("kron, k = 63", &kron, spread(&kron, 63), false),
+            ("out-star from its hub", &out_star, vec![0], true),
+            ("star from its hub and leaves", &star, star_sources, true),
+            (
+                "directed twitter",
+                &twitter,
+                spread(&twitter, MAX_BATCH),
+                false,
+            ),
+            ("kron, 65 sources", &kron, wide, false),
+        ];
+        for (name, g, sources, level0_pulls) in &cases {
+            let dirs = directions(g, &ms_bfs(g, sources, &ThreadPool::new(1)).depths);
+            assert!(
+                dirs.iter().all(|word| word.contains(&true)),
+                "{name}: some word never pulls: {dirs:?}"
+            );
+            assert_eq!(dirs[0][0], *level0_pulls, "{name}: level 0 direction");
+            for threads in [1, 2, 7, 16] {
+                assert_matches_single_source(g, sources, &ThreadPool::new(threads));
+            }
         }
     }
 

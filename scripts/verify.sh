@@ -84,7 +84,7 @@ echo "== smoke: snapshot round-trip + corruption rejection =="
 # paranoid sweep, then corrupt one mid-file byte and demand a structured
 # checksum error -- never UB, never a panic.
 snap_dir="$smoke_dir/snaps"
-snapshot build --dir "$snap_dir" --scale tiny --graphs kron,road > /dev/null
+snapshot build --dir "$snap_dir" --scale tiny --graphs kron,road,twitter > /dev/null
 snapshot info "$snap_dir/kron-tiny-v2.gsnap" > "$smoke_dir/snap_info.out"
 grep -q 'format version : 2' "$smoke_dir/snap_info.out" \
     || fail "snapshot info shows no format version" "$smoke_dir/snap_info.out"
@@ -119,7 +119,7 @@ serve_log="$smoke_dir/serve.log"
 cargo run -q --release --bin serve -- \
     --addr 127.0.0.1:0 --port-file "$smoke_dir/serve.port" \
     --metrics-addr 127.0.0.1:0 --metrics-port-file "$smoke_dir/metrics.port" \
-    --slow-ms 0 --scale tiny --graphs kron,road --threads 2 \
+    --slow-ms 0 --scale tiny --graphs kron,road,twitter --threads 2 \
     --snapshot-dir "$snap_dir" --ledger "$smoke_dir/serve.jsonl" > /dev/null 2> "$serve_log" &
 serve_pid=$!
 for _ in $(seq 1 100); do
@@ -149,14 +149,17 @@ for q in {bfs,sssp,pr,cc,bc,tc}:{kron,road}:{GAP,SuiteSparse}; do
     IFS=: read -r kernel graph fw <<< "$q"
     queries+=("{\"kernel\":\"$kernel\",\"graph\":\"$graph\",\"framework\":\"$fw\",\"source\":1}")
 done
-# Last: a batch line, then its sources one line each.
-queries+=('{"kernel":"bfs","graph":"kron","sources":[1,2,3]}')
-for s in 1 2 3; do queries+=("{\"kernel\":\"bfs\",\"graph\":\"kron\",\"source\":$s}"); done
+# Last: per graph, a batch line, then its sources one line each. Both
+# batches pull a level (directed twitter through its in-arcs).
+for graph in kron twitter; do
+    queries+=("{\"kernel\":\"bfs\",\"graph\":\"$graph\",\"sources\":[1,2,3]}")
+    for s in 1 2 3; do queries+=("{\"kernel\":\"bfs\",\"graph\":\"$graph\",\"source\":$s}"); done
+done
 serve_send "${queries[@]}" > "$smoke_dir/replies.jsonl"
 [[ "$(grep -c '"ok":true' "$smoke_dir/replies.jsonl")" -eq "${#queries[@]}" ]] \
     || fail "not every query succeeded" "$smoke_dir/replies.jsonl"
-mapfile -t fps < <(tail -n 4 "$smoke_dir/replies.jsonl" | grep -o '"fingerprint":"[0-9a-f]*"')
-[[ "${#fps[@]}" -eq 6 && "${fps[*]:0:3}" == "${fps[*]:3:3}" ]] \
+mapfile -t fps < <(tail -n 8 "$smoke_dir/replies.jsonl" | grep -o '"fingerprint":"[0-9a-f]*"')
+[[ "${#fps[@]}" -eq 12 && "${fps[*]:0:3}" == "${fps[*]:3:3}" && "${fps[*]:6:3}" == "${fps[*]:9:3}" ]] \
     || fail "batch fingerprints differ from the single-source replies" "$smoke_dir/replies.jsonl"
 # Stats consistency: lifecycle balances, histogram count == completions.
 serve_send '{"cmd":"stats"}' > "$smoke_dir/stats.json"
@@ -175,7 +178,8 @@ for needle in '# TYPE gapbs_serve_queries_admitted_total counter' \
     'gapbs_serve_queries_completed_total ' 'gapbs_serve_queries_inline_total ' \
     'gapbs_serve_rss_bytes ' \
     'gapbs_serve_pool_regions_total ' 'gapbs_serve_time_to_ready_seconds ' \
-    'gapbs_serve_snapshot_hit{graph="Kron"} 1' 'gapbs_serve_snapshot_hit{graph="Road"} 1'; do
+    'gapbs_serve_snapshot_hit{graph="Kron"} 1' 'gapbs_serve_snapshot_hit{graph="Road"} 1' \
+    'gapbs_serve_snapshot_hit{graph="Twitter"} 1'; do
     grep -qF "$needle" "$smoke_dir/metrics.body" || fail "/metrics missing $needle" "$smoke_dir/metrics.body"
 done
 # Exposition syntax: every sample line is `name[{labels}] value`.
@@ -199,5 +203,19 @@ grep -q '"slow_query":true' "$serve_log" || fail "no slow-query line at --slow-m
 [[ -s "$smoke_dir/serve.jsonl" ]] || fail "serve ledger is empty"
 # Per-query records obey the trial-record rules.
 perf_compare --lint "$smoke_dir/serve.jsonl"
+# Batch records are those whose cumulative batch_queries grew (queries
+# ran one at a time); the kron and twitter batches must have pulled.
+prev=0
+pulled=()
+while IFS= read -r rec; do
+    bq=$(grep -o '"batch_queries":[0-9]*' <<< "$rec" | cut -d: -f2)
+    ds=$(grep -o '"direction_switches":[0-9]*' <<< "$rec" | cut -d: -f2)
+    if ((bq > prev && ds > 0)); then
+        pulled+=("$(grep -o '"graph":"[A-Za-z]*"' <<< "$rec" | cut -d'"' -f4)")
+    fi
+    prev=$bq
+done < "$smoke_dir/serve.jsonl"
+[[ "${pulled[*]}" == "Kron Twitter" ]] \
+    || fail "batch records with direction switches: '${pulled[*]}', want 'Kron Twitter'" "$smoke_dir/serve.jsonl"
 
 echo "verify.sh: all checks passed"

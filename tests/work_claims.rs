@@ -118,3 +118,42 @@ fn edge_counts_do_not_depend_on_the_thread_count() {
         assert_eq!(counts(threads), serial, "{threads} threads");
     }
 }
+
+/// Table III: direction optimization pays on low-diameter graphs. A
+/// served 64-source MS-BFS line pulls its wide levels on Kron and Urand
+/// and stays push-only on Road, and its work repeats exactly at any
+/// thread count. Road is checked at `Scale::Medium`: at `Small`, 64
+/// sources on a 4 096-vertex lattice give one level close to half a pull
+/// sweep's worth of out-arcs, and pulling that level is the right call.
+#[test]
+fn ms_bfs_pulls_wide_levels_only_on_low_diameter_graphs() {
+    use gapbs::core::spec::SourcePicker;
+    for (spec, scale, pulls) in [
+        (GraphSpec::Kron, Scale::Small, true),
+        (GraphSpec::Urand, Scale::Small, true),
+        (GraphSpec::Road, Scale::Medium, false),
+    ] {
+        let bench = BenchGraph::generate(spec, scale);
+        let sources =
+            SourcePicker::from_candidates(bench.source_candidates.clone(), 7).next_sources(64);
+        let work = |threads: usize| {
+            let pool = ThreadPool::new(threads);
+            let (_, counters) = capture(|| gapbs::gap_ref::ms_bfs(&bench.graph, &sources, &pool));
+            (
+                counters.get(Counter::EdgesExamined),
+                counters.get(Counter::Iterations),
+                counters.get(Counter::DirectionSwitches),
+            )
+        };
+        let serial = work(1);
+        let switches = serial.2;
+        if pulls {
+            assert!(switches >= 2, "{spec:?}: {switches} direction switches");
+        } else {
+            assert_eq!(switches, 0, "{spec:?} pulled");
+        }
+        for threads in [2, 7] {
+            assert_eq!(work(threads), serial, "{spec:?} @ {threads} threads");
+        }
+    }
+}
