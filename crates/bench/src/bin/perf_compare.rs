@@ -1,51 +1,43 @@
-//! Perf regression gate: diffs two run ledgers and exits non-zero when
-//! any (framework, kernel, graph, mode) cell got slower beyond the noise
-//! thresholds. Relative peak-RSS changes are reported alongside but
-//! never gate; an explicit absolute budget (`--max-rss-mb`) does gate —
-//! that is the bounded-memory mode the snapshot work targets: mmap-fed
-//! kernels must stay under a fixed resident ceiling.
+//! Ledger and stats lint: checks one run ledger or one serve-daemon
+//! stats snapshot and exits non-zero on any problem. It compares nothing
+//! against a baseline: timing verdicts come from paired benchmark runs,
+//! and each cell's exact work is pinned by `tests/work_golden.rs`.
 //!
 //! ```sh
-//! cargo run -p gapbs-bench --bin perf_compare -- baseline.jsonl candidate.jsonl
 //! cargo run -p gapbs-bench --bin perf_compare -- --lint ledger.jsonl
+//! cargo run -p gapbs-bench --bin perf_compare -- --lint --max-rss-mb 8192 ledger.jsonl
+//! cargo run -p gapbs-bench --bin perf_compare -- --lint-stats stats.json
 //! ```
 //!
-//! `--lint` sanity-checks one ledger instead of diffing two: times
-//! finite, outputs verified, graphs non-empty, and (unless the ledger
-//! carries no edge counts at all) every batch trial examined at least
-//! one edge.
+//! `--lint` checks one ledger: times finite, outputs verified, graphs
+//! non-empty, and (unless the ledger carries no edge counts at all)
+//! every batch trial examined at least one edge. With `--max-rss-mb`
+//! any cell whose peak RSS exceeds the budget is a problem too: that is
+//! the bounded-memory mode the snapshot work targets.
 //!
-//! `--lint-stats` sanity-checks one `{"cmd":"stats"}` snapshot from the
-//! serve daemon (a JSON file, or `-` for stdin): lifecycle counters
-//! balance exactly (`admitted == completed + active`), width-1 queries
-//! never outnumber completions (`queries_inline <= completed`), the
-//! latency histogram count equals completions, and the bucket table is
+//! `--lint-stats` checks one `{"cmd":"stats"}` snapshot from the serve
+//! daemon (a JSON file, or `-` for stdin): lifecycle counters balance
+//! exactly (`admitted == completed + active`), width-1 queries never
+//! outnumber completions (`queries_inline <= completed`), the latency
+//! histogram count equals completions, and the bucket table is
 //! monotone.
 //!
-//! Exit codes: 0 clean, 1 regressions/lint problems found, 2 usage or
-//! read error.
+//! Exit codes: 0 clean, 1 problems found, 2 usage or read error.
 
-use gapbs_bench::perf::{compare, enforce_rss_budget, lint, lint_stats, CompareConfig};
+use gapbs_bench::perf::{enforce_rss_budget, lint, lint_stats};
 use gapbs_telemetry::json::Json;
 use gapbs_telemetry::Ledger;
 use std::io::Read;
 use std::process::exit;
 
 const USAGE: &str = "\
-usage: perf_compare [options] <baseline.jsonl> <candidate.jsonl>
-       perf_compare --lint <ledger.jsonl>
+usage: perf_compare --lint [--max-rss-mb <n>] <ledger.jsonl>
        perf_compare --lint-stats <stats.json|->
-  --ratio <r>      ratio threshold for a real change (default 1.25, >= 1)
-  --floor <s>      absolute seconds floor for a real change (default 0.005, >= 0)
-  --max-rss-mb <n> hard-fail any cell whose peak RSS exceeds n MiB
-                   (candidate ledger in diff mode, the ledger in --lint)
-  --lint           sanity-check one ledger instead of diffing two
+  --lint           sanity-check one run ledger
+  --max-rss-mb <n> with --lint: fail any cell whose peak RSS exceeds n MiB
   --lint-stats     sanity-check one serve-daemon stats snapshot";
 
 fn main() {
-    let defaults = CompareConfig::default();
-    let mut ratio = defaults.ratio_threshold;
-    let mut floor = defaults.absolute_floor;
     let mut lint_mode = false;
     let mut lint_stats_mode = false;
     let mut max_rss_bytes: Option<u64> = None;
@@ -61,8 +53,6 @@ fn main() {
                 })
         };
         match arg.as_str() {
-            "--ratio" => ratio = value("--ratio"),
-            "--floor" => floor = value("--floor"),
             "--max-rss-mb" => {
                 let mb = value("--max-rss-mb");
                 if !mb.is_finite() || mb <= 0.0 {
@@ -80,10 +70,6 @@ fn main() {
             other => paths.push(other.to_string()),
         }
     }
-    let config = CompareConfig::new(ratio, floor).unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        exit(2);
-    });
     if lint_stats_mode {
         let [path] = paths.as_slice() else {
             eprintln!("{USAGE}");
@@ -119,73 +105,29 @@ fn main() {
         eprintln!("{path}: {} problem(s)", problems.len());
         exit(1);
     }
-    if lint_mode {
-        let [path] = paths.as_slice() else {
-            eprintln!("{USAGE}");
-            exit(2);
-        };
-        let records = Ledger::read(path).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
-        let mut problems = lint(&records);
-        if let Some(budget) = max_rss_bytes {
-            problems.extend(enforce_rss_budget(&records, budget));
-        }
-        if problems.is_empty() {
-            println!("{path}: {} record(s), no problems", records.len());
-            return;
-        }
-        for p in &problems {
-            println!("LINT {p}");
-        }
-        eprintln!(
-            "{path}: {} problem(s) in {} record(s)",
-            problems.len(),
-            records.len()
-        );
-        exit(1);
-    }
-    let [baseline_path, candidate_path] = paths.as_slice() else {
+    let ([path], true) = (paths.as_slice(), lint_mode) else {
         eprintln!("{USAGE}");
         exit(2);
     };
-
-    let read = |path: &str| {
-        Ledger::read(path).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        })
-    };
-    let baseline = read(baseline_path);
-    let candidate = read(candidate_path);
-    eprintln!(
-        "baseline {baseline_path}: {} trials; candidate {candidate_path}: {} trials \
-         (ratio > {:.2}x and > {:.3}s counts as a change)",
-        baseline.len(),
-        candidate.len(),
-        config.ratio_threshold,
-        config.absolute_floor,
-    );
-
-    let result = compare(&baseline, &candidate, &config);
-    print!("{}", result.render());
-    let mut failed = result.has_regressions();
+    let records = Ledger::read(path).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    });
+    let mut problems = lint(&records);
     if let Some(budget) = max_rss_bytes {
-        let violations = enforce_rss_budget(&candidate, budget);
-        if violations.is_empty() {
-            println!(
-                "RSS BUDGET: every candidate cell within {:.1} MiB",
-                budget as f64 / (1024.0 * 1024.0)
-            );
-        } else {
-            for v in &violations {
-                println!("RSS BUDGET {v}");
-            }
-            failed = true;
-        }
+        problems.extend(enforce_rss_budget(&records, budget));
     }
-    if failed {
-        exit(1);
+    if problems.is_empty() {
+        println!("{path}: {} record(s), no problems", records.len());
+        return;
     }
+    for p in &problems {
+        println!("LINT {p}");
+    }
+    eprintln!(
+        "{path}: {} problem(s) in {} record(s)",
+        problems.len(),
+        records.len()
+    );
+    exit(1);
 }

@@ -1,5 +1,4 @@
-//! Shared plumbing for the benchmark binaries and the plain-timing
-//! `primitives` bench.
+//! Shared plumbing for the benchmark binaries.
 
 use gapbs_core::{BenchGraph, Kernel, Mode, Report};
 use gapbs_graph::gen::{GraphSpec, Scale};

@@ -374,6 +374,16 @@ mod tests {
     }
 
     #[test]
+    fn relabeling_does_not_change_the_count() {
+        let g = crate::gen::kron(9, 12, 9);
+        let pool = ThreadPool::new(4);
+        let plain = count_triangles(&g, false, &pool, Schedule::Dynamic(64));
+        let relabeled = count_triangles(&g, true, &pool, Schedule::Dynamic(64));
+        assert!(plain.count > 0);
+        assert_eq!(plain.count, relabeled.count);
+    }
+
+    #[test]
     fn contains_agrees_with_linear_scan() {
         let row = strided(3, 5, 37);
         for v in 0..200 {

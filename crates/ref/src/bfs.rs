@@ -5,7 +5,7 @@
 //! heuristic switches top-down → bottom-up when the frontier's outgoing
 //! edge count exceeds `1/alpha` of the unexplored edges, and back when the
 //! frontier shrinks below `n / beta` vertices — GAP's `alpha = 15`,
-//! `beta = 18` defaults.
+//! `beta = 18` ([`stats::DO_ALPHA`], [`stats::DO_BETA`]).
 
 use gapbs_graph::stats;
 use gapbs_graph::types::{NodeId, NO_PARENT};
@@ -16,42 +16,10 @@ use gapbs_telemetry::trace::Dir;
 use gapbs_telemetry::trace_iter;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Tuning knobs of the direction-optimizing heuristic.
-#[derive(Debug, Clone, Copy)]
-pub struct BfsConfig {
-    /// Push→pull switch threshold (GAP default [`stats::DO_ALPHA`]).
-    pub alpha: u64,
-    /// Pull→push switch threshold (GAP default [`stats::DO_BETA`]).
-    pub beta: u64,
-    /// Disable the bottom-up phase entirely (always push). GraphIt's
-    /// Optimized schedule for Road does this; exposed here for ablations.
-    pub force_push: bool,
-}
-
-impl Default for BfsConfig {
-    fn default() -> Self {
-        BfsConfig {
-            alpha: stats::DO_ALPHA,
-            beta: stats::DO_BETA,
-            force_push: false,
-        }
-    }
-}
-
 /// Runs direction-optimizing BFS from `source`, returning the parent array:
 /// `parent[source] == source`, unreached vertices hold
 /// [`NO_PARENT`].
 pub fn bfs(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
-    bfs_with_config(g, source, pool, &BfsConfig::default())
-}
-
-/// [`bfs`] with explicit direction-optimization knobs.
-pub fn bfs_with_config(
-    g: &Graph,
-    source: NodeId,
-    pool: &ThreadPool,
-    config: &BfsConfig,
-) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut parent = vec![NO_PARENT; n];
     if n == 0 {
@@ -73,7 +41,7 @@ pub fn bfs_with_config(
     let parents = as_atomic_u32(&mut parent);
     let mut depth: u32 = 0;
     while !queue.is_window_empty() {
-        if !config.force_push && scout_count > edges_to_check / config.alpha.max(1) {
+        if stats::switch_to_pull(scout_count, edges_to_check) {
             // Bottom-up phase: convert queue → bitmap, pull until the
             // frontier is small again, convert back.
             gapbs_telemetry::record(gapbs_telemetry::Counter::DirectionSwitches, 1);
@@ -93,9 +61,7 @@ pub fn bfs_with_config(
                 next.clear();
                 awake_count = bottom_up_step(g, parents, &front, &next, strips, pool);
                 front.copy_from(&next);
-                if awake_count == 0
-                    || (awake_count <= n as u64 / config.beta.max(1) && awake_count < old_awake)
-                {
+                if stats::switch_to_push(awake_count, old_awake, n as u64) {
                     break;
                 }
             }
@@ -306,26 +272,6 @@ mod tests {
         let depths = depths_from_parents(&g, 3, &parent);
         let max_depth = depths.iter().flatten().max().copied().unwrap();
         assert_eq!(max_depth, ecc, "parent-tree depth must equal BFS depth");
-    }
-
-    #[test]
-    fn forced_push_agrees_with_direction_optimizing() {
-        let g = gen::urand(9, 10, 2);
-        let p = pool();
-        let a = bfs(&g, 0, &p);
-        let b = bfs_with_config(
-            &g,
-            0,
-            &p,
-            &BfsConfig {
-                force_push: true,
-                ..Default::default()
-            },
-        );
-        // Parent choices may differ; reachability must not.
-        let reach_a: Vec<bool> = a.iter().map(|&x| x != NO_PARENT).collect();
-        let reach_b: Vec<bool> = b.iter().map(|&x| x != NO_PARENT).collect();
-        assert_eq!(reach_a, reach_b);
     }
 
     #[test]

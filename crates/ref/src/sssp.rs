@@ -2,8 +2,8 @@
 //! bucket-fusion optimization GraphIt contributed back to GAP (§V-B).
 //!
 //! Tentative distances are bucketed by `dist / delta`. Buckets are drained
-//! in order; each drain is a parallel relaxation round. With fusion
-//! enabled, small drains are executed inline by the coordinating thread —
+//! in order; each drain is a parallel relaxation round, except that small
+//! drains are executed inline by the coordinating thread (bucket fusion) —
 //! eliding the synchronization of a full parallel round, which is exactly
 //! the overhead that dominates small, high-diameter graphs like Road.
 
@@ -15,29 +15,9 @@ use gapbs_parallel::sync::Mutex;
 use gapbs_parallel::ThreadPool;
 use std::sync::atomic::Ordering;
 
-/// Tuning knobs for delta-stepping.
-#[derive(Debug, Clone, Copy)]
-pub struct SsspConfig {
-    /// Bucket width. GAP allows tuning delta per graph; the harness uses
-    /// [`default_delta`] unless overridden.
-    pub delta: Weight,
-    /// Enable bucket fusion (process small buckets without a parallel
-    /// round). The GAP reference has this on by default.
-    pub bucket_fusion: bool,
-    /// Frontier size below which a fused (sequential) drain is used.
-    pub fusion_threshold: usize,
-}
-
-impl SsspConfig {
-    /// GAP-style defaults for the given delta.
-    pub fn with_delta(delta: Weight) -> Self {
-        SsspConfig {
-            delta,
-            bucket_fusion: true,
-            fusion_threshold: 512,
-        }
-    }
-}
+/// Drains of at most this many vertices run fused (inline on the
+/// coordinating thread, no parallel round).
+const FUSION_THRESHOLD: usize = 512;
 
 /// A reasonable per-graph delta: GAP's experiments use 2 for road-like
 /// graphs (small weights dominate) and a large delta for low-diameter
@@ -53,22 +33,12 @@ pub fn default_delta(avg_degree: f64) -> Weight {
 /// Runs delta-stepping from `source`, returning tentative distances
 /// ([`INF_DIST`] for unreachable vertices).
 pub fn sssp(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec<Distance> {
-    sssp_with_config(g, source, pool, &SsspConfig::with_delta(delta))
-}
-
-/// [`sssp`] with explicit knobs.
-pub fn sssp_with_config(
-    g: &WGraph,
-    source: NodeId,
-    pool: &ThreadPool,
-    config: &SsspConfig,
-) -> Vec<Distance> {
     let n = g.num_vertices();
     let mut dist = vec![INF_DIST; n];
     if n == 0 {
         return dist;
     }
-    let delta = Distance::from(config.delta.max(1));
+    let delta = Distance::from(delta.max(1));
     dist[source as usize] = 0;
 
     // Buckets, managed by the coordinator between parallel rounds.
@@ -98,7 +68,7 @@ pub fn sssp_with_config(
                 size: frontier.len() as u64
             });
             let level = current as Distance;
-            let fused = config.bucket_fusion && frontier.len() <= config.fusion_threshold;
+            let fused = frontier.len() <= FUSION_THRESHOLD;
             let new_items: Vec<(usize, NodeId)> = if fused || pool.num_threads() == 1 {
                 // Fused drain: no parallel round, no synchronization.
                 let mut out = Vec::new();
@@ -230,25 +200,6 @@ mod tests {
                 assert_eq!(got, want, "seed={seed} delta={delta}");
             }
         }
-    }
-
-    #[test]
-    fn fusion_and_no_fusion_agree() {
-        let edges = gen::road_edges(&gen::RoadConfig::gap_like(20), 3);
-        let g = gen::weighted_companion(400, &edges, false, 3);
-        let p = pool();
-        let fused = sssp_with_config(&g, 0, &p, &SsspConfig::with_delta(2));
-        let unfused = sssp_with_config(
-            &g,
-            0,
-            &p,
-            &SsspConfig {
-                delta: 2,
-                bucket_fusion: false,
-                fusion_threshold: 0,
-            },
-        );
-        assert_eq!(fused, unfused);
     }
 
     #[test]

@@ -17,15 +17,6 @@ use gapbs_graph::types::NodeId;
 use gapbs_graph::{intersect, Graph};
 use gapbs_parallel::{Schedule, ThreadPool};
 
-/// Relabeling decision knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TcConfig {
-    /// Skip the heuristic and never relabel.
-    pub force_no_relabel: bool,
-    /// Skip the heuristic and always relabel.
-    pub force_relabel: bool,
-}
-
 /// Counts triangles in an undirected graph.
 ///
 /// # Panics
@@ -33,27 +24,11 @@ pub struct TcConfig {
 /// Panics if `g` is directed — the GAP spec defines TC on the symmetrized
 /// graph, which the harness prepares ahead of timing.
 pub fn tc(g: &Graph, pool: &ThreadPool) -> u64 {
-    tc_with_config(g, pool, &TcConfig::default())
-}
-
-/// [`tc`] with explicit relabeling control.
-///
-/// # Panics
-///
-/// Panics if `g` is directed.
-pub fn tc_with_config(g: &Graph, pool: &ThreadPool, config: &TcConfig) -> u64 {
     assert!(
         !g.is_directed(),
         "triangle counting expects the symmetrized (undirected) graph"
     );
-    let relabel = if config.force_relabel {
-        true
-    } else if config.force_no_relabel {
-        false
-    } else {
-        worth_relabeling(g)
-    };
-    let found = intersect::count_triangles(g, relabel, pool, Schedule::Dynamic(64));
+    let found = intersect::count_triangles(g, worth_relabeling(g), pool, Schedule::Dynamic(64));
     // Every mark set or probed examines an adjacency element, so the
     // tally feeds both counters and the `--lint` invariant
     // `tc_intersections <= edges_examined` holds by construction.
@@ -137,29 +112,6 @@ mod tests {
             let g = gen::kron(8, 10, seed);
             assert_eq!(tc(&g, &pool()), tc_oracle(&g), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn relabeling_does_not_change_the_count() {
-        let g = gen::kron(9, 12, 9);
-        let p = pool();
-        let plain = tc_with_config(
-            &g,
-            &p,
-            &TcConfig {
-                force_no_relabel: true,
-                force_relabel: false,
-            },
-        );
-        let relabeled = tc_with_config(
-            &g,
-            &p,
-            &TcConfig {
-                force_no_relabel: false,
-                force_relabel: true,
-            },
-        );
-        assert_eq!(plain, relabeled);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! shards — it runs at span close / trial end, never inside a kernel.
 //!
 //! The vocabulary is fixed (see [`Counter`]) so ledger records stay
-//! schema-stable across runs and `perf_compare` can diff them field by
-//! field. The counts follow the GAP suite's own workload view: kernels
+//! schema-stable across runs and the work golden
+//! (`results/work-golden.json`) can pin them field by field. The counts follow the GAP suite's own workload view: kernels
 //! are characterized by frontier and edge traffic, not just seconds.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -2,9 +2,9 @@
 //!
 //! One line per trial: kernel, graph, framework, mode, trial index, the
 //! timed seconds, the phase breakdown, the work counters, and the git
-//! revision that produced the run. Ledgers accumulate under `results/`
-//! and form the repo's machine-checkable perf trajectory: `perf_compare`
-//! diffs two of them and gates regressions.
+//! revision that produced the run. `perf_compare --lint` checks one, and
+//! the work golden (`tests/work_golden.rs`) pins the counters of a
+//! Small-scale matrix ledger exactly.
 //!
 //! Pollard & Norris (arXiv:1704.02003) argue cross-framework numbers are
 //! only trustworthy with a reproducible measurement methodology; a ledger
@@ -59,7 +59,7 @@ pub struct TrialRecord {
     /// (VmHWM from `/proc/self/status`, in bytes), 0 where procfs is
     /// unavailable. This is
     /// a process-lifetime high-water mark, not a per-trial delta: compare
-    /// it across ledgers cell by cell, as `perf_compare` does.
+    /// it across ledgers cell by cell.
     pub peak_rss_bytes: u64,
     /// Bytes of the CSR arrays (offsets + targets + weights, both
     /// directions) of the graph this trial ran on. 0 when the producer
@@ -186,7 +186,7 @@ impl TrialRecord {
         })
     }
 
-    /// The grouping key `perf_compare` diffs on.
+    /// The (framework, kernel, graph, mode) cell this trial belongs to.
     pub fn cell_key(&self) -> (String, String, String, String) {
         (
             self.framework.clone(),

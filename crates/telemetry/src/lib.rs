@@ -10,8 +10,8 @@
 //! * [`span`] — phase timers (`build`, `relabel`, `kernel`, `verify`)
 //!   that expose restructuring cost per the GAP timing rules;
 //! * [`ledger`] — the JSON-lines run ledger (`results/ledger.jsonl`):
-//!   one record per trial with times, counters, and the git revision, the
-//!   machine-checkable perf trajectory `perf_compare` diffs;
+//!   one record per trial with times, counters, and the git revision,
+//!   which `perf_compare --lint` checks and the work golden pins;
 //! * [`json`] — the dependency-free JSON encoder/parser the ledger uses;
 //! * [`metrics`] — always-on live metrics: lock-free log₂ latency
 //!   histograms (p50/p90/p99/p999) and a named counter/gauge/histogram

@@ -3,7 +3,7 @@
 //! paper (§VI).
 //!
 //! Demonstrates:
-//! * SSSP routing with per-graph delta and the bucket-fusion effect,
+//! * SSSP routing with per-graph delta,
 //! * hop counts via BFS,
 //! * delta sensitivity ("GAP allows customization of this parameter ...
 //!   it can lead to orders of magnitude difference", §IV-A).
@@ -12,7 +12,6 @@
 //! cargo run --release --example road_navigation
 //! ```
 
-use gapbs::gap_ref::sssp::{sssp_with_config, SsspConfig};
 use gapbs::graph::gen::{GraphSpec, Scale};
 use gapbs::graph::types::{INF_DIST, NO_PARENT};
 use gapbs::parallel::ThreadPool;
@@ -52,27 +51,12 @@ fn main() {
 
     // Delta sensitivity sweep: the one parameter GAP lets you tune.
     println!("\nDelta sensitivity (same result, different bucket work):");
-    println!("{:>8} {:>12} {:>12}", "delta", "fused (s)", "unfused (s)");
+    println!("{:>8} {:>12}", "delta", "time (s)");
     for delta in [1, 2, 8, 64, 1024] {
         let t0 = Instant::now();
-        let a = sssp_with_config(&wgraph, depot, &pool, &SsspConfig::with_delta(delta));
-        let fused = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let b = sssp_with_config(
-            &wgraph,
-            depot,
-            &pool,
-            &SsspConfig {
-                delta,
-                bucket_fusion: false,
-                fusion_threshold: 0,
-            },
-        );
-        let unfused = t1.elapsed().as_secs_f64();
-        assert_eq!(a, b, "fusion must not change distances");
-        println!("{delta:>8} {fused:>12.6} {unfused:>12.6}");
+        let d = gapbs::gap_ref::sssp(&wgraph, depot, delta, &pool);
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(d, dist, "delta must not change distances");
+        println!("{delta:>8} {secs:>12.6}");
     }
-    println!(
-        "\n(The gap between the two columns is the synchronization cost bucket fusion removes.)"
-    );
 }

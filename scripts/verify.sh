@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1, every workspace suite, lints, the benchmark's
 # own build and tests, then a tiny-corpus smoke of the ledger, traces,
-# snapshots, the perf gate and the serve daemon. Performance verdicts come
-# from benchmark/. `SKIP_SMOKE=1 scripts/verify.sh` stops before the smoke.
+# snapshots and the serve daemon. Performance verdicts come from
+# benchmark/; the work golden (tests/work_golden.rs) runs in tier-1.
+# `SKIP_SMOKE=1 scripts/verify.sh` stops before the smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -99,17 +100,6 @@ if snapshot verify "$bad" 2> "$smoke_dir/bad.err" > /dev/null; then
 fi
 grep -q 'checksum mismatch' "$smoke_dir/bad.err" \
     || fail "corruption did not surface as a structured checksum error" "$smoke_dir/bad.err"
-
-echo "== smoke: perf_compare gate =="
-# Identical ledgers pass, an injected slowdown fails, and a threshold
-# that can never fire is a usage error.
-perf_compare "$ledger" "$ledger"
-sed 's/"seconds":\([0-9.e-]*\)/"seconds":1.0/' "$ledger" > "$smoke_dir/slow.jsonl"
-if perf_compare "$ledger" "$smoke_dir/slow.jsonl" > /dev/null; then
-    fail "perf_compare did not flag a synthetic regression"
-fi
-status=0; perf_compare --ratio nan "$ledger" "$ledger" > /dev/null 2>&1 || status=$?
-[[ "$status" -eq 2 ]] || fail "perf_compare accepted --ratio nan (exit $status)"
 
 echo "== smoke: serve daemon + metrics plane =="
 # The daemon serves the tiny snapshots with a metrics listener and

@@ -55,32 +55,6 @@ fn label_propagation_cc_is_much_slower_on_road() {
     );
 }
 
-/// §VI: bucket fusion removes most synchronization on Road SSSP.
-#[test]
-#[ignore = "performance shape check; run in release"]
-fn bucket_fusion_wins_on_road_sssp() {
-    use gapbs::gap_ref::sssp::{sssp_with_config, SsspConfig};
-    use gapbs::parallel::ThreadPool;
-    let wg = GraphSpec::Road.generate_weighted(Scale::Small);
-    let pool = ThreadPool::new(4);
-    let time = |fusion: bool| {
-        let cfg = SsspConfig {
-            delta: 2,
-            bucket_fusion: fusion,
-            fusion_threshold: if fusion { 512 } else { 0 },
-        };
-        let t = std::time::Instant::now();
-        let _ = sssp_with_config(&wg, 0, &pool, &cfg);
-        t.elapsed().as_secs_f64()
-    };
-    let fused = (0..3).map(|_| time(true)).fold(f64::INFINITY, f64::min);
-    let unfused = (0..3).map(|_| time(false)).fold(f64::INFINITY, f64::min);
-    assert!(
-        fused < unfused,
-        "fused {fused}s should beat unfused {unfused}s on road"
-    );
-}
-
 /// §V-D (corollary): the Jacobi/Gauss–Seidel contrast is an iteration-
 /// count effect, measurable independent of wall time.
 #[test]

@@ -157,3 +157,65 @@ fn ms_bfs_pulls_wide_levels_only_on_low_diameter_graphs() {
         }
     }
 }
+
+/// §V-F and GAP's `WorthRelabelling`: relabeling by descending degree
+/// bounds the oriented degree, which cuts the marked-row engine's
+/// intersection work by at least 1.8× on every graph the heuristic
+/// relabels, and saves under 5 % on flat Urand, where it declines.
+#[test]
+fn relabeling_cuts_tc_work_where_the_heuristic_relabels() {
+    use gapbs::gap_ref::tc::worth_relabeling;
+    use gapbs::graph::intersect::count_triangles;
+    use gapbs::parallel::Schedule;
+    let mut relabeled = 0;
+    for spec in GraphSpec::TABLE_ORDER {
+        let g = BenchGraph::generate(spec, Scale::Small).sym_graph;
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let plain = count_triangles(&g, false, &pool, Schedule::Dynamic(64));
+            let oriented = count_triangles(&g, true, &pool, Schedule::Dynamic(64));
+            assert_eq!(plain.count, oriented.count, "{spec:?} @ {threads} threads");
+            let cut = plain.comparisons as f64 / oriented.comparisons as f64;
+            let what = format!(
+                "{spec:?} @ {threads} threads: {} → {} comparisons",
+                plain.comparisons, oriented.comparisons
+            );
+            if worth_relabeling(&g) {
+                assert!(cut >= 1.8, "relabeling cut only {cut:.2}×, {what}");
+            }
+            if spec == GraphSpec::Urand {
+                assert!(cut < 1.05, "relabeling saved {cut:.3}× on Urand, {what}");
+            }
+        }
+        relabeled += usize::from(worth_relabeling(&g));
+    }
+    assert!(relabeled > 0, "the heuristic relabeled no Small graph");
+}
+
+/// §V-B, GraphIt's bucket fusion: a bucket drain of at most 512 vertices
+/// runs inline on the coordinating thread. Road's delta-stepping
+/// frontiers never outgrow that, so GAP SSSP on Road drains thousands of
+/// buckets without launching a single parallel region, while Kron's wide
+/// buckets still fan out to the pool.
+#[test]
+fn bucket_fusion_keeps_road_sssp_off_the_pool() {
+    for (spec, fused) in [(GraphSpec::Road, true), (GraphSpec::Kron, false)] {
+        let bench = BenchGraph::generate(spec, Scale::Small);
+        let source = bench.source_candidates[0];
+        for threads in [2, 7] {
+            let pool = ThreadPool::new(threads);
+            let (_, counters) =
+                capture(|| gapbs::gap_ref::sssp(&bench.wgraph, source, bench.delta, &pool));
+            let drains = counters.get(Counter::Iterations);
+            // The pool's own count: other tests' graph generation launches
+            // regions on their pools outside any capture.
+            let regions = pool.stats().regions;
+            let what = format!("{spec:?} @ {threads} threads: {regions} regions, {drains} drains");
+            if fused {
+                assert!(drains > 1000 && regions == 0, "{what}");
+            } else {
+                assert!(regions >= 1, "{what}");
+            }
+        }
+    }
+}
