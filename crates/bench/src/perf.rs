@@ -12,7 +12,7 @@ use gapbs_telemetry::{Counter, TrialRecord};
 use std::collections::BTreeMap;
 
 /// A cell identity: (framework, kernel, graph, mode).
-pub type CellKey = (String, String, String, String);
+pub(crate) type CellKey = (String, String, String, String);
 
 /// Sanity-checks one ledger's records, returning one message per
 /// problem (empty = clean). This is the `perf_compare --lint` behind

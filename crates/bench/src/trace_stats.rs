@@ -97,7 +97,7 @@ pub fn load(text: &str) -> Result<Vec<TraceEvent>, String> {
 
 /// Busy time per worker inside one pool region.
 #[derive(Debug, Clone)]
-pub struct RegionStat {
+pub(crate) struct RegionStat {
     /// Region sequence number (the pool's per-region counter).
     pub region: u64,
     /// `(worker id, busy microseconds)` for every participating worker.
@@ -107,7 +107,7 @@ pub struct RegionStat {
 impl RegionStat {
     /// Max/mean busy-time ratio across the region's workers: 1.0 is a
     /// perfectly balanced region, higher means one worker carried it.
-    pub fn imbalance(&self) -> f64 {
+    pub(crate) fn imbalance(&self) -> f64 {
         let n = self.workers.len();
         if n == 0 {
             return 1.0;
@@ -124,7 +124,7 @@ impl RegionStat {
 
 /// Groups pool `region` spans by region id, accumulating per-worker
 /// busy time.
-pub fn region_stats(events: &[TraceEvent]) -> Vec<RegionStat> {
+pub(crate) fn region_stats(events: &[TraceEvent]) -> Vec<RegionStat> {
     let mut by_region: BTreeMap<u64, BTreeMap<u64, f64>> = BTreeMap::new();
     for e in events {
         if e.cat != "pool" || e.ph != "X" {
@@ -150,7 +150,7 @@ pub fn region_stats(events: &[TraceEvent]) -> Vec<RegionStat> {
 
 /// Total busy microseconds per worker across every region, and the
 /// overall max/mean imbalance. Returns `None` without pool events.
-pub fn worker_imbalance(stats: &[RegionStat]) -> Option<(Vec<(u64, f64)>, f64)> {
+pub(crate) fn worker_imbalance(stats: &[RegionStat]) -> Option<(Vec<(u64, f64)>, f64)> {
     let mut busy: BTreeMap<u64, f64> = BTreeMap::new();
     for s in stats {
         for &(w, d) in &s.workers {
@@ -168,7 +168,7 @@ pub fn worker_imbalance(stats: &[RegionStat]) -> Option<(Vec<(u64, f64)>, f64)> 
 
 /// Narrates the BFS frontier walk: one line per level with its frontier
 /// size and direction, flagging every push/pull switch.
-pub fn bfs_narrative(events: &[TraceEvent]) -> String {
+pub(crate) fn bfs_narrative(events: &[TraceEvent]) -> String {
     let levels: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "bfs_level").collect();
     if levels.is_empty() {
         return String::new();
@@ -207,7 +207,7 @@ pub fn bfs_narrative(events: &[TraceEvent]) -> String {
 
 /// Per-kernel iteration tables: event counts plus the ranges of their
 /// interesting arguments.
-pub fn iteration_table(events: &[TraceEvent]) -> String {
+pub(crate) fn iteration_table(events: &[TraceEvent]) -> String {
     let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
     for e in events {
         if e.cat == "iter" {
@@ -259,7 +259,7 @@ fn last_arg_f64(events: &[TraceEvent], name: &str, key: &str) -> Option<f64> {
 }
 
 /// Peak VmRSS seen by the resource sampler, in bytes.
-pub fn peak_sampled_rss(events: &[TraceEvent]) -> Option<u64> {
+pub(crate) fn peak_sampled_rss(events: &[TraceEvent]) -> Option<u64> {
     events
         .iter()
         .filter(|e| e.cat == "rss")

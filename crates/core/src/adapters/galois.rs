@@ -2,6 +2,7 @@
 
 use crate::framework::{AlgorithmChoice, BenchGraph, Framework, FrameworkInfo, PreparedKernels};
 use crate::kernel::{Kernel, Mode};
+use crate::spec::{PR_DAMPING, PR_MAX_ITERS, PR_TOLERANCE};
 use gapbs_galois::cc::CcVariant;
 use gapbs_galois::tc::Relabeling;
 use gapbs_galois::ExecutionStyle;
@@ -143,7 +144,13 @@ impl PreparedKernels for Prepared<'_> {
     }
 
     fn pr(&self) -> (Vec<Score>, usize) {
-        gapbs_galois::pr(&self.input.graph, 0.85, 1e-4, 100, &self.pool)
+        gapbs_galois::pr(
+            &self.input.graph,
+            PR_DAMPING,
+            PR_TOLERANCE,
+            PR_MAX_ITERS,
+            &self.pool,
+        )
     }
 
     fn cc(&self) -> Vec<NodeId> {

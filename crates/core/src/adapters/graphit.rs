@@ -2,6 +2,7 @@
 
 use crate::framework::{AlgorithmChoice, BenchGraph, Framework, FrameworkInfo, PreparedKernels};
 use crate::kernel::{Kernel, Mode};
+use crate::spec::{PR_DAMPING, PR_MAX_ITERS, PR_TOLERANCE};
 use gapbs_graph::types::{Distance, NodeId, Score};
 use gapbs_graphit::Schedule;
 use gapbs_parallel::ThreadPool;
@@ -88,9 +89,9 @@ impl PreparedKernels for Prepared<'_> {
     fn pr(&self) -> (Vec<Score>, usize) {
         gapbs_graphit::pr(
             &self.input.graph,
-            0.85,
-            1e-4,
-            100,
+            PR_DAMPING,
+            PR_TOLERANCE,
+            PR_MAX_ITERS,
             self.schedule.cache_tiling,
             &self.pool,
         )

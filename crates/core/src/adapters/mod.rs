@@ -11,6 +11,6 @@ mod suitesparse;
 pub use galois::GaloisFramework;
 pub use gkc::GkcFramework;
 pub use graphit::GraphItFramework;
-pub use nwgraph::NwGraphFramework;
+pub(crate) use nwgraph::NwGraphFramework;
 pub use ref_impl::GapReference;
 pub use suitesparse::SuiteSparseFramework;

@@ -2,13 +2,14 @@
 
 use crate::framework::{AlgorithmChoice, BenchGraph, Framework, FrameworkInfo, PreparedKernels};
 use crate::kernel::{Kernel, Mode};
+use crate::spec::{PR_DAMPING, PR_MAX_ITERS, PR_TOLERANCE};
 use gapbs_graph::types::{Distance, NodeId, Score};
 use gapbs_nwgraph::{InRange, OutRange, WeightedOutRange};
 use gapbs_parallel::ThreadPool;
 
 /// NWGraph: generic algorithms over ranges of ranges.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NwGraphFramework;
+pub(crate) struct NwGraphFramework;
 
 impl Framework for NwGraphFramework {
     fn name(&self) -> &'static str {
@@ -84,9 +85,9 @@ impl PreparedKernels for Prepared<'_> {
         gapbs_nwgraph::pr(
             &OutRange(&self.input.graph),
             &InRange(&self.input.graph),
-            0.85,
-            1e-4,
-            100,
+            PR_DAMPING,
+            PR_TOLERANCE,
+            PR_MAX_ITERS,
             &self.pool,
         )
     }

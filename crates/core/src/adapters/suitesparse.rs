@@ -2,6 +2,7 @@
 
 use crate::framework::{AlgorithmChoice, BenchGraph, Framework, FrameworkInfo, PreparedKernels};
 use crate::kernel::{Kernel, Mode};
+use crate::spec::{PR_DAMPING, PR_MAX_ITERS, PR_TOLERANCE};
 use gapbs_graph::types::{Distance, NodeId, Score};
 use gapbs_grb::lagraph::{self, LaGraphContext};
 use gapbs_parallel::ThreadPool;
@@ -103,7 +104,13 @@ impl PreparedKernels for Prepared<'_> {
     }
 
     fn pr(&self) -> (Vec<Score>, usize) {
-        lagraph::pr(&self.ctx, 0.85, 1e-4, 100, &self.pool)
+        lagraph::pr(
+            &self.ctx,
+            PR_DAMPING,
+            PR_TOLERANCE,
+            PR_MAX_ITERS,
+            &self.pool,
+        )
     }
 
     fn cc(&self) -> Vec<NodeId> {
@@ -112,8 +119,7 @@ impl PreparedKernels for Prepared<'_> {
 
     fn bc(&self, sources: &[NodeId]) -> Vec<Score> {
         // The paper's LAGraph BC is a batch algorithm over dense 4-by-n
-        // state; the per-source `lagraph::bc` remains available for
-        // comparison.
+        // state.
         lagraph::bc_batch(&self.ctx, sources, &self.pool)
     }
 

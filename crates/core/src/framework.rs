@@ -161,7 +161,7 @@ impl AlgorithmChoice {
     }
 
     /// Renders the Table III cell, footnotes as superscript digits.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut s = self.algorithm.to_string();
         let mut notes = Vec::new();
         if self.bucket_fusion {

@@ -16,20 +16,20 @@
 //! * [`Framework`] / [`PreparedKernels`] — the adapter interface each of
 //!   the six framework crates implements ([`adapters`]),
 //! * [`registry::all_frameworks`] — the evaluated frameworks,
-//! * [`runner`] — the trial protocol (rotating seeded sources, best-of-N
+//! * `runner` — the trial protocol (rotating seeded sources, best-of-N
 //!   timing, per-trial verification via `gapbs-verify`),
 //! * [`report`] — renderers for Tables I through V.
 
 pub mod adapters;
 pub mod framework;
-pub mod kernel;
+mod kernel;
 pub mod registry;
 pub mod report;
-pub mod runner;
+mod runner;
 pub mod snapshot_cache;
 pub mod spec;
 
-pub use framework::{BenchGraph, Framework, FrameworkInfo, PreparedKernels};
+pub use framework::{BenchGraph, Framework, PreparedKernels};
 pub use kernel::{Kernel, Mode};
 pub use registry::all_frameworks;
 pub use report::Report;

@@ -20,7 +20,7 @@ pub fn all_frameworks() -> Vec<Box<dyn Framework>> {
 }
 
 /// The baseline framework name every Table V ratio is computed against.
-pub const BASELINE_FRAMEWORK: &str = "GAP";
+pub(crate) const BASELINE_FRAMEWORK: &str = "GAP";
 
 #[cfg(test)]
 mod tests {

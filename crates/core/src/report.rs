@@ -15,7 +15,7 @@ pub const GRAPH_ORDER: [GraphSpec; 5] = GraphSpec::TABLE_ORDER;
 
 /// Heat-map classification of a speedup ratio (Table V's color coding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Heat {
+pub(crate) enum Heat {
     /// Slower than the GAP reference.
     Red,
     /// Within ±5% of the reference.
@@ -26,7 +26,7 @@ pub enum Heat {
 
 impl Heat {
     /// Classifies a ratio (1.0 = parity with GAP).
-    pub fn from_ratio(ratio: f64) -> Heat {
+    pub(crate) fn from_ratio(ratio: f64) -> Heat {
         if ratio < 0.95 {
             Heat::Red
         } else if ratio <= 1.05 {
@@ -46,13 +46,8 @@ pub struct Report {
 
 impl Report {
     /// Wraps completed cells.
-    pub fn new(scale: Scale, cells: Vec<CellRecord>) -> Self {
+    pub(crate) fn new(scale: Scale, cells: Vec<CellRecord>) -> Self {
         Report { scale, cells }
-    }
-
-    /// Corpus scale of the run.
-    pub fn scale(&self) -> Scale {
-        self.scale
     }
 
     /// All recorded cells.
@@ -61,7 +56,7 @@ impl Report {
     }
 
     /// Looks up one cell.
-    pub fn find(
+    pub(crate) fn find(
         &self,
         framework: &str,
         kernel: Kernel,

@@ -91,7 +91,7 @@ impl CellRecord {
     /// trial does comparable work, and on hosts with scheduler
     /// interference the minimum is the robust estimator of true kernel
     /// cost (the mean is contaminated by multi-millisecond steal spikes).
-    pub fn stat_seconds(&self) -> f64 {
+    pub(crate) fn stat_seconds(&self) -> f64 {
         self.best_seconds()
     }
 

@@ -43,7 +43,7 @@ pub enum CacheOutcome {
 /// graph identity (name + seed), the scale, and the snapshot format
 /// version. Any change to generator seeds or the format invalidates
 /// cached files through this value.
-pub fn params_hash(spec: GraphSpec, scale: Scale) -> u64 {
+pub(crate) fn params_hash(spec: GraphSpec, scale: Scale) -> u64 {
     let mut h = FNV1A_OFFSET;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {

@@ -2,14 +2,8 @@
 //! kernel parameters, following the GAP spec's rules.
 
 use gapbs_graph::types::NodeId;
-use gapbs_graph::Graph;
 
-/// PageRank damping factor.
-pub const PR_DAMPING: f64 = 0.85;
-/// PageRank L1 tolerance.
-pub const PR_TOLERANCE: f64 = 1e-4;
-/// PageRank iteration cap.
-pub const PR_MAX_ITERS: usize = 100;
+pub use gapbs_ref::{PR_DAMPING, PR_MAX_ITERS, PR_TOLERANCE};
 /// BC roots per trial (the GAP spec approximates BC with four).
 pub const BC_ROOTS: usize = 4;
 
@@ -25,7 +19,8 @@ pub struct SourcePicker {
 
 impl SourcePicker {
     /// Builds a picker over vertices with non-zero out-degree.
-    pub fn new(g: &Graph, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(g: &gapbs_graph::Graph, seed: u64) -> Self {
         let candidates: Vec<NodeId> = g.vertices().filter(|&u| g.out_degree(u) > 0).collect();
         Self::from_candidates(candidates, seed)
     }
@@ -37,11 +32,6 @@ impl SourcePicker {
             candidates,
             state: seed | 1,
         }
-    }
-
-    /// Number of eligible sources.
-    pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
     }
 
     /// Next source vertex.

@@ -178,55 +178,10 @@ fn single_source(
 mod tests {
     use super::*;
     use gapbs_graph::gen;
+    use gapbs_verify::oracles::brandes;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    fn oracle(g: &Graph, sources: &[NodeId]) -> Vec<Score> {
-        use std::collections::VecDeque;
-        let n = g.num_vertices();
-        let mut scores = vec![0.0; n];
-        for &s in sources {
-            let mut depth = vec![i64::MAX; n];
-            let mut sigma = vec![0.0f64; n];
-            let mut order = Vec::new();
-            let mut q = VecDeque::new();
-            depth[s as usize] = 0;
-            sigma[s as usize] = 1.0;
-            q.push_back(s);
-            while let Some(u) = q.pop_front() {
-                order.push(u);
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == i64::MAX {
-                        depth[v as usize] = depth[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        sigma[v as usize] += sigma[u as usize];
-                    }
-                }
-            }
-            let mut delta = vec![0.0f64; n];
-            for &u in order.iter().rev() {
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        delta[u as usize] +=
-                            (sigma[u as usize] / sigma[v as usize]) * (1.0 + delta[v as usize]);
-                    }
-                }
-                if u != s {
-                    scores[u as usize] += delta[u as usize];
-                }
-            }
-        }
-        let max = scores.iter().cloned().fold(0.0, f64::max);
-        if max > 0.0 {
-            for s in &mut scores {
-                *s /= max;
-            }
-        }
-        scores
     }
 
     #[test]
@@ -234,7 +189,7 @@ mod tests {
         for seed in [1, 2] {
             let g = gen::kron(8, 8, seed);
             let sources = [0, 3, 11, 19];
-            let want = oracle(&g, &sources);
+            let want = brandes(&g, &sources);
             let p = pool();
             for style in [
                 ExecutionStyle::Asynchronous,
@@ -256,7 +211,7 @@ mod tests {
     #[test]
     fn road_depth_pass_is_consistent() {
         let g = gen::road(&gen::RoadConfig::gap_like(16), 2);
-        let want = oracle(&g, &[0]);
+        let want = brandes(&g, &[0]);
         let got = bc(&g, &[0], ExecutionStyle::Asynchronous, &pool());
         for v in 0..want.len() {
             assert!((got[v] - want[v]).abs() < 1e-9, "vertex {v}");

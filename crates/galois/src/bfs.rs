@@ -220,46 +220,10 @@ mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::verify_bfs;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    fn depths_of(g: &Graph, source: NodeId) -> Vec<Option<usize>> {
-        use std::collections::VecDeque;
-        let mut depth = vec![None; g.num_vertices()];
-        let mut q = VecDeque::new();
-        depth[source as usize] = Some(0);
-        q.push_back(source);
-        while let Some(u) = q.pop_front() {
-            for &v in g.out_neighbors(u) {
-                if depth[v as usize].is_none() {
-                    depth[v as usize] = Some(depth[u as usize].unwrap() + 1);
-                    q.push_back(v);
-                }
-            }
-        }
-        depth
-    }
-
-    fn check_tree(g: &Graph, source: NodeId, parent: &[NodeId]) {
-        let depth = depths_of(g, source);
-        for v in g.vertices() {
-            let p = parent[v as usize];
-            assert_eq!(
-                p == NO_PARENT,
-                depth[v as usize].is_none(),
-                "reachability mismatch at {v}"
-            );
-            if p != NO_PARENT && v != source {
-                assert!(g.out_csr().has_edge(p, v), "no edge ({p},{v})");
-                assert_eq!(
-                    depth[p as usize].unwrap() + 1,
-                    depth[v as usize].unwrap(),
-                    "depth mismatch at {v}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -271,7 +235,7 @@ mod tests {
             ExecutionStyle::BulkSynchronous,
         ] {
             let parent = bfs(&g, 0, style, &p);
-            check_tree(&g, 0, &parent);
+            verify_bfs(&g, 0, &parent).unwrap();
         }
     }
 
@@ -284,7 +248,7 @@ mod tests {
             ExecutionStyle::BulkSynchronous,
         ] {
             let parent = bfs(&g, 5, style, &p);
-            check_tree(&g, 5, &parent);
+            verify_bfs(&g, 5, &parent).unwrap();
         }
     }
 

@@ -185,49 +185,20 @@ fn sample_largest(comp: &[AtomicU32], n: usize) -> NodeId {
 mod tests {
     use super::*;
     use gapbs_graph::gen;
+    use gapbs_verify::verify_cc;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    fn oracle(g: &Graph) -> Vec<NodeId> {
-        let n = g.num_vertices();
-        let mut p: Vec<usize> = (0..n).collect();
-        fn find(p: &mut [usize], mut x: usize) -> usize {
-            while p[x] != x {
-                p[x] = p[p[x]];
-                x = p[x];
-            }
-            x
-        }
-        for u in 0..n {
-            for &v in g.out_neighbors(u as NodeId) {
-                let (a, b) = (find(&mut p, u), find(&mut p, v as usize));
-                if a != b {
-                    p[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        (0..n).map(|u| find(&mut p, u) as NodeId).collect()
-    }
-
-    fn same_partition(a: &[NodeId], b: &[NodeId]) -> bool {
-        let mut f = std::collections::HashMap::new();
-        let mut r = std::collections::HashMap::new();
-        a.iter()
-            .zip(b)
-            .all(|(&x, &y)| *f.entry(x).or_insert(y) == y && *r.entry(y).or_insert(x) == x)
     }
 
     #[test]
     fn both_variants_match_oracle() {
         for seed in 1..4 {
             let g = gen::kron(9, 8, seed);
-            let want = oracle(&g);
             let p = pool();
             for variant in [CcVariant::VertexAfforest, CcVariant::EdgeBlockedAfforest] {
                 let got = cc(&g, variant, &p);
-                assert!(same_partition(&got, &want), "{variant:?} seed {seed}");
+                verify_cc(&g, &got).unwrap_or_else(|e| panic!("{variant:?} seed {seed}: {e}"));
             }
         }
     }
@@ -235,8 +206,7 @@ mod tests {
     #[test]
     fn works_on_directed_road() {
         let g = gen::road(&gen::RoadConfig::gap_like(20), 8);
-        let want = oracle(&g);
         let got = cc(&g, CcVariant::VertexAfforest, &pool());
-        assert!(same_partition(&got, &want));
+        verify_cc(&g, &got).unwrap();
     }
 }

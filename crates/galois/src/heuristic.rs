@@ -30,7 +30,7 @@ pub fn classify(g: &Graph) -> ExecutionStyle {
 }
 
 /// Degree-sampling power-law detector (similar to GAP's TC sampling).
-pub fn has_power_law_degrees(g: &Graph) -> bool {
+pub(crate) fn has_power_law_degrees(g: &Graph) -> bool {
     let n = g.num_vertices();
     if n < 16 {
         return false;

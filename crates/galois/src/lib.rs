@@ -18,12 +18,12 @@
 //! * **Edge-blocked Afforest** for CC in Optimized mode (better load
 //!   balancing on Web).
 
-pub mod bc;
-pub mod bfs;
+mod bc;
+mod bfs;
 pub mod cc;
-pub mod heuristic;
-pub mod pr;
-pub mod sssp;
+mod heuristic;
+mod pr;
+mod sssp;
 pub mod tc;
 
 pub use bc::bc;

@@ -123,56 +123,16 @@ pub fn bc(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Score> {
 mod tests {
     use super::*;
     use gapbs_graph::gen;
+    use gapbs_verify::oracles::brandes;
 
     #[test]
     fn matches_sequential_brandes() {
-        use std::collections::VecDeque;
         for seed in [1, 6] {
             let g = gen::kron(8, 8, seed);
             let sources = [0, 4, 8, 12];
             let got = bc(&g, &sources, &ThreadPool::new(4));
-            let n = g.num_vertices();
-            let mut want = vec![0.0f64; n];
-            for &s in &sources {
-                let mut depth = vec![i64::MAX; n];
-                let mut sigma = vec![0.0f64; n];
-                let mut order = Vec::new();
-                let mut q = VecDeque::new();
-                depth[s as usize] = 0;
-                sigma[s as usize] = 1.0;
-                q.push_back(s);
-                while let Some(u) = q.pop_front() {
-                    order.push(u);
-                    for &v in g.out_neighbors(u) {
-                        if depth[v as usize] == i64::MAX {
-                            depth[v as usize] = depth[u as usize] + 1;
-                            q.push_back(v);
-                        }
-                        if depth[v as usize] == depth[u as usize] + 1 {
-                            sigma[v as usize] += sigma[u as usize];
-                        }
-                    }
-                }
-                let mut delta = vec![0.0f64; n];
-                for &u in order.iter().rev() {
-                    for &v in g.out_neighbors(u) {
-                        if depth[v as usize] == depth[u as usize] + 1 {
-                            delta[u as usize] +=
-                                (sigma[u as usize] / sigma[v as usize]) * (1.0 + delta[v as usize]);
-                        }
-                    }
-                    if u != s {
-                        want[u as usize] += delta[u as usize];
-                    }
-                }
-            }
-            let max = want.iter().cloned().fold(0.0, f64::max);
-            if max > 0.0 {
-                for w in &mut want {
-                    *w /= max;
-                }
-            }
-            for v in 0..n {
+            let want = brandes(&g, &sources);
+            for v in 0..g.num_vertices() {
                 assert!((got[v] - want[v]).abs() < 1e-9, "seed {seed} vertex {v}");
             }
         }

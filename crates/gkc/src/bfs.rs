@@ -158,6 +158,7 @@ pub fn bfs(g: &Graph, source: NodeId, pool: &ThreadPool) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use gapbs_graph::gen;
+    use gapbs_verify::verify_bfs;
 
     #[test]
     fn valid_tree_on_road_and_kron() {
@@ -166,26 +167,7 @@ mod tests {
             gen::kron(9, 10, 1),
         ] {
             let parent = bfs(&g, 0, &ThreadPool::new(4));
-            use std::collections::VecDeque;
-            let mut depth = vec![usize::MAX; g.num_vertices()];
-            let mut q = VecDeque::new();
-            depth[0] = 0;
-            q.push_back(0 as NodeId);
-            while let Some(u) = q.pop_front() {
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == usize::MAX {
-                        depth[v as usize] = depth[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                }
-            }
-            for v in g.vertices() {
-                let p = parent[v as usize];
-                assert_eq!(p == NO_PARENT, depth[v as usize] == usize::MAX);
-                if p != NO_PARENT && v != 0 {
-                    assert_eq!(depth[p as usize] + 1, depth[v as usize]);
-                }
-            }
+            verify_bfs(&g, 0, &parent).unwrap();
         }
     }
 }

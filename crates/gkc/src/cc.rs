@@ -79,45 +79,17 @@ mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::verify_cc;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    fn oracle(g: &Graph) -> Vec<NodeId> {
-        let n = g.num_vertices();
-        let mut p: Vec<usize> = (0..n).collect();
-        fn find(p: &mut [usize], mut x: usize) -> usize {
-            while p[x] != x {
-                p[x] = p[p[x]];
-                x = p[x];
-            }
-            x
-        }
-        for u in 0..n {
-            for &v in g.out_neighbors(u as NodeId) {
-                let (a, b) = (find(&mut p, u), find(&mut p, v as usize));
-                if a != b {
-                    p[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        (0..n).map(|u| find(&mut p, u) as NodeId).collect()
-    }
-
-    fn same_partition(a: &[NodeId], b: &[NodeId]) -> bool {
-        let mut f = std::collections::HashMap::new();
-        let mut r = std::collections::HashMap::new();
-        a.iter()
-            .zip(b)
-            .all(|(&x, &y)| *f.entry(x).or_insert(y) == y && *r.entry(y).or_insert(x) == x)
     }
 
     #[test]
     fn matches_oracle_on_random_graphs() {
         for seed in 1..4 {
             let g = gen::urand(9, 8, seed);
-            assert!(same_partition(&cc(&g, &pool()), &oracle(&g)), "seed {seed}");
+            verify_cc(&g, &cc(&g, &pool())).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 
@@ -134,6 +106,6 @@ mod tests {
     #[test]
     fn high_diameter_chain_converges_logarithmically() {
         let g = gen::road(&gen::RoadConfig::gap_like(24), 2);
-        assert!(same_partition(&cc(&g, &pool()), &oracle(&g)));
+        verify_cc(&g, &cc(&g, &pool())).unwrap();
     }
 }

@@ -19,11 +19,11 @@
 //!   Afforest — replicating the §V-C observation that Afforest's
 //!   advantage inverts on Urand.
 
-pub mod bc;
-pub mod bfs;
-pub mod cc;
-pub mod pr;
-pub mod sssp;
+mod bc;
+mod bfs;
+mod cc;
+mod pr;
+mod sssp;
 pub mod tc;
 
 pub use bc::bc;

@@ -84,28 +84,7 @@ pub fn sssp(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec
 mod tests {
     use super::*;
     use gapbs_graph::gen;
-
-    fn dijkstra(g: &WGraph, source: NodeId) -> Vec<Distance> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut dist = vec![INF_DIST; g.num_vertices()];
-        let mut heap = BinaryHeap::new();
-        dist[source as usize] = 0;
-        heap.push(Reverse((0 as Distance, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            for (v, w) in g.out_neighbors_weighted(u) {
-                let nd = d + Distance::from(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        dist
-    }
+    use gapbs_verify::oracles::dijkstra;
 
     #[test]
     fn matches_dijkstra_on_kron_and_road() {

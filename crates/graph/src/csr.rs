@@ -21,7 +21,7 @@ use crate::types::{NodeId, Weight};
 /// occupy `targets[offsets[u]..offsets[u + 1]]`, sorted ascending with no
 /// duplicates.
 ///
-/// The arrays are [`Segment`]s: owned vectors when built from an edge
+/// The arrays are `Segment`s: owned vectors when built from an edge
 /// list, zero-copy views when loaded from an mmap'ed snapshot. Equality
 /// and cloning follow the element contents either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl CsrGraph {
     /// contains duplicates or out-of-range targets. These are programming
     /// errors in construction code, not user-input errors, hence panics
     /// rather than `Result`.
-    pub fn from_parts(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
+    pub(crate) fn from_parts(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         validate_parts(&offsets, &targets);
         CsrGraph {
             offsets: Segment::from_vec(offsets),
@@ -133,7 +133,7 @@ impl CsrGraph {
 
     /// Number of vertices.
     #[inline]
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -145,14 +145,14 @@ impl CsrGraph {
 
     /// Out-degree of `u` in this direction.
     #[inline]
-    pub fn degree(&self, u: NodeId) -> usize {
+    pub(crate) fn degree(&self, u: NodeId) -> usize {
         let u = u as usize;
         (self.offsets[u + 1] - self.offsets[u]) as usize
     }
 
     /// The sorted neighbor slice of `u`.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
+    pub(crate) fn neighbors(&self, u: NodeId) -> &[NodeId] {
         let u = u as usize;
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
@@ -183,7 +183,7 @@ impl CsrGraph {
     }
 
     /// Resident bytes of this adjacency: offsets plus targets.
-    pub fn graph_bytes(&self) -> usize {
+    pub(crate) fn graph_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<NodeId>()
     }
@@ -221,7 +221,7 @@ impl WCsrGraph {
     /// # Panics
     ///
     /// Panics if `weights.len() != csr.num_edges()`.
-    pub fn from_parts(csr: CsrGraph, weights: Vec<Weight>) -> Self {
+    pub(crate) fn from_parts(csr: CsrGraph, weights: Vec<Weight>) -> Self {
         Self::from_segments(csr, Segment::from_vec(weights))
     }
 
@@ -237,19 +237,19 @@ impl WCsrGraph {
 
     /// Number of vertices.
     #[inline]
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.csr.num_vertices()
     }
 
     /// Number of stored directed arcs.
     #[inline]
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.csr.num_edges()
     }
 
     /// Out-degree of `u`.
     #[inline]
-    pub fn degree(&self, u: NodeId) -> usize {
+    pub(crate) fn degree(&self, u: NodeId) -> usize {
         self.csr.degree(u)
     }
 
@@ -289,7 +289,7 @@ impl WCsrGraph {
     }
 
     /// Resident bytes of this adjacency: offsets, targets, and weights.
-    pub fn graph_bytes(&self) -> usize {
+    pub(crate) fn graph_bytes(&self) -> usize {
         self.csr.graph_bytes() + self.weights.len() * std::mem::size_of::<Weight>()
     }
 }

@@ -27,7 +27,7 @@ impl Edge {
     }
 
     /// Returns `true` if both endpoints are the same vertex.
-    pub fn is_self_loop(self) -> bool {
+    pub(crate) fn is_self_loop(self) -> bool {
         self.src == self.dst
     }
 }
@@ -56,19 +56,11 @@ impl WEdge {
     }
 
     /// Returns the edge with endpoints swapped, keeping the weight.
-    pub fn reversed(self) -> Self {
+    pub(crate) fn reversed(self) -> Self {
         WEdge {
             src: self.dst,
             dst: self.src,
             weight: self.weight,
-        }
-    }
-
-    /// Drops the weight.
-    pub fn unweighted(self) -> Edge {
-        Edge {
-            src: self.src,
-            dst: self.dst,
         }
     }
 }
@@ -80,12 +72,12 @@ impl From<(NodeId, NodeId, Weight)> for WEdge {
 }
 
 /// A list of unweighted edges.
-pub type EdgeList = Vec<Edge>;
+pub(crate) type EdgeList = Vec<Edge>;
 
 /// A list of weighted edges.
-pub type WEdgeList = Vec<WEdge>;
+pub(crate) type WEdgeList = Vec<WEdge>;
 
-/// Convenience: builds an [`EdgeList`] from `(src, dst)` pairs.
+/// Convenience: builds an `EdgeList` from `(src, dst)` pairs.
 pub fn edges<I>(pairs: I) -> EdgeList
 where
     I: IntoIterator<Item = (NodeId, NodeId)>,
@@ -93,7 +85,7 @@ where
     pairs.into_iter().map(Edge::from).collect()
 }
 
-/// Convenience: builds a [`WEdgeList`] from `(src, dst, weight)` triples.
+/// Convenience: builds a `WEdgeList` from `(src, dst, weight)` triples.
 pub fn wedges<I>(triples: I) -> WEdgeList
 where
     I: IntoIterator<Item = (NodeId, NodeId, Weight)>,
@@ -122,7 +114,6 @@ mod tests {
     fn weighted_edge_keeps_weight_on_reversal() {
         let e = WEdge::new(1, 2, 9);
         assert_eq!(e.reversed(), WEdge::new(2, 1, 9));
-        assert_eq!(e.unweighted(), Edge::new(1, 2));
     }
 
     #[test]

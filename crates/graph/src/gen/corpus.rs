@@ -55,18 +55,9 @@ impl GraphSpec {
     }
 
     /// Whether the graph is directed (Table I's `Directed` column).
-    pub fn is_directed(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_directed(self) -> bool {
         matches!(self, GraphSpec::Road | GraphSpec::Twitter | GraphSpec::Web)
-    }
-
-    /// The degree-distribution family expected of this topology
-    /// (Table I's `Degree Distribution` column).
-    pub fn degree_family(self) -> DegreeFamily {
-        match self {
-            GraphSpec::Road => DegreeFamily::Bounded,
-            GraphSpec::Twitter | GraphSpec::Web | GraphSpec::Kron => DegreeFamily::Power,
-            GraphSpec::Urand => DegreeFamily::Normal,
-        }
     }
 
     /// Whether the topology has a high diameter (drives algorithm selection
@@ -198,6 +189,24 @@ impl std::fmt::Display for GraphSpec {
     }
 }
 
+impl std::str::FromStr for GraphSpec {
+    type Err = String;
+
+    /// Parses a graph [`name`](GraphSpec::name), ignoring case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_lowercase().as_str() {
+            "web" => Ok(GraphSpec::Web),
+            "twitter" => Ok(GraphSpec::Twitter),
+            "road" => Ok(GraphSpec::Road),
+            "kron" => Ok(GraphSpec::Kron),
+            "urand" => Ok(GraphSpec::Urand),
+            other => Err(format!(
+                "unknown graph {other:?}; expected web|twitter|road|kron|urand"
+            )),
+        }
+    }
+}
+
 /// Degree-distribution family, as classified in Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegreeFamily {
@@ -269,42 +278,75 @@ impl std::fmt::Display for Scale {
     }
 }
 
-/// One generated corpus member: the spec plus both graph forms.
-#[derive(Debug, Clone)]
-pub struct CorpusEntry {
-    /// Which benchmark graph this is.
-    pub spec: GraphSpec,
-    /// Unweighted form (BFS, PR, CC, BC, TC).
-    pub graph: Graph,
-    /// Weighted companion with identical topology (SSSP).
-    pub wgraph: WGraph,
-}
+impl std::str::FromStr for Scale {
+    type Err = String;
 
-/// Generates the full five-graph corpus at the given scale, in Table IV
-/// column order.
-pub fn corpus(scale: Scale) -> Vec<CorpusEntry> {
-    corpus_in(scale, &ThreadPool::new(1))
-}
-
-/// [`corpus`] with generation and construction on `pool` (identical
-/// output for every pool size).
-pub fn corpus_in(scale: Scale, pool: &ThreadPool) -> Vec<CorpusEntry> {
-    GraphSpec::TABLE_ORDER
-        .iter()
-        .map(|&spec| {
-            let (graph, wgraph) = spec.generate_both_in(scale, pool);
-            CorpusEntry {
-                spec,
-                graph,
-                wgraph,
-            }
-        })
-        .collect()
+    /// Parses a scale name as [`Display`](std::fmt::Display) writes it,
+    /// ignoring case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_lowercase().as_str() {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "medium" => Ok(Scale::Medium),
+            "large" => Ok(Scale::Large),
+            other => Err(format!(
+                "unknown scale {other:?}; expected tiny|small|medium|large"
+            )),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One generated corpus member: the spec plus both graph forms.
+    struct CorpusEntry {
+        /// Which benchmark graph this is.
+        spec: GraphSpec,
+        /// Unweighted form (BFS, PR, CC, BC, TC).
+        graph: Graph,
+        /// Weighted companion with identical topology (SSSP).
+        wgraph: WGraph,
+    }
+
+    /// Generates the full five-graph corpus at the given scale, in Table IV
+    /// column order.
+    fn corpus(scale: Scale) -> Vec<CorpusEntry> {
+        let pool = ThreadPool::new(1);
+        GraphSpec::TABLE_ORDER
+            .iter()
+            .map(|&spec| {
+                let (graph, wgraph) = spec.generate_both_in(scale, &pool);
+                CorpusEntry {
+                    spec,
+                    graph,
+                    wgraph,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn names_parse_back_ignoring_case() {
+        for spec in GraphSpec::TABLE_ORDER {
+            assert_eq!(spec.name().parse(), Ok(spec));
+            assert_eq!(spec.name().to_uppercase().parse(), Ok(spec));
+        }
+        for scale in [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large] {
+            assert_eq!(scale.to_string().parse(), Ok(scale));
+            assert_eq!(scale.to_string().to_uppercase().parse(), Ok(scale));
+        }
+        assert_eq!(
+            "Orkut".parse::<GraphSpec>(),
+            Err("unknown graph \"orkut\"; expected web|twitter|road|kron|urand".to_string())
+        );
+        assert_eq!(
+            "huge".parse::<Scale>(),
+            Err("unknown scale \"huge\"; expected tiny|small|medium|large".to_string())
+        );
+        assert!("".parse::<Scale>().is_err());
+    }
 
     #[test]
     fn corpus_has_five_entries_in_table_order() {

@@ -14,11 +14,11 @@ mod erdos;
 mod rmat;
 mod road;
 
-pub mod corpus;
+pub(crate) mod corpus;
 
-pub use corpus::{corpus, corpus_in, GraphSpec, Scale};
+pub use corpus::{GraphSpec, Scale};
 pub use erdos::{urand, urand_edges, urand_edges_in};
-pub use rmat::{kron, kron_edges, kron_edges_in, rmat_edges, rmat_edges_in, RmatConfig};
+pub use rmat::{kron, kron_edges, kron_edges_in};
 pub use road::{road, road_edges, road_edges_in, RoadConfig};
 
 use crate::builder::Builder;
@@ -30,7 +30,7 @@ use gapbs_parallel::{scatter, Schedule, ThreadPool};
 
 /// Maximum generated edge weight, exclusive. GAP draws uniform integer
 /// weights from `[1, 256)`.
-pub const MAX_WEIGHT: Weight = 256;
+pub(crate) const MAX_WEIGHT: Weight = 256;
 
 /// Edge tuples emitted per RNG block by the parallel generators. Fixed
 /// (never derived from the thread count) so the emitted stream is a pure

@@ -27,7 +27,7 @@ const SHUFFLE_STREAM: u64 = 0x5348_5546_464c_4531;
 
 /// Parameters of an R-MAT recursive edge generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RmatConfig {
+pub(crate) struct RmatConfig {
     /// log2 of the number of vertices.
     pub scale: u32,
     /// Average number of generated edge tuples per vertex.
@@ -45,7 +45,7 @@ pub struct RmatConfig {
 
 impl RmatConfig {
     /// Graph500 Kronecker parameters at the given scale and edge factor.
-    pub fn graph500(scale: u32, edges_per_vertex: usize) -> Self {
+    pub(crate) fn graph500(scale: u32, edges_per_vertex: usize) -> Self {
         RmatConfig {
             scale,
             edges_per_vertex,
@@ -57,7 +57,7 @@ impl RmatConfig {
     }
 
     /// Number of vertices implied by `scale`.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         1usize << self.scale
     }
 }
@@ -69,7 +69,7 @@ impl RmatConfig {
 ///
 /// Panics if the quadrant probabilities are malformed (`a + b + c >= 1`
 /// must leave a positive remainder for the fourth quadrant).
-pub fn rmat_edges(config: &RmatConfig, seed: u64) -> Vec<Edge> {
+pub(crate) fn rmat_edges(config: &RmatConfig, seed: u64) -> Vec<Edge> {
     rmat_edges_in(config, seed, &ThreadPool::new(1))
 }
 
@@ -85,7 +85,7 @@ pub fn rmat_edges(config: &RmatConfig, seed: u64) -> Vec<Edge> {
 /// # Panics
 ///
 /// Panics if the quadrant probabilities are malformed.
-pub fn rmat_edges_in(config: &RmatConfig, seed: u64, pool: &ThreadPool) -> Vec<Edge> {
+pub(crate) fn rmat_edges_in(config: &RmatConfig, seed: u64, pool: &ThreadPool) -> Vec<Edge> {
     let d = 1.0 - config.a - config.b - config.c;
     assert!(
         d > 0.0 && config.a > 0.0 && config.b >= 0.0 && config.c >= 0.0,

@@ -51,7 +51,7 @@ impl RoadConfig {
     }
 
     /// Number of vertices in the lattice.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.width * self.height
     }
 }

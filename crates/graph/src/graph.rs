@@ -27,7 +27,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if the two directions disagree on vertex or edge counts.
-    pub fn directed(out: CsrGraph, incoming: CsrGraph) -> Self {
+    pub(crate) fn directed(out: CsrGraph, incoming: CsrGraph) -> Self {
         assert_eq!(out.num_vertices(), incoming.num_vertices());
         assert_eq!(out.num_edges(), incoming.num_edges());
         Graph {
@@ -146,7 +146,7 @@ impl WGraph {
     /// # Panics
     ///
     /// Panics if the directions disagree on vertex or edge counts.
-    pub fn directed(out: WCsrGraph, incoming: WCsrGraph) -> Self {
+    pub(crate) fn directed(out: WCsrGraph, incoming: WCsrGraph) -> Self {
         assert_eq!(out.num_vertices(), incoming.num_vertices());
         assert_eq!(out.num_edges(), incoming.num_edges());
         WGraph {
@@ -172,8 +172,8 @@ impl WGraph {
     }
 
     /// Number of stored directed arcs.
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_arcs(&self) -> usize {
         self.out.num_edges()
     }
 
@@ -215,7 +215,7 @@ impl WGraph {
 
     /// The incoming weighted CSR (same as outgoing when undirected).
     #[inline]
-    pub fn in_wcsr(&self) -> &WCsrGraph {
+    pub(crate) fn in_wcsr(&self) -> &WCsrGraph {
         self.incoming.as_ref().unwrap_or(&self.out)
     }
 

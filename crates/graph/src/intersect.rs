@@ -5,16 +5,16 @@
 //! and GraphBLAST rows compute the same count as a masked SpGEMM. This
 //! module is that formulation: over an *oriented* adjacency (row `u` holds
 //! only the neighbors ordered before `u`, see
-//! [`perm::apply_oriented_in`](crate::perm::apply_oriented_in)), row `u` is
-//! scattered once into a per-worker byte array ([`RowMarks`]) and
+//! `perm::apply_oriented_in`), row `u` is
+//! scattered once into a per-worker byte array (`RowMarks`) and
 //! `|row_u ∩ row_v|` for every `v` in the row is a branch-free sum of mark
 //! reads over `row_v` — no searches, no ceiling tests, one probe per
 //! element read. [`count_marked`] runs that over all rows on a pool, and
 //! [`count_triangles`] over a graph. Marks are bytes, not bits: bit-packing
 //! pays a shift and a mask per probe and measured slower (DESIGN.md §9).
 //!
-//! [`merge_count`] is the scalar two-pointer merge the marks are tested
-//! against; [`contains`] serves `has_edge`.
+//! `merge_count` is the scalar two-pointer merge the marks are tested
+//! against; `contains` serves `has_edge`.
 
 use crate::graph::Graph;
 use crate::perm;
@@ -28,8 +28,8 @@ use gapbs_telemetry::{Phase, Span};
 pub struct Intersection {
     /// Number of elements present in both lists.
     pub count: u64,
-    /// Work spent: merge steps for [`merge_count`]; marks set plus mark
-    /// probes (one per element of a probed row) for [`RowMarks`].
+    /// Work spent: merge steps for `merge_count`; marks set plus mark
+    /// probes (one per element of a probed row) for `RowMarks`.
     pub comparisons: u64,
 }
 
@@ -42,7 +42,8 @@ impl std::ops::AddAssign for Intersection {
 
 /// Scalar branch-free two-pointer merge: the independent oracle the
 /// marked rows are tested against.
-pub fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
+#[cfg(test)]
+pub(crate) fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
     let mut out = Intersection::default();
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -60,13 +61,13 @@ pub fn merge_count<T: Copy + Ord>(a: &[T], b: &[T]) -> Intersection {
 /// Generic over the index type (`u32` adjacency rows, grb's `u64` column
 /// indices). Indexing is bounds-checked: an index past the array panics.
 #[derive(Debug)]
-pub struct RowMarks {
+pub(crate) struct RowMarks {
     marks: Vec<u8>,
 }
 
 impl RowMarks {
     /// A cleared mark array for indices `0..n`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         RowMarks { marks: vec![0; n] }
     }
 
@@ -77,17 +78,17 @@ impl RowMarks {
     }
 
     /// Marks every element of `row`.
-    pub fn mark<T: Copy + Into<u64>>(&mut self, row: &[T]) {
+    pub(crate) fn mark<T: Copy + Into<u64>>(&mut self, row: &[T]) {
         self.set(row, 1);
     }
 
     /// Clears the marks of `row` by re-walking it (O(|row|), not O(n)).
-    pub fn unmark<T: Copy + Into<u64>>(&mut self, row: &[T]) {
+    pub(crate) fn unmark<T: Copy + Into<u64>>(&mut self, row: &[T]) {
         self.set(row, 0);
     }
 
     /// `|marked ∩ row|` as a branch-free sum of mark reads.
-    pub fn probe<T: Copy + Into<u64>>(&self, row: &[T]) -> u64 {
+    pub(crate) fn probe<T: Copy + Into<u64>>(&self, row: &[T]) -> u64 {
         row.iter()
             .map(|&x| u64::from(self.marks[x.into() as usize]))
             .sum()
@@ -96,7 +97,7 @@ impl RowMarks {
     /// `Σ_{v ∈ row_u} |row_u ∩ probed(v)|` — every triangle closed at this
     /// row when the rows are oriented. Leaves the array cleared. A row
     /// shorter than 2 cannot hold both other corners and is skipped.
-    pub fn count_row<'a, T, P>(&mut self, row_u: &[T], probed: P) -> Intersection
+    pub(crate) fn count_row<'a, T, P>(&mut self, row_u: &[T], probed: P) -> Intersection
     where
         T: Copy + Into<u64> + 'a,
         P: Fn(T) -> &'a [T],
@@ -119,7 +120,7 @@ impl RowMarks {
     }
 }
 
-/// Sums [`RowMarks::count_row`] over rows `0..rows` on `pool`:
+/// Sums `RowMarks::count_row` over rows `0..rows` on `pool`:
 /// `marked(u)` is the row scattered into the marks, `probed(v)` the row
 /// read against them (the same accessor for a graph; `L` and `U'` for the
 /// masked product `C<L> = L·U'`). Every index in a row must be below
@@ -188,7 +189,7 @@ pub fn count_triangles(
 /// `true` if sorted `row` contains `v`, via exponential-then-binary seek
 /// (cheap for the low-id targets oriented adjacency favors, logarithmic in
 /// the worst case).
-pub fn contains<T: Copy + Ord>(row: &[T], v: T) -> bool {
+pub(crate) fn contains<T: Copy + Ord>(row: &[T], v: T) -> bool {
     let pos = gallop_seek(row, v);
     row.get(pos).is_some_and(|&y| y == v)
 }

@@ -19,7 +19,7 @@ const SG_MAGIC: &[u8; 4] = b"GSG1";
 ///
 /// Returns [`GraphError::Parse`] with the offending line number on
 /// malformed input and [`GraphError::Io`] on read failure.
-pub fn read_edge_list<R: Read>(reader: R) -> Result<Vec<Edge>, GraphError> {
+pub(crate) fn read_edge_list<R: Read>(reader: R) -> Result<Vec<Edge>, GraphError> {
     let mut edges = Vec::new();
     for (idx, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
@@ -46,7 +46,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Vec<Edge>, GraphError> {
 /// # Errors
 ///
 /// Same conditions as [`read_edge_list`].
-pub fn read_weighted_edge_list<R: Read>(reader: R) -> Result<Vec<WEdge>, GraphError> {
+pub(crate) fn read_weighted_edge_list<R: Read>(reader: R) -> Result<Vec<WEdge>, GraphError> {
     let mut edges = Vec::new();
     for (idx, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;

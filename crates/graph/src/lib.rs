@@ -27,28 +27,27 @@
 //! ```
 
 pub mod builder;
-pub mod csr;
+mod csr;
 pub mod edgelist;
-pub mod error;
+mod error;
 pub mod gen;
-pub mod graph;
+mod graph;
 pub mod intersect;
 pub mod io;
 pub mod perm;
 pub mod rng;
 pub mod scc;
-pub mod segment;
+mod segment;
 pub mod snapshot;
 pub mod stats;
-pub mod strips;
+mod strips;
 pub mod types;
 
 pub use builder::Builder;
 pub use csr::{CsrGraph, WCsrGraph};
-pub use edgelist::{Edge, EdgeList, WEdge, WEdgeList};
+pub use edgelist::Edge;
 pub use error::{BuildError, GraphError, SnapshotError};
 pub use graph::{Graph, WGraph};
-pub use segment::{MapRegion, Segment};
-pub use snapshot::{Compression, Snapshot, SnapshotBundle, SnapshotContents};
+pub use snapshot::{Compression, Snapshot, SnapshotBundle};
 pub use strips::Strips;
-pub use types::{NodeId, Weight};
+pub use types::Weight;

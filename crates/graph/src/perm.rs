@@ -50,13 +50,8 @@ impl Permutation {
     }
 
     /// Number of vertices.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.new_of_old.len()
-    }
-
-    /// `true` when the permutation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.new_of_old.is_empty()
     }
 
     /// The inverse mapping (`old_of_new`).
@@ -151,7 +146,7 @@ pub fn apply_in(g: &Graph, perm: &Permutation, pool: &ThreadPool) -> Graph {
 /// # Panics
 ///
 /// Panics if `g` is directed or `perm` has the wrong length.
-pub fn apply_oriented_in(g: &Graph, perm: &Permutation, pool: &ThreadPool) -> CsrGraph {
+pub(crate) fn apply_oriented_in(g: &Graph, perm: &Permutation, pool: &ThreadPool) -> CsrGraph {
     assert!(!g.is_directed(), "orientation expects a symmetric graph");
     assert_eq!(perm.len(), g.num_vertices());
     let n = g.num_vertices();

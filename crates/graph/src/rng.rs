@@ -61,7 +61,8 @@ impl SeededRng {
     }
 
     /// A uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn gen_f64(&mut self) -> f64 {
         // 53 mantissa bits of the raw output.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

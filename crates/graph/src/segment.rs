@@ -19,7 +19,7 @@ use std::sync::Arc;
 ///
 /// Implementors must be `repr`-stable primitives with the above
 /// properties.
-pub unsafe trait Pod: Copy + Send + Sync + 'static {}
+pub(crate) unsafe trait Pod: Copy + Send + Sync + 'static {}
 
 unsafe impl Pod for u8 {}
 unsafe impl Pod for u32 {}
@@ -38,7 +38,7 @@ pub(crate) fn as_bytes<T: Pod>(slice: &[T]) -> &[u8] {
 /// or a heap buffer elsewhere (and whenever `mmap` fails). The heap
 /// fallback is allocated 8-byte-aligned so typed views are valid either
 /// way; file sections are 64-byte-aligned on top of that.
-pub struct MapRegion {
+pub(crate) struct MapRegion {
     ptr: *const u8,
     len: usize,
     backing: Backing,
@@ -65,11 +65,11 @@ mod sys {
     //! Rust target already links.
     use core::ffi::c_void;
 
-    pub const PROT_READ: i32 = 1;
-    pub const MAP_PRIVATE: i32 = 2;
+    pub(crate) const PROT_READ: i32 = 1;
+    pub(crate) const MAP_PRIVATE: i32 = 2;
 
     extern "C" {
-        pub fn mmap(
+        pub(crate) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: i32,
@@ -77,23 +77,18 @@ mod sys {
             fd: i32,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
     }
 }
 
 impl MapRegion {
-    /// Opens `path` read-only: `mmap` where available (unless
-    /// `GAPBS_NO_MMAP=1`, which forces the heap path for fallback-parity
-    /// testing), a full read into an aligned heap buffer otherwise.
-    pub fn open(path: &std::path::Path) -> std::io::Result<MapRegion> {
-        let force_heap = std::env::var_os("GAPBS_NO_MMAP").is_some_and(|v| v == "1");
-        Self::open_with(path, force_heap)
-    }
-
-    /// [`MapRegion::open`] with an explicit backing choice:
-    /// `force_heap` skips `mmap` and reads the file into the aligned
-    /// heap buffer (the path non-unix targets always take).
-    pub fn open_with(path: &std::path::Path, force_heap: bool) -> std::io::Result<MapRegion> {
+    /// Opens `path` read-only: `mmap` where available, a full read into
+    /// an aligned heap buffer otherwise. `force_heap` takes the heap path
+    /// even where `mmap` exists; non-unix targets always take it.
+    pub(crate) fn open_with(
+        path: &std::path::Path,
+        force_heap: bool,
+    ) -> std::io::Result<MapRegion> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         if len > usize::MAX as u64 {
@@ -152,7 +147,7 @@ impl MapRegion {
     }
 
     /// The mapped bytes.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         if self.len == 0 {
             return &[];
         }
@@ -161,18 +156,13 @@ impl MapRegion {
     }
 
     /// Region length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// `true` when the region is a real memory mapping (as opposed to
     /// the heap fallback).
-    pub fn is_mmap(&self) -> bool {
+    pub(crate) fn is_mmap(&self) -> bool {
         match &self.backing {
             #[cfg(all(unix, target_pointer_width = "64"))]
             Backing::Mmap { .. } => true,
@@ -205,7 +195,7 @@ impl std::fmt::Debug for MapRegion {
 /// view into a shared region (snapshot load, shared decode buffer).
 /// Dereferences to `&[T]`; equality, ordering and hashing follow the
 /// slice contents regardless of backing.
-pub struct Segment<T: Pod> {
+pub(crate) struct Segment<T: Pod> {
     repr: Repr<T>,
 }
 
@@ -226,7 +216,7 @@ unsafe impl<T: Pod> Sync for Segment<T> {}
 
 impl<T: Pod> Segment<T> {
     /// Wraps an owned vector.
-    pub fn from_vec(v: Vec<T>) -> Segment<T> {
+    pub(crate) fn from_vec(v: Vec<T>) -> Segment<T> {
         Segment {
             repr: Repr::Owned(v),
         }
@@ -234,7 +224,7 @@ impl<T: Pod> Segment<T> {
 
     /// A cheap view of a shared vector (used to share one decoded
     /// target array between a graph and its weighted companion).
-    pub fn from_shared_vec(v: Arc<Vec<T>>) -> Segment<T> {
+    pub(crate) fn from_shared_vec(v: Arc<Vec<T>>) -> Segment<T> {
         let ptr = v.as_ptr();
         let len = v.len();
         Segment {
@@ -249,7 +239,7 @@ impl<T: Pod> Segment<T> {
     /// A zero-copy view of `len` elements at `byte_offset` inside
     /// `region`. Returns `None` if the range is out of bounds or
     /// misaligned for `T`.
-    pub fn from_region(
+    pub(crate) fn from_region(
         region: &Arc<MapRegion>,
         byte_offset: usize,
         len: usize,
@@ -275,7 +265,7 @@ impl<T: Pod> Segment<T> {
 
     /// The elements as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match &self.repr {
             Repr::Owned(v) => v,
             Repr::View { ptr, len, .. } => {
@@ -292,7 +282,8 @@ impl<T: Pod> Segment<T> {
 
     /// `true` when this segment borrows shared storage rather than
     /// owning its elements.
-    pub fn is_view(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_view(&self) -> bool {
         matches!(self.repr, Repr::View { .. })
     }
 }
@@ -385,7 +376,7 @@ mod tests {
             .write_all(&payload)
             .unwrap();
 
-        let region = Arc::new(MapRegion::open(&path).unwrap());
+        let region = Arc::new(MapRegion::open_with(&path, false).unwrap());
         assert_eq!(region.as_bytes(), &payload[..]);
 
         // A typed view over the first 1024 u32 words matches a CPU-side
@@ -413,7 +404,7 @@ mod tests {
             .unwrap()
             .write_all(&payload)
             .unwrap();
-        let mapped = MapRegion::open(&path).unwrap();
+        let mapped = MapRegion::open_with(&path, false).unwrap();
         let heaped = MapRegion::open_with(&path, true).unwrap();
         assert!(!heaped.is_mmap());
         assert_eq!(mapped.as_bytes(), heaped.as_bytes());

@@ -34,7 +34,7 @@
 //! one linear pass at load catches any single-byte corruption.
 //!
 //! Loads verify the header and every section checksum, then hand out
-//! [`crate::Segment`] views into the mapping: no O(V+E) per-row
+//! `crate::Segment` views into the mapping: no O(V+E) per-row
 //! semantic validation and no copies. Memory safety never rests on the
 //! checksums alone, though — every load also runs the cheap structural
 //! checks that unsafe downstream code depends on (offset arrays
@@ -42,7 +42,7 @@
 //! checksum-consistent but malformed file fails with a structured
 //! error instead of reaching kernels or the parallel decoder. Paranoid
 //! loads (`LoadOptions::paranoid`) additionally re-run the full CSR
-//! invariant sweep that [`crate::CsrGraph::from_parts`] performs
+//! invariant sweep that `crate::CsrGraph::from_parts` performs
 //! (sorted duplicate-free rows), surfacing violations as
 //! [`SnapshotError::Invalid`].
 //!
@@ -53,7 +53,7 @@
 //! neighbor absolute, then `gap − 1` per successor — rows are sorted
 //! and duplicate-free, so every gap is ≥ 1). The writer measures both
 //! encodings and keeps the compressed form when it beats raw by the
-//! [`COMPRESS_THRESHOLD`] margin ([`Compression::Auto`]). Compression is
+//! `COMPRESS_THRESHOLD` margin ([`Compression::Auto`]). Compression is
 //! an on-disk form only: loads decode it in one validated parallel pass
 //! into an owned CSR that is bit-identical to the builder's.
 
@@ -69,7 +69,7 @@ use gapbs_parallel::{Schedule, SharedSlice, ThreadPool};
 
 /// File magic: "GAPSNAP" plus a non-text byte so `file`/editors never
 /// mistake a snapshot for text.
-pub const MAGIC: [u8; 8] = *b"GAPSNAP\x01";
+pub(crate) const MAGIC: [u8; 8] = *b"GAPSNAP\x01";
 
 /// Format version this build reads and writes. Version 2 switched the
 /// section checksums to the canonical FNV-1a 64-bit prime (v1 used a
@@ -79,11 +79,11 @@ pub const FORMAT_VERSION: u16 = 2;
 
 /// Every section starts on a 64-byte boundary (cache line; also
 /// satisfies every element alignment the format uses).
-pub const SECTION_ALIGN: u64 = 64;
+pub(crate) const SECTION_ALIGN: u64 = 64;
 
 /// Auto compression keeps the varint form only when it is at least
 /// this much smaller than raw (stored < raw × 0.9).
-pub const COMPRESS_THRESHOLD: f64 = 0.9;
+pub(crate) const COMPRESS_THRESHOLD: f64 = 0.9;
 
 /// Header byte 10: the row-offset width in bytes. Offsets are `u32`;
 /// the loader rejects any other value.
@@ -259,7 +259,7 @@ fn decode_row(bytes: &[u8], out: &mut [NodeId], n: usize) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compression {
     /// Measure both encodings, keep varint only when it beats raw by
-    /// [`COMPRESS_THRESHOLD`].
+    /// `COMPRESS_THRESHOLD`.
     Auto,
     /// Always store raw targets (maximum load speed, zero copies).
     Never,
@@ -315,7 +315,7 @@ pub struct SectionStats {
     pub stored_bytes: u64,
 }
 
-/// What [`write`] produced.
+/// What [`write()`] produced.
 #[derive(Debug, Clone)]
 pub struct WriteStats {
     /// Total file size.
@@ -1097,7 +1097,7 @@ impl Snapshot {
 
     /// Source candidates (copied out of the mapping — callers own a
     /// plain `Vec`). Every id is range-checked.
-    pub fn source_candidates(&self) -> Result<Vec<NodeId>, GraphError> {
+    pub(crate) fn source_candidates(&self) -> Result<Vec<NodeId>, GraphError> {
         let sec = self.find(SectionKind::SourceCandidates)?;
         if sec.len % 4 != 0 {
             return err(SnapshotError::Malformed {

@@ -41,25 +41,8 @@ pub fn summarize(g: &Graph) -> GraphSummary {
 }
 
 /// Maximum out-degree.
-pub fn max_degree(g: &Graph) -> usize {
+pub(crate) fn max_degree(g: &Graph) -> usize {
     g.vertices().map(|u| g.out_degree(u)).max().unwrap_or(0)
-}
-
-/// Sample variance of the out-degree distribution.
-pub fn degree_variance(g: &Graph) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    let mean = g.average_degree();
-    let ss: f64 = g
-        .vertices()
-        .map(|u| {
-            let d = g.out_degree(u) as f64 - mean;
-            d * d
-        })
-        .sum();
-    ss / n as f64
 }
 
 /// Classifies the degree distribution into Table I's three families using
@@ -68,7 +51,7 @@ pub fn degree_variance(g: &Graph) -> f64 {
 /// * **bounded** — the maximum degree is a small constant (road networks);
 /// * **power** — the maximum degree dwarfs the mean (heavy tail);
 /// * **normal** — otherwise (degrees concentrate around the mean).
-pub fn classify_degrees(g: &Graph) -> DegreeFamily {
+pub(crate) fn classify_degrees(g: &Graph) -> DegreeFamily {
     let max = max_degree(g) as f64;
     let mean = g.average_degree().max(f64::MIN_POSITIVE);
     if max <= 16.0 && max <= mean * 4.0 {
@@ -140,11 +123,11 @@ pub fn approx_diameter(g: &Graph) -> usize {
 
 /// GAP's direction-optimizing `alpha`: switch push→pull when the
 /// frontier's outgoing edges exceed `1/alpha` of the unexplored edges.
-pub const DO_ALPHA: u64 = 15;
+pub(crate) const DO_ALPHA: u64 = 15;
 
 /// GAP's direction-optimizing `beta`: switch pull→push when the frontier
 /// shrinks below `n / beta` vertices.
-pub const DO_BETA: u64 = 18;
+pub(crate) const DO_BETA: u64 = 18;
 
 /// GAP's push→pull test. Every direction-optimizing traversal in the
 /// suite (and [`frontier_profile`]'s prediction) shares this predicate so
@@ -211,7 +194,7 @@ impl FrontierProfile {
 }
 
 /// Computes the [`FrontierProfile`] of a BFS from `source` with GAP's
-/// direction-optimizing thresholds ([`DO_ALPHA`], [`DO_BETA`]).
+/// direction-optimizing thresholds (`DO_ALPHA`, `DO_BETA`).
 pub fn frontier_profile(g: &Graph, source: NodeId) -> FrontierProfile {
     let n = g.num_vertices();
     let mut depth = vec![usize::MAX; n];
@@ -248,15 +231,6 @@ pub fn frontier_profile(g: &Graph, source: NodeId) -> FrontierProfile {
         frontier_edges: edges,
         pull_levels: pulls,
     }
-}
-
-/// Histogram of out-degrees as `(degree, count)` pairs sorted by degree.
-pub fn degree_histogram(g: &Graph) -> Vec<(usize, usize)> {
-    let mut hist = std::collections::BTreeMap::new();
-    for u in g.vertices() {
-        *hist.entry(g.out_degree(u)).or_insert(0usize) += 1;
-    }
-    hist.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -363,12 +337,5 @@ mod tests {
         assert!(predict_pull(100, 1000, 1, 1000));
         assert!(predict_pull(0, 1000, 500, 1000));
         assert!(!predict_pull(5, 1000, 1, 1000));
-    }
-
-    #[test]
-    fn histogram_counts_every_vertex() {
-        let g = gen::urand(8, 8, 1);
-        let total: usize = degree_histogram(&g).iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, g.num_vertices());
     }
 }

@@ -24,7 +24,7 @@ use std::ops::Range;
 /// Per-strip byte budget for the streamed in-edge targets plus the
 /// resident destination window: 2 MiB, half of a typical per-core LLC
 /// slice, leaving room for the source-side array the sweep reads through.
-pub const STRIP_BYTES: usize = 2 << 20;
+pub(crate) const STRIP_BYTES: usize = 2 << 20;
 
 /// Bytes each in-edge target contributes to the streamed working set.
 const BYTES_PER_EDGE: usize = std::mem::size_of::<NodeId>();
@@ -39,7 +39,7 @@ pub struct Strips {
 
 impl Strips {
     /// Partitions the destinations of `csr` (the *in*-adjacency a pull
-    /// kernel walks) into strips of roughly [`STRIP_BYTES`] streamed
+    /// kernel walks) into strips of roughly `STRIP_BYTES` streamed
     /// bytes each.
     pub fn pull(csr: &CsrGraph) -> Self {
         Strips::with_budget(csr, STRIP_BYTES)

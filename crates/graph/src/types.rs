@@ -3,7 +3,7 @@
 //! Like five of the six frameworks in the paper, the substrate uses 32-bit
 //! indices throughout ("the other frameworks use 32-bit indices throughout by
 //! default"): vertex identifiers here, and CSR row offsets in
-//! [`crate::csr`]. The GraphBLAS-style crate widens indices to 64 bits
+//! `crate::csr`. The GraphBLAS-style crate widens indices to 64 bits
 //! internally to reproduce the index-width tax discussed in Section V.
 
 /// Identifier of a vertex. 32 bits, matching the GAP reference code.

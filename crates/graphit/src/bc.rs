@@ -158,59 +158,14 @@ fn expand<F: Fn(NodeId) + Sync>(
 mod tests {
     use super::*;
     use gapbs_graph::gen;
-
-    fn oracle(g: &Graph, sources: &[NodeId]) -> Vec<Score> {
-        use std::collections::VecDeque;
-        let n = g.num_vertices();
-        let mut scores = vec![0.0; n];
-        for &s in sources {
-            let mut depth = vec![i64::MAX; n];
-            let mut sigma = vec![0.0f64; n];
-            let mut order = Vec::new();
-            let mut q = VecDeque::new();
-            depth[s as usize] = 0;
-            sigma[s as usize] = 1.0;
-            q.push_back(s);
-            while let Some(u) = q.pop_front() {
-                order.push(u);
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == i64::MAX {
-                        depth[v as usize] = depth[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        sigma[v as usize] += sigma[u as usize];
-                    }
-                }
-            }
-            let mut delta = vec![0.0f64; n];
-            for &u in order.iter().rev() {
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        delta[u as usize] +=
-                            (sigma[u as usize] / sigma[v as usize]) * (1.0 + delta[v as usize]);
-                    }
-                }
-                if u != s {
-                    scores[u as usize] += delta[u as usize];
-                }
-            }
-        }
-        let max = scores.iter().cloned().fold(0.0, f64::max);
-        if max > 0.0 {
-            for v in &mut scores {
-                *v /= max;
-            }
-        }
-        scores
-    }
+    use gapbs_verify::oracles::brandes;
 
     #[test]
     fn both_layouts_match_oracle() {
         for seed in [3, 4] {
             let g = gen::kron(8, 8, seed);
             let sources = [0, 2, 9, 17];
-            let want = oracle(&g, &sources);
+            let want = brandes(&g, &sources);
             let p = ThreadPool::new(4);
             for layout in [FrontierLayout::BitVector, FrontierLayout::SparseQueue] {
                 let got = bc(&g, &sources, layout, &p);
@@ -232,7 +187,7 @@ mod tests {
         let g = Builder::new()
             .build(edges([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]))
             .unwrap();
-        let want = oracle(&g, &[0]);
+        let want = brandes(&g, &[0]);
         let got = bc(&g, &[0], FrontierLayout::BitVector, &ThreadPool::new(2));
         for v in 0..want.len() {
             assert!((got[v] - want[v]).abs() < 1e-9, "vertex {v}");

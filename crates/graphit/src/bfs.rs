@@ -171,32 +171,10 @@ fn push_step(
 mod tests {
     use super::*;
     use gapbs_graph::gen;
+    use gapbs_verify::verify_bfs;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    fn check(g: &Graph, source: NodeId, parent: &[NodeId]) {
-        use std::collections::VecDeque;
-        let mut depth = vec![usize::MAX; g.num_vertices()];
-        let mut q = VecDeque::new();
-        depth[source as usize] = 0;
-        q.push_back(source);
-        while let Some(u) = q.pop_front() {
-            for &v in g.out_neighbors(u) {
-                if depth[v as usize] == usize::MAX {
-                    depth[v as usize] = depth[u as usize] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        for v in g.vertices() {
-            let p = parent[v as usize];
-            assert_eq!(p == NO_PARENT, depth[v as usize] == usize::MAX, "at {v}");
-            if p != NO_PARENT && v != source {
-                assert_eq!(depth[p as usize] + 1, depth[v as usize], "at {v}");
-            }
-        }
     }
 
     #[test]
@@ -215,7 +193,7 @@ mod tests {
                     ..Schedule::baseline()
                 };
                 let parent = bfs(&g, 2, &s, &p);
-                check(&g, 2, &parent);
+                verify_bfs(&g, 2, &parent).unwrap();
             }
         }
     }
@@ -225,6 +203,6 @@ mod tests {
         let g = gen::road(&gen::RoadConfig::gap_like(20), 4);
         let s = Schedule::optimized_for(gapbs_graph::gen::GraphSpec::Road);
         let parent = bfs(&g, 0, &s, &pool());
-        check(&g, 0, &parent);
+        verify_bfs(&g, 0, &parent).unwrap();
     }
 }

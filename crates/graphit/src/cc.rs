@@ -110,49 +110,20 @@ pub fn cc(g: &Graph, short_circuit: bool, pool: &ThreadPool) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use gapbs_graph::gen;
+    use gapbs_verify::verify_cc;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    fn oracle(g: &Graph) -> Vec<NodeId> {
-        let n = g.num_vertices();
-        let mut p: Vec<usize> = (0..n).collect();
-        fn find(p: &mut [usize], mut x: usize) -> usize {
-            while p[x] != x {
-                p[x] = p[p[x]];
-                x = p[x];
-            }
-            x
-        }
-        for u in 0..n {
-            for &v in g.out_neighbors(u as NodeId) {
-                let (a, b) = (find(&mut p, u), find(&mut p, v as usize));
-                if a != b {
-                    p[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        (0..n).map(|u| find(&mut p, u) as NodeId).collect()
-    }
-
-    fn same_partition(a: &[NodeId], b: &[NodeId]) -> bool {
-        let mut f = std::collections::HashMap::new();
-        let mut r = std::collections::HashMap::new();
-        a.iter()
-            .zip(b)
-            .all(|(&x, &y)| *f.entry(x).or_insert(y) == y && *r.entry(y).or_insert(x) == x)
     }
 
     #[test]
     fn matches_oracle_with_and_without_short_circuit() {
         for seed in [1, 2] {
             let g = gen::urand(8, 6, seed);
-            let want = oracle(&g);
             let p = pool();
             for sc in [false, true] {
                 let got = cc(&g, sc, &p);
-                assert!(same_partition(&got, &want), "sc={sc} seed={seed}");
+                verify_cc(&g, &got).unwrap_or_else(|e| panic!("sc={sc} seed={seed}: {e}"));
             }
         }
     }
@@ -160,9 +131,8 @@ mod tests {
     #[test]
     fn high_diameter_road_converges() {
         let g = gen::road(&gen::RoadConfig::gap_like(24), 6);
-        let want = oracle(&g);
         let got = cc(&g, true, &pool());
-        assert!(same_partition(&got, &want));
+        verify_cc(&g, &got).unwrap();
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //! the slowest of the suite (O(E·D) vs Afforest's ~O(V)) — a shape this
 //! reproduction preserves.
 
-pub mod bc;
-pub mod bfs;
-pub mod cc;
-pub mod pr;
-pub mod schedule;
-pub mod sssp;
-pub mod tc;
+mod bc;
+mod bfs;
+mod cc;
+mod pr;
+mod schedule;
+mod sssp;
+mod tc;
 
 pub use bc::bc;
 pub use bfs::bfs;

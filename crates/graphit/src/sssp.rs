@@ -16,7 +16,7 @@ use std::sync::atomic::Ordering;
 
 /// The bucket-size threshold below which a fused (synchronization-free)
 /// drain is used.
-pub const FUSION_THRESHOLD: usize = 512;
+pub(crate) const FUSION_THRESHOLD: usize = 512;
 
 /// Runs delta-stepping from `source`; `bucket_fusion` toggles the
 /// optimization (the Schedule's knob).
@@ -117,28 +117,7 @@ fn relax(
 mod tests {
     use super::*;
     use gapbs_graph::gen;
-
-    fn dijkstra(g: &WGraph, source: NodeId) -> Vec<Distance> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut dist = vec![INF_DIST; g.num_vertices()];
-        let mut heap = BinaryHeap::new();
-        dist[source as usize] = 0;
-        heap.push(Reverse((0 as Distance, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            for (v, w) in g.out_neighbors_weighted(u) {
-                let nd = d + Distance::from(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        dist
-    }
+    use gapbs_verify::oracles::dijkstra;
 
     #[test]
     fn fused_and_unfused_match_dijkstra() {

@@ -34,13 +34,13 @@ use gapbs_telemetry::{record, Counter};
 
 /// Maximum column count of a frontier matrix: one bit per column in the
 /// `active` / mask words.
-pub const MAX_COLUMNS: usize = 64;
+pub(crate) const MAX_COLUMNS: usize = 64;
 
 /// A sparse n×k matrix of k column frontiers, stored row-major over the
 /// union of the columns' structures. Rows are kept in the order they were
 /// pushed; [`vxm_multi`] outputs rows sorted by vertex index.
 #[derive(Debug, Clone)]
-pub struct FrontierMatrix<X> {
+pub(crate) struct FrontierMatrix<X> {
     k: usize,
     indices: Vec<GrbIndex>,
     active: Vec<u64>,
@@ -64,14 +64,14 @@ impl<X> FrontierMatrix<X> {
     /// # Panics
     ///
     /// Panics if `k` is zero or exceeds [`MAX_COLUMNS`].
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         let mut fm = FrontierMatrix::default();
         fm.reset(k);
         fm
     }
 
     /// Clears all rows and sets the column count, keeping capacity.
-    pub fn reset(&mut self, k: usize) {
+    pub(crate) fn reset(&mut self, k: usize) {
         assert!(
             (1..=MAX_COLUMNS).contains(&k),
             "column count {k} outside 1..={MAX_COLUMNS}"
@@ -83,23 +83,23 @@ impl<X> FrontierMatrix<X> {
     }
 
     /// Number of columns.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// Number of stored rows (vertices active in at least one column).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.indices.len()
     }
 
     /// `true` when no column has an active vertex.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.indices.is_empty()
     }
 
     /// Appends a row: vertex `index`, the word of columns it is active
     /// in, and its `k` column values (inactive slots are ignored).
-    pub fn push_row(&mut self, index: GrbIndex, active: u64, values: &[X])
+    pub(crate) fn push_row(&mut self, index: GrbIndex, active: u64, values: &[X])
     where
         X: Clone,
     {
@@ -112,7 +112,7 @@ impl<X> FrontierMatrix<X> {
     }
 
     /// Appends a row whose values come from `value_of(column)`.
-    pub fn push_row_with(
+    pub(crate) fn push_row_with(
         &mut self,
         index: GrbIndex,
         active: u64,
@@ -127,7 +127,7 @@ impl<X> FrontierMatrix<X> {
     }
 
     /// Row `t` as `(vertex, active columns, k values)`.
-    pub fn row(&self, t: usize) -> (GrbIndex, u64, &[X]) {
+    pub(crate) fn row(&self, t: usize) -> (GrbIndex, u64, &[X]) {
         (
             self.indices[t],
             self.active[t],
@@ -136,7 +136,7 @@ impl<X> FrontierMatrix<X> {
     }
 
     /// Iterates rows as `(vertex, active columns, k values)`.
-    pub fn iter(&self) -> impl Iterator<Item = (GrbIndex, u64, &[X])> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (GrbIndex, u64, &[X])> + '_ {
         (0..self.len()).map(move |t| self.row(t))
     }
 
@@ -145,7 +145,7 @@ impl<X> FrontierMatrix<X> {
     /// # Panics
     ///
     /// Panics when the column counts differ.
-    pub fn append(&mut self, other: &mut FrontierMatrix<X>) {
+    pub(crate) fn append(&mut self, other: &mut FrontierMatrix<X>) {
         assert_eq!(self.k, other.k, "column count mismatch");
         self.indices.append(&mut other.indices);
         self.active.append(&mut other.active);
@@ -162,7 +162,7 @@ impl<X> FrontierMatrix<X> {
 /// module docs; the result is bit-identical to the serial path at every
 /// pool size. Output rows are sorted by vertex index, and inactive value
 /// slots hold `Y::default()` so equal inputs produce equal outputs.
-pub fn vxm_multi<X, Y, S, F>(
+pub(crate) fn vxm_multi<X, Y, S, F>(
     semiring: &S,
     x: &FrontierMatrix<X>,
     a: &GrbMatrix,

@@ -15,9 +15,9 @@ use gapbs_graph::types::{NodeId, Score};
 use gapbs_parallel::ThreadPool;
 
 /// Number of batched roots (the GAP spec's BC approximation width).
-pub const BATCH: usize = 4;
+pub(crate) const BATCH: usize = 4;
 
-/// Runs batch Brandes over up to [`BATCH`] sources per sweep, returning
+/// Runs batch Brandes over up to `BATCH` sources per sweep, returning
 /// scores normalized by the maximum (the GAP output convention).
 pub fn bc_batch(ctx: &LaGraphContext, sources: &[NodeId], pool: &ThreadPool) -> Vec<Score> {
     let n = ctx.num_vertices() as usize;
@@ -148,52 +148,7 @@ fn batch_pass(ctx: &LaGraphContext, sources: &[NodeId], scores: &mut [Score], po
 mod tests {
     use super::*;
     use gapbs_graph::{edgelist::edges, gen, Builder};
-
-    fn oracle(g: &gapbs_graph::Graph, sources: &[NodeId]) -> Vec<Score> {
-        use std::collections::VecDeque;
-        let n = g.num_vertices();
-        let mut scores = vec![0.0; n];
-        for &s in sources {
-            let mut depth = vec![i64::MAX; n];
-            let mut sigma = vec![0.0f64; n];
-            let mut order = Vec::new();
-            let mut q = VecDeque::new();
-            depth[s as usize] = 0;
-            sigma[s as usize] = 1.0;
-            q.push_back(s);
-            while let Some(u) = q.pop_front() {
-                order.push(u);
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == i64::MAX {
-                        depth[v as usize] = depth[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        sigma[v as usize] += sigma[u as usize];
-                    }
-                }
-            }
-            let mut delta = vec![0.0f64; n];
-            for &u in order.iter().rev() {
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        delta[u as usize] +=
-                            (sigma[u as usize] / sigma[v as usize]) * (1.0 + delta[v as usize]);
-                    }
-                }
-                if u != s {
-                    scores[u as usize] += delta[u as usize];
-                }
-            }
-        }
-        let max = scores.iter().cloned().fold(0.0, f64::max);
-        if max > 0.0 {
-            for v in &mut scores {
-                *v /= max;
-            }
-        }
-        scores
-    }
+    use gapbs_verify::oracles::brandes;
 
     fn assert_close(a: &[Score], b: &[Score]) {
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -208,19 +163,8 @@ mod tests {
             let g = gen::kron(8, 8, seed);
             let ctx = crate::lagraph::LaGraphContext::from_graph(&g);
             let sources = [0, 7, 13, 42];
-            assert_close(&bc_batch(&ctx, &sources, &pool), &oracle(&g, &sources));
+            assert_close(&bc_batch(&ctx, &sources, &pool), &brandes(&g, &sources));
         }
-    }
-
-    #[test]
-    fn batch_matches_per_source_implementation() {
-        let g = gen::urand(8, 8, 4);
-        let ctx = crate::lagraph::LaGraphContext::from_graph(&g);
-        let sources = [3, 9, 27, 81];
-        let pool = gapbs_parallel::ThreadPool::new(2);
-        let batched = bc_batch(&ctx, &sources, &pool);
-        let per_source = crate::lagraph::bc(&ctx, &sources, &pool);
-        assert_close(&batched, &per_source);
     }
 
     #[test]
@@ -247,11 +191,11 @@ mod tests {
             .unwrap();
         let ctx = crate::lagraph::LaGraphContext::from_graph(&g);
         let pool = ThreadPool::new(2);
-        assert_close(&bc_batch(&ctx, &[0], &pool), &oracle(&g, &[0]));
-        assert_close(&bc_batch(&ctx, &[0, 0], &pool), &oracle(&g, &[0, 0]));
+        assert_close(&bc_batch(&ctx, &[0], &pool), &brandes(&g, &[0]));
+        assert_close(&bc_batch(&ctx, &[0, 0], &pool), &brandes(&g, &[0, 0]));
         // More than BATCH sources chunk into multiple passes.
         let many = [0, 1, 2, 3, 0];
-        assert_close(&bc_batch(&ctx, &many, &pool), &oracle(&g, &many));
+        assert_close(&bc_batch(&ctx, &many, &pool), &brandes(&g, &many));
     }
 
     #[test]
@@ -260,6 +204,6 @@ mod tests {
         let ctx = crate::lagraph::LaGraphContext::from_graph(&g);
         let sources = [0, 7, 50, 120];
         let pool = ThreadPool::new(2);
-        assert_close(&bc_batch(&ctx, &sources, &pool), &oracle(&g, &sources));
+        assert_close(&bc_batch(&ctx, &sources, &pool), &brandes(&g, &sources));
     }
 }

@@ -155,7 +155,7 @@ fn merge_min(mngp: &mut [GrbIndex], pulled: &GrbVector<GrbIndex>, par: bool, poo
 /// min(dst[idx], value)` for every `(idx, value)` pair. Returns whether
 /// anything changed. (The GraphBLAS C API leaves duplicate-index assign
 /// undefined; FastSV needs the min-reduction semantics, §V-C.)
-pub fn scatter_min(dst: &mut [GrbIndex], updates: &[(GrbIndex, GrbIndex)]) -> bool {
+pub(crate) fn scatter_min(dst: &mut [GrbIndex], updates: &[(GrbIndex, GrbIndex)]) -> bool {
     let mut changed = false;
     for &(idx, value) in updates {
         let slot = &mut dst[idx as usize];
@@ -172,17 +172,10 @@ mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::verify_cc;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(2)
-    }
-
-    fn labels_partition_eq(a: &[NodeId], b: &[NodeId]) -> bool {
-        let mut fwd = std::collections::HashMap::new();
-        let mut bwd = std::collections::HashMap::new();
-        a.iter()
-            .zip(b)
-            .all(|(&x, &y)| *fwd.entry(x).or_insert(y) == y && *bwd.entry(y).or_insert(x) == x)
     }
 
     #[test]
@@ -215,30 +208,8 @@ mod tests {
             let g = gen::urand(8, 6, seed);
             let ctx = LaGraphContext::from_graph(&g);
             let got = cc(&ctx, &pool());
-            let want = union_find(&g);
-            assert!(labels_partition_eq(&got, &want), "seed {seed}");
+            verify_cc(&g, &got).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
-    }
-
-    fn union_find(g: &gapbs_graph::Graph) -> Vec<NodeId> {
-        let n = g.num_vertices();
-        let mut p: Vec<usize> = (0..n).collect();
-        fn find(p: &mut [usize], mut x: usize) -> usize {
-            while p[x] != x {
-                p[x] = p[p[x]];
-                x = p[x];
-            }
-            x
-        }
-        for u in 0..n {
-            for &v in g.out_neighbors(u as NodeId) {
-                let (a, b) = (find(&mut p, u), find(&mut p, v as usize));
-                if a != b {
-                    p[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        (0..n).map(|u| find(&mut p, u) as NodeId).collect()
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! module is the analogue of the six LAGraph algorithms the SuiteSparse
 //! team developed for the GAP benchmark.
 
-mod bc;
 mod bc_batch;
 mod bfs;
 mod cc;
@@ -14,8 +13,7 @@ mod pr;
 mod sssp;
 mod tc;
 
-pub use bc::bc;
-pub use bc_batch::{bc_batch, BATCH};
+pub use bc_batch::bc_batch;
 pub use bfs::bfs;
 pub use cc::cc;
 pub use pr::pr;
@@ -76,7 +74,7 @@ impl LaGraphContext {
     }
 
     /// Number of vertices.
-    pub fn num_vertices(&self) -> u64 {
+    pub(crate) fn num_vertices(&self) -> u64 {
         self.a.nrows()
     }
 }

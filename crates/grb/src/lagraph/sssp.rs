@@ -120,6 +120,7 @@ mod tests {
     use super::*;
     use gapbs_graph::edgelist::wedges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::oracles::dijkstra;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(2)
@@ -151,33 +152,11 @@ mod tests {
             Builder::new().num_vertices(128).build(b).unwrap()
         };
         let ctx = LaGraphContext::from_wgraph(&g, &wg);
-        let want = gapbs_verify_dijkstra(&wg, 0);
+        let want = dijkstra(&wg, 0);
         let pool = pool();
         for delta in [1, 16, 300] {
             assert_eq!(sssp(&ctx, 0, delta, &pool), want, "delta={delta}");
         }
-    }
-
-    fn gapbs_verify_dijkstra(g: &gapbs_graph::WGraph, source: NodeId) -> Vec<Distance> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut dist = vec![INF_DIST; g.num_vertices()];
-        let mut heap = BinaryHeap::new();
-        dist[source as usize] = 0;
-        heap.push(Reverse((0 as Distance, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            for (v, w) in g.out_neighbors_weighted(u) {
-                let nd = d + Distance::from(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        dist
     }
 
     #[test]

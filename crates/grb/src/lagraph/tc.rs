@@ -20,7 +20,7 @@ pub fn tc(ctx: &LaGraphContext, pool: &ThreadPool) -> u64 {
 /// Counts triangles of a symmetric adjacency matrix, with the optional
 /// presort decided by a degree-skew heuristic (relabeling time is part of
 /// the kernel, per the benchmark rules).
-pub fn tc_on_matrix(a: &GrbMatrix, pool: &ThreadPool) -> u64 {
+pub(crate) fn tc_on_matrix(a: &GrbMatrix, pool: &ThreadPool) -> u64 {
     let a_sorted;
     let a = if worth_sorting(a) {
         a_sorted = permute_by_degree(a);

@@ -19,19 +19,17 @@
 //! The [`lagraph`] module implements the six GAP kernels strictly on top
 //! of this engine, the way LAGraph sits on GraphBLAS.
 
-pub mod frontier;
+mod frontier;
 pub mod lagraph;
-pub mod matrix;
+mod matrix;
 pub mod ops;
 pub mod semiring;
-pub mod vector;
-pub mod workspace;
+mod vector;
+mod workspace;
 
-pub use frontier::{vxm_multi, FrontierMatrix};
 pub use matrix::GrbMatrix;
-pub use semiring::{AddMonoid, Semiring};
 pub use vector::{GrbVector, Storage};
 pub use workspace::OpWorkspace;
 
 /// Index type: 64-bit, per the GraphBLAS design point discussed in §V.
-pub type GrbIndex = u64;
+pub(crate) type GrbIndex = u64;

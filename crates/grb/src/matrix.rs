@@ -24,7 +24,7 @@ impl GrbMatrix {
     /// # Panics
     ///
     /// Panics on inconsistent offsets.
-    pub fn from_csr(nrows: u64, ncols: u64, offsets: Vec<u64>, cols: Vec<GrbIndex>) -> Self {
+    pub(crate) fn from_csr(nrows: u64, ncols: u64, offsets: Vec<u64>, cols: Vec<GrbIndex>) -> Self {
         assert_eq!(offsets.len() as u64, nrows + 1, "offset length mismatch");
         assert_eq!(
             *offsets.last().unwrap_or(&0),
@@ -50,7 +50,7 @@ impl GrbMatrix {
     }
 
     /// Transposed adjacency (row `i` = in-neighbors of vertex `i`).
-    pub fn from_graph_transposed(g: &Graph) -> Self {
+    pub(crate) fn from_graph_transposed(g: &Graph) -> Self {
         Self::convert(g.num_vertices(), g.in_csr())
     }
 
@@ -71,7 +71,7 @@ impl GrbMatrix {
     }
 
     /// Weighted adjacency matrix of `wg`.
-    pub fn from_wgraph(wg: &WGraph) -> Self {
+    pub(crate) fn from_wgraph(wg: &WGraph) -> Self {
         let csr = wg.out_wcsr();
         let n = wg.num_vertices();
         let offsets: Vec<u64> = csr
@@ -124,14 +124,14 @@ impl GrbMatrix {
     }
 
     /// `(column, weight)` pairs of row `i`.
-    pub fn row_weighted(&self, i: GrbIndex) -> impl Iterator<Item = (GrbIndex, i32)> + '_ {
+    pub(crate) fn row_weighted(&self, i: GrbIndex) -> impl Iterator<Item = (GrbIndex, i32)> + '_ {
         let (cols, weights) = self.row_parts(i);
         cols.iter().copied().zip(weights.iter().copied())
     }
 
     /// Column and weight slices of row `i` — the zero-overhead accessor
     /// the operation engine's hot loops index directly.
-    pub fn row_parts(&self, i: GrbIndex) -> (&[GrbIndex], &[i32]) {
+    pub(crate) fn row_parts(&self, i: GrbIndex) -> (&[GrbIndex], &[i32]) {
         let lo = self.offsets[i as usize] as usize;
         let hi = self.offsets[i as usize + 1] as usize;
         (&self.cols[lo..hi], &self.weights[lo..hi])

@@ -21,11 +21,11 @@
 //!   frontier order regardless of which worker runs what, results are
 //!   **bit-identical at every thread count** — even for order-sensitive
 //!   monoids like `any` and floating-point `plus`.
-//! * `mxv` spills per-worker `(row, value)` pairs ([`PerWorker`]) and
+//! * `mxv` spills per-worker `(row, value)` pairs (`PerWorker`) and
 //!   concatenates after the region; rows are unique, so one sort by
 //!   index restores a canonical order. No mutex is touched.
 //! * `mxm_pair_masked_sum` is a pure per-row reduction of counts.
-//! * `reduce`/`apply`/`select`/`assign_masked` route through the pool
+//! * `reduce`/`apply`/`select` route through the pool
 //!   above a size cutoff; `reduce` folds fixed blocks in block order so
 //!   float reductions associate identically at every thread count.
 //!
@@ -64,25 +64,12 @@ pub struct Mask<'a, M: Clone> {
 }
 
 impl<'a, M: Clone> Mask<'a, M> {
-    /// `C<M>`: positions where `vector` has an entry.
-    pub fn structural(vector: &'a GrbVector<M>) -> Self {
-        Mask {
-            vector,
-            complemented: false,
-        }
-    }
-
     /// `C<!M>`: positions where `vector` has *no* entry.
     pub fn complement(vector: &'a GrbVector<M>) -> Self {
         Mask {
             vector,
             complemented: true,
         }
-    }
-
-    /// Whether position `i` may be written.
-    pub fn allows(&self, i: GrbIndex) -> bool {
-        self.vector.contains(i) != self.complemented
     }
 }
 
@@ -187,7 +174,7 @@ pub(crate) fn traced<R>(op: &'static str, f: impl FnOnce() -> R) -> R {
 
 /// Push-direction product `y<mask> = x' * A`: every entry `x_k` scatters
 /// along row `k` of `A`, accumulating into a workspace SPA. Above
-/// [`VXM_PAR_CUTOFF`] frontier entries the scatter runs on `pool` via the
+/// `VXM_PAR_CUTOFF` frontier entries the scatter runs on `pool` via the
 /// radix two-phase described in the module docs; the result is
 /// bit-identical to the serial path at every pool size.
 pub fn vxm<X, Y, S, M>(
@@ -528,47 +515,9 @@ where
     })
 }
 
-/// Masked assignment `dst<mask> = src` (structural mask over `src`'s own
-/// entries when `mask` is `None`). When `dst` is Full and `src` Sparse,
-/// the writes are disjoint per entry and run on `pool`.
-pub fn assign_masked<T, M>(
-    dst: &mut GrbVector<T>,
-    src: &GrbVector<T>,
-    mask: Option<&Mask<'_, M>>,
-    pool: &ThreadPool,
-) where
-    T: Clone + Send + Sync,
-    M: Clone + Sync,
-{
-    traced("assign", || {
-        if dst.full_values().is_some() && pool.num_threads() > 1 {
-            if let Some(entries) = src.sparse_entries() {
-                if entries.len() >= ENTRY_BLOCK {
-                    let mask_probe = mask.map(MaskProbe::new);
-                    let out = SharedSlice::new(dst.as_full_slice_mut());
-                    pool.for_each_index(entries.len(), Schedule::Static, |e| {
-                        let (i, v) = &entries[e];
-                        if mask_probe.as_ref().is_none_or(|m| m.allows(*i)) {
-                            // SAFETY: source entry indices are unique, so
-                            // each destination slot has one writer.
-                            unsafe { out.write(*i as usize, v.clone()) };
-                        }
-                    });
-                    return;
-                }
-            }
-        }
-        for (i, v) in src.iter() {
-            if mask.is_none_or(|m| m.allows(i)) {
-                dst.set(i, v.clone());
-            }
-        }
-    })
-}
-
 /// Reduces a vector's entries with a monoid.
 ///
-/// Above [`ENTRY_BLOCK`] entries the fold runs on the pool in fixed
+/// Above `ENTRY_BLOCK` entries the fold runs on the pool in fixed
 /// blocks whose partials combine in block order — the choice of path and
 /// the association both depend only on the entry count, so the result is
 /// identical at every thread count even for floating-point monoids.
@@ -630,7 +579,8 @@ where
 
 /// Applies a function to every entry, producing a new (sparse) vector.
 /// Large Sparse/Full inputs map their entry blocks on the pool.
-pub fn apply<T, U, F>(vec: &GrbVector<T>, f: F, pool: &ThreadPool) -> GrbVector<U>
+#[cfg(test)]
+pub(crate) fn apply<T, U, F>(vec: &GrbVector<T>, f: F, pool: &ThreadPool) -> GrbVector<U>
 where
     T: Clone + Sync,
     U: Clone + Send,
@@ -644,7 +594,7 @@ where
 
 /// Keeps entries satisfying a predicate (GraphBLAS `select`). Large
 /// Sparse/Full inputs filter their entry blocks on the pool.
-pub fn select<T, F>(vec: &GrbVector<T>, keep: F, pool: &ThreadPool) -> GrbVector<T>
+pub(crate) fn select<T, F>(vec: &GrbVector<T>, keep: F, pool: &ThreadPool) -> GrbVector<T>
 where
     T: Clone + Send + Sync,
     F: Fn(GrbIndex, &T) -> bool + Sync,
@@ -739,7 +689,7 @@ pub fn mxm_pair_masked_sum(l: &GrbMatrix, u_t: &GrbMatrix, pool: &ThreadPool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{AnySecondI, MinPlus, PlusPair, PlusSecond};
+    use crate::semiring::{AnySecondI, MinPlus, PlusSecond};
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::Builder;
 
@@ -827,7 +777,6 @@ mod tests {
         let (l, u) = (a.tril(), a.triu());
         let count = mxm_pair_masked_sum(&l, &u.transpose(), &pool());
         assert_eq!(count, 1);
-        let _ = PlusPair::default(); // semiring is hard-wired in the fused op
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! entry with a vector entry and the additive monoid `⊕` reduces the
 //! products. The kernels use exactly the semirings named in the paper
 //! (§III-A): `any-secondi` (BFS), `min-plus` (SSSP), `plus-second` (PR),
-//! `plus-first` (BC), `min-second` (FastSV CC), `plus-pair` (TC).
+//! `plus-first` (BC), `min-second` (FastSV CC). TC's `plus-pair` is
+//! fused into `ops::mxm_pair_masked_sum`.
 
 use crate::GrbIndex;
 use gapbs_graph::types::Distance;
@@ -71,7 +72,7 @@ impl AddMonoid<Distance> for MinMonoid {
 
 /// `min` monoid over indices (FastSV labels).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MinIndexMonoid;
+pub(crate) struct MinIndexMonoid;
 
 impl AddMonoid<GrbIndex> for MinIndexMonoid {
     fn identity(&self) -> GrbIndex {
@@ -91,19 +92,6 @@ impl AddMonoid<f64> for PlusMonoid {
         0.0
     }
     fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-}
-
-/// `plus` monoid over counts.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlusCountMonoid;
-
-impl AddMonoid<u64> for PlusCountMonoid {
-    fn identity(&self) -> u64 {
-        0
-    }
-    fn combine(&self, a: u64, b: u64) -> u64 {
         a + b
     }
 }
@@ -160,7 +148,7 @@ impl Semiring<f64, f64> for PlusSecond {
 
 /// `min-second`: the FastSV semiring — propagates the neighbor's label.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MinSecond {
+pub(crate) struct MinSecond {
     add: MinIndexMonoid,
 }
 
@@ -171,22 +159,6 @@ impl Semiring<GrbIndex, GrbIndex> for MinSecond {
     }
     fn multiply(&self, _k: GrbIndex, _weight: i32, x: &GrbIndex) -> GrbIndex {
         *x
-    }
-}
-
-/// `plus-pair`: the TC semiring — every structural match contributes 1.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlusPair {
-    add: PlusCountMonoid,
-}
-
-impl Semiring<(), u64> for PlusPair {
-    type Add = PlusCountMonoid;
-    fn add(&self) -> &PlusCountMonoid {
-        &self.add
-    }
-    fn multiply(&self, _k: GrbIndex, _weight: i32, _x: &()) -> u64 {
-        1
     }
 }
 
@@ -219,12 +191,5 @@ mod tests {
     fn secondi_returns_joining_index() {
         let s = AnySecondI::default();
         assert_eq!(s.multiply(42, 0, &()), Some(42));
-    }
-
-    #[test]
-    fn plus_pair_counts_structure_only() {
-        let s = PlusPair::default();
-        assert_eq!(s.multiply(9, -7, &()), 1);
-        assert_eq!(s.add().combine(2, 3), 5);
     }
 }

@@ -81,7 +81,7 @@ impl<T: Clone> GrbVector<T> {
     }
 
     /// A full vector with every entry set to `fill`.
-    pub fn full(n: GrbIndex, fill: T) -> Self {
+    pub(crate) fn full(n: GrbIndex, fill: T) -> Self {
         GrbVector {
             n,
             nvals: n,
@@ -116,7 +116,7 @@ impl<T: Clone> GrbVector<T> {
     ///
     /// Panics if the last index is out of range; sortedness and
     /// uniqueness are debug-asserted.
-    pub fn from_sorted_entries(n: GrbIndex, entries: Vec<(GrbIndex, T)>) -> Self {
+    pub(crate) fn from_sorted_entries(n: GrbIndex, entries: Vec<(GrbIndex, T)>) -> Self {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         if let Some(&(last, _)) = entries.last() {
             assert!(last < n, "index {last} out of range {n}");
@@ -129,7 +129,7 @@ impl<T: Clone> GrbVector<T> {
     }
 
     /// Logical length.
-    pub fn size(&self) -> GrbIndex {
+    pub(crate) fn size(&self) -> GrbIndex {
         self.n
     }
 
@@ -139,7 +139,7 @@ impl<T: Clone> GrbVector<T> {
     }
 
     /// Current storage representation.
-    pub fn storage(&self) -> Storage {
+    pub(crate) fn storage(&self) -> Storage {
         match &self.repr {
             Repr::Sparse(_) => Storage::Sparse,
             Repr::Bitmap { .. } => Storage::Bitmap,
@@ -174,7 +174,7 @@ impl<T: Clone> GrbVector<T> {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set(&mut self, i: GrbIndex, value: T) {
+    pub(crate) fn set(&mut self, i: GrbIndex, value: T) {
         assert!(i < self.n, "index {i} out of range {}", self.n);
         match &mut self.repr {
             Repr::Sparse(v) => {
@@ -198,12 +198,8 @@ impl<T: Clone> GrbVector<T> {
 
     /// Iterates `(index, value)` entries in ascending index order.
     ///
-    /// Hot loops should prefer the slice accessors ([`sparse_entries`],
-    /// [`full_values`], [`bitmap_slots`]) over this boxed iterator.
-    ///
-    /// [`sparse_entries`]: GrbVector::sparse_entries
-    /// [`full_values`]: GrbVector::full_values
-    /// [`bitmap_slots`]: GrbVector::bitmap_slots
+    /// Hot loops should prefer the slice accessors (`sparse_entries`,
+    /// `full_values`, `bitmap_slots`) over this boxed iterator.
     pub fn iter(&self) -> Box<dyn Iterator<Item = (GrbIndex, &T)> + '_> {
         match &self.repr {
             Repr::Sparse(v) => Box::new(v.iter().map(|(i, t)| (*i, t))),
@@ -218,7 +214,7 @@ impl<T: Clone> GrbVector<T> {
     }
 
     /// The sorted entry slice, when in Sparse storage.
-    pub fn sparse_entries(&self) -> Option<&[(GrbIndex, T)]> {
+    pub(crate) fn sparse_entries(&self) -> Option<&[(GrbIndex, T)]> {
         match &self.repr {
             Repr::Sparse(v) => Some(v),
             _ => None,
@@ -226,7 +222,7 @@ impl<T: Clone> GrbVector<T> {
     }
 
     /// The dense value slice, when in Full storage.
-    pub fn full_values(&self) -> Option<&[T]> {
+    pub(crate) fn full_values(&self) -> Option<&[T]> {
         match &self.repr {
             Repr::Full(v) => Some(v),
             _ => None,
@@ -234,7 +230,7 @@ impl<T: Clone> GrbVector<T> {
     }
 
     /// The presence words and value slots, when in Bitmap storage.
-    pub fn bitmap_slots(&self) -> Option<(&[u64], &[Option<T>])> {
+    pub(crate) fn bitmap_slots(&self) -> Option<(&[u64], &[Option<T>])> {
         match &self.repr {
             Repr::Bitmap { words, slots } => Some((words, slots)),
             _ => None,
@@ -285,7 +281,7 @@ impl<T: Clone> GrbVector<T> {
     /// # Panics
     ///
     /// Panics if the vector is not in `Full` storage.
-    pub fn as_full_slice(&self) -> &[T] {
+    pub(crate) fn as_full_slice(&self) -> &[T] {
         match &self.repr {
             Repr::Full(v) => v,
             _ => panic!("vector is not in Full storage"),
@@ -297,7 +293,7 @@ impl<T: Clone> GrbVector<T> {
     /// # Panics
     ///
     /// Panics if the vector is not in `Full` storage.
-    pub fn as_full_slice_mut(&mut self) -> &mut [T] {
+    pub(crate) fn as_full_slice_mut(&mut self) -> &mut [T] {
         match &mut self.repr {
             Repr::Full(v) => v,
             _ => panic!("vector is not in Full storage"),
@@ -309,7 +305,7 @@ impl<T: Clone + Send + Sync> GrbVector<T> {
     /// [`convert`](GrbVector::convert) with the entry movement running on
     /// `pool` above a size cutoff. Output is value-identical to the
     /// serial conversion at every pool size.
-    pub fn convert_in(&mut self, to: Storage, fill: Option<T>, pool: &ThreadPool) -> u64 {
+    pub(crate) fn convert_in(&mut self, to: Storage, fill: Option<T>, pool: &ThreadPool) -> u64 {
         let n = self.n as usize;
         if pool.num_threads() == 1 || n < CONVERT_CUTOFF || self.storage() == to {
             return self.convert(to, fill);
@@ -392,31 +388,6 @@ impl<T: Clone + Send + Sync> GrbVector<T> {
             }
         }
         moved
-    }
-}
-
-impl<T: Clone + Default> GrbVector<T> {
-    /// Removes all entries, keeping the representation. `Full` storage
-    /// has no notion of absence, so its slots reset to `T::default()`
-    /// and the vector stays full (callers relying on
-    /// [`as_full_slice_mut`](GrbVector::as_full_slice_mut) after a clear
-    /// keep working).
-    pub fn clear(&mut self) {
-        match &mut self.repr {
-            Repr::Sparse(v) => {
-                v.clear();
-                self.nvals = 0;
-            }
-            Repr::Bitmap { words, slots } => {
-                words.fill(0);
-                slots.iter_mut().for_each(|e| *e = None);
-                self.nvals = 0;
-            }
-            Repr::Full(v) => {
-                v.fill(T::default());
-                self.nvals = self.n;
-            }
-        }
     }
 }
 
@@ -509,25 +480,6 @@ mod tests {
         assert_eq!(v.nvals(), 100);
         v.convert(Storage::Full, Some(0));
         assert_eq!(v.nvals(), 200);
-    }
-
-    #[test]
-    fn clear_keeps_full_storage_for_slice_callers() {
-        // Regression: `clear` used to silently switch Full storage to
-        // Sparse, so a following `as_full_slice_mut` panicked.
-        let mut v = GrbVector::full(4, 7u64);
-        v.clear();
-        assert_eq!(v.storage(), Storage::Full);
-        v.as_full_slice_mut()[2] = 5;
-        assert_eq!(v.as_full_slice(), &[0, 0, 5, 0]);
-
-        let mut b: GrbVector<u64> = GrbVector::new(130);
-        b.convert(Storage::Bitmap, None);
-        b.set(129, 1);
-        b.clear();
-        assert_eq!(b.storage(), Storage::Bitmap);
-        assert_eq!(b.nvals(), 0);
-        assert!(!b.contains(129));
     }
 
     #[test]

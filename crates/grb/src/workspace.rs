@@ -90,7 +90,7 @@ impl<Y> Default for Spa<Y> {
 
 impl<Y> Spa<Y> {
     /// Starts a new accumulation over `0..n`: all slots dead.
-    pub fn begin(&mut self, n: usize) {
+    pub(crate) fn begin(&mut self, n: usize) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.stamps.fill(0);
@@ -105,7 +105,7 @@ impl<Y> Spa<Y> {
     /// Combines `value` into slot `j`: returns `true` on a hit (the slot
     /// was live and `combine` ran) and `false` on a first insert.
     #[inline]
-    pub fn upsert(&mut self, j: usize, value: Y, combine: impl FnOnce(Y, Y) -> Y) -> bool {
+    pub(crate) fn upsert(&mut self, j: usize, value: Y, combine: impl FnOnce(Y, Y) -> Y) -> bool {
         if self.stamps[j] == self.generation {
             let old = self.values[j].take().expect("live SPA slot holds a value");
             self.values[j] = Some(combine(old, value));
@@ -119,13 +119,13 @@ impl<Y> Spa<Y> {
 
     /// `true` if slot `j` is live this generation.
     #[inline]
-    pub fn is_live(&self, j: usize) -> bool {
+    pub(crate) fn is_live(&self, j: usize) -> bool {
         self.stamps[j] == self.generation
     }
 
     /// The value in live slot `j`.
     #[inline]
-    pub fn peek(&self, j: usize) -> &Y {
+    pub(crate) fn peek(&self, j: usize) -> &Y {
         debug_assert!(self.is_live(j));
         self.values[j]
             .as_ref()
@@ -135,14 +135,14 @@ impl<Y> Spa<Y> {
     /// Moves the value out of live slot `j` (the slot stays live but
     /// empty — only call once per slot per generation, at emit time).
     #[inline]
-    pub fn take_value(&mut self, j: usize) -> Y {
+    pub(crate) fn take_value(&mut self, j: usize) -> Y {
         debug_assert!(self.is_live(j));
         self.values[j].take().expect("live SPA slot holds a value")
     }
 
     /// Raw stamp/value arrays plus the live generation, for pool regions
     /// that partition the index space into disjoint worker-owned ranges.
-    pub fn parts_mut(&mut self) -> (&mut [u32], &mut [Option<Y>], u32) {
+    pub(crate) fn parts_mut(&mut self) -> (&mut [u32], &mut [Option<Y>], u32) {
         (&mut self.stamps, &mut self.values, self.generation)
     }
 }
@@ -206,7 +206,7 @@ impl<Y> Default for MultiSpa<Y> {
 
 impl<Y: Clone + Default> MultiSpa<Y> {
     /// Starts a new k-wide accumulation over `0..n`: all slots dead.
-    pub fn begin(&mut self, n: usize, k: usize) {
+    pub(crate) fn begin(&mut self, n: usize, k: usize) {
         self.k = k;
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -224,41 +224,41 @@ impl<Y: Clone + Default> MultiSpa<Y> {
 
     /// `true` if slot `j` is live this generation.
     #[inline]
-    pub fn is_live(&self, j: usize) -> bool {
+    pub(crate) fn is_live(&self, j: usize) -> bool {
         self.stamps[j] == self.generation
     }
 
     /// Stamps slot `j` live with no active columns yet.
     #[inline]
-    pub fn make_live(&mut self, j: usize) {
+    pub(crate) fn make_live(&mut self, j: usize) {
         self.stamps[j] = self.generation;
         self.active[j] = 0;
     }
 
     /// Active-column word of live slot `j`.
     #[inline]
-    pub fn active_word(&self, j: usize) -> u64 {
+    pub(crate) fn active_word(&self, j: usize) -> u64 {
         debug_assert!(self.is_live(j));
         self.active[j]
     }
 
     /// `true` if column `c` of live slot `j` holds a value.
     #[inline]
-    pub fn col_active(&self, j: usize, c: usize) -> bool {
+    pub(crate) fn col_active(&self, j: usize, c: usize) -> bool {
         debug_assert!(self.is_live(j));
         self.active[j] >> c & 1 != 0
     }
 
     /// The value in active column `c` of slot `j`.
     #[inline]
-    pub fn peek(&self, j: usize, c: usize) -> &Y {
+    pub(crate) fn peek(&self, j: usize, c: usize) -> &Y {
         debug_assert!(self.col_active(j, c));
         &self.values[j * self.k + c]
     }
 
     /// Writes column `c` of live slot `j`, marking it active.
     #[inline]
-    pub fn set(&mut self, j: usize, c: usize, value: Y) {
+    pub(crate) fn set(&mut self, j: usize, c: usize, value: Y) {
         debug_assert!(self.is_live(j));
         self.values[j * self.k + c] = value;
         self.active[j] |= 1 << c;
@@ -267,7 +267,7 @@ impl<Y: Clone + Default> MultiSpa<Y> {
     /// Raw stamp/active/value arrays plus the live generation, for pool
     /// regions that partition the index space into disjoint worker-owned
     /// ranges (the value window of range `[lo, hi)` is `[lo*k, hi*k)`).
-    pub fn parts_mut(&mut self) -> (&mut [u32], &mut [u64], &mut [Y], u32) {
+    pub(crate) fn parts_mut(&mut self) -> (&mut [u32], &mut [u64], &mut [Y], u32) {
         (
             &mut self.stamps,
             &mut self.active,

@@ -542,6 +542,8 @@ mod tests {
     use super::*;
     use crate::adjacency::{InRange, OutRange, WeightedOutRange};
     use gapbs_graph::gen;
+    use gapbs_verify::oracles::{brandes, dijkstra, triangles};
+    use gapbs_verify::{verify_bfs, verify_cc};
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -551,26 +553,7 @@ mod tests {
     fn bfs_tree_is_valid() {
         let g = gen::kron(9, 10, 8);
         let parent = bfs(&OutRange(&g), &InRange(&g), 4, &pool());
-        use std::collections::VecDeque;
-        let mut depth = vec![usize::MAX; g.num_vertices()];
-        let mut q = VecDeque::new();
-        depth[4] = 0;
-        q.push_back(4 as NodeId);
-        while let Some(u) = q.pop_front() {
-            for &v in g.out_neighbors(u) {
-                if depth[v as usize] == usize::MAX {
-                    depth[v as usize] = depth[u as usize] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        for v in g.vertices() {
-            let p = parent[v as usize];
-            assert_eq!(p == NO_PARENT, depth[v as usize] == usize::MAX);
-            if p != NO_PARENT && v != 4 {
-                assert_eq!(depth[p as usize] + 1, depth[v as usize], "vertex {v}");
-            }
-        }
+        verify_bfs(&g, 4, &parent).unwrap();
     }
 
     #[test]
@@ -578,26 +561,7 @@ mod tests {
         let edges = gen::urand_edges(8, 8, 7);
         let wg = gen::weighted_companion(256, &edges, true, 7);
         let got = sssp(&WeightedOutRange(&wg), 0, 16, &pool());
-        // quick oracle
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut want = vec![INF_DIST; wg.num_vertices()];
-        let mut heap = BinaryHeap::new();
-        want[0] = 0;
-        heap.push(Reverse((0i64, 0 as NodeId)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > want[u as usize] {
-                continue;
-            }
-            for (v, w) in wg.out_neighbors_weighted(u) {
-                let nd = d + Distance::from(w);
-                if nd < want[v as usize] {
-                    want[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        assert_eq!(got, want);
+        assert_eq!(got, dijkstra(&wg, 0));
     }
 
     #[test]
@@ -611,31 +575,7 @@ mod tests {
     #[test]
     fn cc_matches_union_find_on_directed_graph() {
         let g = gen::road(&gen::RoadConfig::gap_like(18), 3);
-        let got = cc(&OutRange(&g), &pool());
-        let n = g.num_vertices();
-        let mut p: Vec<usize> = (0..n).collect();
-        fn findf(p: &mut [usize], mut x: usize) -> usize {
-            while p[x] != x {
-                p[x] = p[p[x]];
-                x = p[x];
-            }
-            x
-        }
-        for u in 0..n {
-            for &v in g.out_neighbors(u as NodeId) {
-                let (a, b) = (findf(&mut p, u), findf(&mut p, v as usize));
-                if a != b {
-                    p[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        let want: Vec<NodeId> = (0..n).map(|u| findf(&mut p, u) as NodeId).collect();
-        let mut fm = std::collections::HashMap::new();
-        let mut rm = std::collections::HashMap::new();
-        assert!(got
-            .iter()
-            .zip(&want)
-            .all(|(&x, &y)| { *fm.entry(x).or_insert(y) == y && *rm.entry(y).or_insert(x) == x }));
+        verify_cc(&g, &cc(&OutRange(&g), &pool())).unwrap();
     }
 
     #[test]
@@ -643,50 +583,8 @@ mod tests {
         let g = gen::kron(7, 8, 10);
         let sources = [0, 1, 2, 3];
         let got = bc(&OutRange(&g), &sources, &pool());
-        // Oracle
-        use std::collections::VecDeque;
-        let n = g.num_vertices();
-        let mut want = vec![0.0f64; n];
-        for &s in &sources {
-            let mut depth = vec![i64::MAX; n];
-            let mut sigma = vec![0.0f64; n];
-            let mut order = Vec::new();
-            let mut q = VecDeque::new();
-            depth[s as usize] = 0;
-            sigma[s as usize] = 1.0;
-            q.push_back(s);
-            while let Some(u) = q.pop_front() {
-                order.push(u);
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == i64::MAX {
-                        depth[v as usize] = depth[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        sigma[v as usize] += sigma[u as usize];
-                    }
-                }
-            }
-            let mut delta = vec![0.0f64; n];
-            for &u in order.iter().rev() {
-                for &v in g.out_neighbors(u) {
-                    if depth[v as usize] == depth[u as usize] + 1 {
-                        delta[u as usize] +=
-                            (sigma[u as usize] / sigma[v as usize]) * (1.0 + delta[v as usize]);
-                    }
-                }
-                if u != s {
-                    want[u as usize] += delta[u as usize];
-                }
-            }
-        }
-        let max = want.iter().cloned().fold(0.0, f64::max);
-        if max > 0.0 {
-            for w in &mut want {
-                *w /= max;
-            }
-        }
-        for v in 0..n {
+        let want = brandes(&g, &sources);
+        for v in 0..g.num_vertices() {
             assert!((got[v] - want[v]).abs() < 1e-9, "vertex {v}");
         }
     }
@@ -694,20 +592,6 @@ mod tests {
     #[test]
     fn tc_matches_brute_force() {
         let g = gen::kron(8, 10, 11);
-        let got = tc(&OutRange(&g), &pool());
-        let mut want = 0u64;
-        for u in g.vertices() {
-            for &v in g.out_neighbors(u) {
-                if v <= u {
-                    continue;
-                }
-                for &w in g.out_neighbors(v) {
-                    if w > v && g.out_csr().has_edge(u, w) {
-                        want += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(got, want);
+        assert_eq!(tc(&OutRange(&g), &pool()), triangles(&g));
     }
 }

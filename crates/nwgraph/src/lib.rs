@@ -15,8 +15,8 @@
 //! direction-optimized forward pass, and TC over a cyclic row
 //! distribution with timed degree-relabeling.
 
-pub mod adjacency;
-pub mod algorithms;
+mod adjacency;
+mod algorithms;
 
-pub use adjacency::{AdjacencyRange, InRange, OutRange, WeightedOutRange};
+pub use adjacency::{AdjacencyRange, InRange, OutRange, WeightedAdjacencyRange, WeightedOutRange};
 pub use algorithms::{bc, bfs, cc, pr, sssp, tc};

@@ -1,6 +1,6 @@
 //! The region barrier of the persistent thread pool.
 //!
-//! A [`RegionBarrier`] coordinates one leader and a fixed team of
+//! A `RegionBarrier` coordinates one leader and a fixed team of
 //! workers through an unbounded sequence of fork-join regions. It is an
 //! epoch (sense-reversing) barrier split into two halves:
 //!
@@ -93,7 +93,7 @@ fn poll(ready: impl Fn() -> bool) -> bool {
 
 /// What a worker observes when it comes back from [`RegionBarrier::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Wake<J> {
+pub(crate) struct Wake<J> {
     /// Epoch of the region being entered; pass it to the next `wait`.
     pub epoch: u64,
     /// The region's job, or `None` when the pool is shutting down.
@@ -112,7 +112,7 @@ struct Gate<J> {
 /// Epoch-release / completion-latch barrier for one leader and
 /// `workers` team members (the leader itself is not counted).
 #[derive(Debug)]
-pub struct RegionBarrier<J> {
+pub(crate) struct RegionBarrier<J> {
     workers: usize,
     gate: Mutex<Gate<J>>,
     epoch_hint: AtomicU64,
@@ -125,7 +125,7 @@ pub struct RegionBarrier<J> {
 
 impl<J: Copy> RegionBarrier<J> {
     /// A barrier for a team of `workers` (excluding the leader).
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         RegionBarrier {
             workers,
             gate: Mutex::new(Gate {
@@ -144,14 +144,15 @@ impl<J: Copy> RegionBarrier<J> {
     }
 
     /// Team size the completion latch waits for.
-    pub fn workers(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
     /// Times a worker has given up polling and blocked on the condvar.
     /// Counted as the worker parks, not when it next wakes, so an idle
     /// team shows up here [`POLL_BUDGET`] after its last region.
-    pub fn parks(&self) -> u64 {
+    pub(crate) fn parks(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
     }
 
@@ -159,7 +160,7 @@ impl<J: Copy> RegionBarrier<J> {
     /// whoever is parked. Resets the completion latch first, so a leader
     /// that panicked out of a *previous* region's body (after its
     /// workers checked in) cannot leave a stale done-count behind.
-    pub fn release(&self, job: J) {
+    pub(crate) fn release(&self, job: J) {
         self.done.store(0, Ordering::Relaxed);
         let mut gate = self.gate.lock();
         gate.job = Some(job);
@@ -174,7 +175,7 @@ impl<J: Copy> RegionBarrier<J> {
 
     /// Worker half, phase 1: wait until the epoch moves past
     /// `last_epoch` (or shutdown), then return the new epoch and job.
-    pub fn wait(&self, last_epoch: u64) -> Wake<J> {
+    pub(crate) fn wait(&self, last_epoch: u64) -> Wake<J> {
         poll(|| self.epoch_hint.load(Ordering::Acquire) != last_epoch);
         let mut gate = self.gate.lock();
         loop {
@@ -200,7 +201,7 @@ impl<J: Copy> RegionBarrier<J> {
 
     /// Worker half, phase 2: check in as finished with the current
     /// region, waking the leader if the team is complete and it parked.
-    pub fn complete(&self) {
+    pub(crate) fn complete(&self) {
         let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
         if done >= self.workers && *self.leader_parked.lock() {
             self.finished.notify_one();
@@ -208,7 +209,7 @@ impl<J: Copy> RegionBarrier<J> {
     }
 
     /// Leader half, phase 2: wait until every worker has checked in.
-    pub fn await_team(&self) {
+    pub(crate) fn await_team(&self) {
         let joined = || self.done.load(Ordering::Acquire) >= self.workers;
         if poll(joined) {
             return;
@@ -226,7 +227,7 @@ impl<J: Copy> RegionBarrier<J> {
 
     /// Permanently releases the team with no job; `wait` returns
     /// `job: None` from now on.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let mut gate = self.gate.lock();
         gate.shutdown = true;
         self.epoch_hint.store(u64::MAX, Ordering::Release);

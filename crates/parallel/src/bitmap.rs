@@ -20,16 +20,6 @@ impl AtomicBitmap {
         AtomicBitmap { words, len }
     }
 
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the bitmap has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Reads bit `i`.
     ///
     /// # Panics

@@ -24,11 +24,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Largest `n` the packed representation covers.
-pub const MAX_INDEX: usize = u32::MAX as usize;
+pub(crate) const MAX_INDEX: usize = u32::MAX as usize;
 
 /// How a worker sizes the chunk it claims from its local range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkPolicy {
+pub(crate) enum ChunkPolicy {
     /// Claim exactly `min(size, remaining)` indices (OpenMP `dynamic`).
     Fixed(usize),
     /// Claim half the local remainder, at least one index — chunks
@@ -70,7 +70,7 @@ struct Slot(AtomicU64);
 
 /// The per-worker loop ranges of one parallel region.
 #[derive(Debug)]
-pub struct RangeDeques {
+pub(crate) struct RangeDeques {
     slots: Vec<Slot>,
 }
 
@@ -80,7 +80,7 @@ impl RangeDeques {
     /// # Panics
     ///
     /// Panics if `n > MAX_INDEX` or `workers == 0`.
-    pub fn split(n: usize, workers: usize) -> Self {
+    pub(crate) fn split(n: usize, workers: usize) -> Self {
         assert!(
             n <= MAX_INDEX,
             "loop of {n} indices exceeds the packed range"
@@ -97,14 +97,9 @@ impl RangeDeques {
         RangeDeques { slots }
     }
 
-    /// Number of worker slots.
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Claims the next chunk from `worker`'s own range: `Some((lo, hi))`
     /// to execute, or `None` when the local range is empty.
-    pub fn claim(&self, worker: usize, policy: ChunkPolicy) -> Option<(usize, usize)> {
+    pub(crate) fn claim(&self, worker: usize, policy: ChunkPolicy) -> Option<(usize, usize)> {
         let slot = &self.slots[worker].0;
         let mut word = slot.load(Ordering::Acquire);
         loop {
@@ -134,7 +129,7 @@ impl RangeDeques {
     /// Must only be called when `thief`'s own slot is empty — installing
     /// uses a plain store, which is sound because an empty slot is never
     /// CASed by other workers (they skip empty victims).
-    pub fn steal(&self, thief: usize, steals: &mut u64) -> bool {
+    pub(crate) fn steal(&self, thief: usize, steals: &mut u64) -> bool {
         let workers = self.slots.len();
         for offset in 1..workers {
             let victim = (thief + offset) % workers;
@@ -170,7 +165,8 @@ impl RangeDeques {
     /// moved by an in-flight steal is invisible here, so `true` means
     /// "nothing left to grab", not "all indices executed" — the thief
     /// holding the moving range still runs it before the region barrier.
-    pub fn looks_drained(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn looks_drained(&self) -> bool {
         self.slots.iter().all(|s| {
             let (lo, hi) = unpack(s.0.load(Ordering::Acquire));
             lo >= hi

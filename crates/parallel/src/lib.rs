@@ -9,7 +9,7 @@
 //!   frameworks). The pool is *persistent*: workers spawn once, spin
 //!   then park on an epoch barrier between regions ([`barrier`]), and
 //!   `Dynamic`/`Guided` loops claim chunks from per-worker work-stealing
-//!   range deques ([`deque`]) rather than one shared counter,
+//!   range deques (`deque`) rather than one shared counter,
 //! * [`SlidingQueue`] / [`QueueBuffer`] — the GAP reference's frontier
 //!   structure with per-thread buffered appends,
 //! * [`ChunkedWorklist`] — Galois-style asynchronous work-stealing worklist
@@ -33,19 +33,19 @@
 
 pub mod atomics;
 pub mod barrier;
-pub mod bitmap;
+mod bitmap;
 pub mod buckets;
-pub mod deque;
-pub mod local_buffer;
-pub mod ordered;
-pub mod per_worker;
+mod deque;
+mod local_buffer;
+mod ordered;
+mod per_worker;
 pub mod pool;
 pub mod scan;
 pub mod scatter;
-pub mod shared;
-pub mod sliding_queue;
+mod shared;
+mod sliding_queue;
 pub mod sync;
-pub mod worklist;
+mod worklist;
 
 pub use bitmap::AtomicBitmap;
 pub use local_buffer::LocalBuffer;

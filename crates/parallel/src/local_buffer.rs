@@ -14,7 +14,7 @@ pub struct LocalBuffer<T> {
 
 impl<T> LocalBuffer<T> {
     /// GKC sizes buffers to fit L1; 4 KiB of `u32`s is the analogue here.
-    pub const DEFAULT_CAPACITY: usize = 1024;
+    pub(crate) const DEFAULT_CAPACITY: usize = 1024;
 
     /// Creates a buffer with the default cache-sized capacity.
     pub fn new() -> Self {
@@ -22,7 +22,7 @@ impl<T> LocalBuffer<T> {
     }
 
     /// Creates a buffer with a specific capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         LocalBuffer {
             items: Vec::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
@@ -55,13 +55,9 @@ impl<T> LocalBuffer<T> {
         }
     }
 
-    /// Number of buffered items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
     /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 }

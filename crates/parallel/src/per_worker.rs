@@ -43,18 +43,6 @@ impl<T> PerWorker<T> {
         }
     }
 
-    /// Number of worker slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when there are no slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Mutable access to worker `tid`'s slot.
     ///
     /// # Safety

@@ -12,7 +12,7 @@
 //! [`ThreadPool::for_each_index_tid`]).
 //!
 //! `Dynamic`/`Guided` scheduling claims chunks from per-worker
-//! work-stealing range deques ([`crate::deque`]) instead of one shared
+//! work-stealing range deques (`crate::deque`) instead of one shared
 //! counter, so skewed power-law loops no longer serialize every chunk
 //! claim through a single contended cache line.
 
@@ -65,7 +65,7 @@ pub fn parse_threads(value: &str) -> Result<usize, String> {
 /// Returns the [`parse_threads`] error when `GAPBS_THREADS` is set to an
 /// invalid value — a benchmark config with a typoed thread count must
 /// fail loudly, not silently run on all cores.
-pub fn try_default_threads() -> Result<usize, String> {
+pub(crate) fn try_default_threads() -> Result<usize, String> {
     match std::env::var("GAPBS_THREADS") {
         Ok(value) => parse_threads(&value),
         Err(std::env::VarError::NotPresent) => Ok(std::thread::available_parallelism()
@@ -84,7 +84,7 @@ pub fn try_default_threads() -> Result<usize, String> {
 ///
 /// Panics when `GAPBS_THREADS` is set but invalid (garbage or `0`), so
 /// a misconfigured benchmark aborts instead of measuring the wrong
-/// machine shape. Use [`try_default_threads`] to handle the error.
+/// machine shape. Use `try_default_threads` to handle the error.
 pub fn default_threads() -> usize {
     try_default_threads()
         .unwrap_or_else(|e| panic!("{e} (unset it or set a positive thread count)"))

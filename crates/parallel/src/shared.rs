@@ -38,14 +38,8 @@ impl<'a, T> SharedSlice<'a, T> {
 
     /// Length of the underlying slice.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when the underlying slice is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Overwrites slot `index` (dropping the old value).

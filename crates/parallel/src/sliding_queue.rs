@@ -59,7 +59,7 @@ impl<T: Copy> SlidingQueue<T> {
     /// # Panics
     ///
     /// Panics if the queue's lifetime capacity is exhausted.
-    pub fn append(&self, items: &[T]) {
+    pub(crate) fn append(&self, items: &[T]) {
         if items.is_empty() {
             return;
         }
@@ -110,7 +110,8 @@ impl<T: Copy> SlidingQueue<T> {
     }
 
     /// Total number of items ever appended.
-    pub fn total_pushed(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_pushed(&self) -> usize {
         self.tail.load(Ordering::Relaxed)
     }
 
@@ -135,7 +136,7 @@ pub struct QueueBuffer<T> {
 
 impl<T: Copy> QueueBuffer<T> {
     /// Default buffer capacity (GAP uses 64-item buffers).
-    pub const DEFAULT_CAPACITY: usize = 64;
+    pub(crate) const DEFAULT_CAPACITY: usize = 64;
 
     /// Creates a buffer with the default capacity.
     pub fn new() -> Self {
@@ -164,13 +165,9 @@ impl<T: Copy> QueueBuffer<T> {
         self.items.clear();
     }
 
-    /// Number of currently buffered (unflushed) items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
     /// `true` when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
 }

@@ -24,7 +24,7 @@ impl<T> Mutex<T> {
     }
 
     /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
+    pub(crate) fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -36,31 +36,33 @@ impl<T> Mutex<T> {
 
 /// A readers-writer lock whose `read`/`write` return guards directly.
 #[derive(Debug, Default)]
-pub struct RwLock<T>(std::sync::RwLock<T>);
+pub(crate) struct RwLock<T>(std::sync::RwLock<T>);
 
 impl<T> RwLock<T> {
     /// Creates a lock owning `value`.
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))
     }
 
     /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
+    #[cfg(test)]
+    pub(crate) fn get_mut(&mut self) -> &mut T {
         self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
+    #[cfg(test)]
+    pub(crate) fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }

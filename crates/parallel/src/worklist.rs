@@ -91,11 +91,6 @@ impl ChunkedWorklist {
         ChunkedWorklist { pool }
     }
 
-    /// Number of worker threads.
-    pub fn num_threads(&self) -> usize {
-        self.pool.num_threads()
-    }
-
     /// Processes `initial` and everything transitively pushed by `op` until
     /// the worklist drains. `op` receives the item and a `push` callback to
     /// add new work, and returns the number of edges it examined; work is

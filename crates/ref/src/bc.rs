@@ -136,64 +136,12 @@ fn single_source(
     }
 }
 
-/// A bug the study itself found and fixed ("We identified and fixed a bug
-/// in the implementation of BC's path counting algorithm", §VI): path
-/// counts must accumulate from *every* same-level predecessor, not only
-/// the claiming one. The forward pass above adds `sigma[u]` on both the
-/// claim and the subsequent same-depth checks; this oracle is used by the
-/// tests to pin the behaviour.
-#[doc(hidden)]
-pub fn bc_exact_oracle(g: &Graph, sources: &[NodeId]) -> Vec<Score> {
-    use std::collections::VecDeque;
-    let n = g.num_vertices();
-    let mut scores = vec![0.0; n];
-    for &s in sources {
-        let mut depth = vec![i64::MAX; n];
-        let mut sigma = vec![0.0f64; n];
-        let mut order = Vec::new();
-        let mut q = VecDeque::new();
-        depth[s as usize] = 0;
-        sigma[s as usize] = 1.0;
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
-            order.push(u);
-            for &v in g.out_neighbors(u) {
-                if depth[v as usize] == i64::MAX {
-                    depth[v as usize] = depth[u as usize] + 1;
-                    q.push_back(v);
-                }
-                if depth[v as usize] == depth[u as usize] + 1 {
-                    sigma[v as usize] += sigma[u as usize];
-                }
-            }
-        }
-        let mut delta = vec![0.0f64; n];
-        for &u in order.iter().rev() {
-            for &v in g.out_neighbors(u) {
-                if depth[v as usize] == depth[u as usize] + 1 {
-                    delta[u as usize] +=
-                        (sigma[u as usize] / sigma[v as usize]) * (1.0 + delta[v as usize]);
-                }
-            }
-            if u != s {
-                scores[u as usize] += delta[u as usize];
-            }
-        }
-    }
-    let max = scores.iter().cloned().fold(0.0, f64::max);
-    if max > 0.0 {
-        for s in &mut scores {
-            *s /= max;
-        }
-    }
-    scores
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::oracles::brandes;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -224,7 +172,7 @@ mod tests {
             let g = gen::kron(8, 8, seed);
             let sources = [0, 7, 13, 42];
             let got = bc(&g, &sources, &pool());
-            let want = bc_exact_oracle(&g, &sources);
+            let want = brandes(&g, &sources);
             assert_close(&got, &want);
         }
     }
@@ -236,7 +184,7 @@ mod tests {
             .build(edges([(0, 1), (0, 2), (1, 3), (2, 3)]))
             .unwrap();
         let got = bc(&g, &[0], &pool());
-        let want = bc_exact_oracle(&g, &[0]);
+        let want = brandes(&g, &[0]);
         assert_close(&got, &want);
         assert!((got[1] - got[2]).abs() < 1e-12);
     }
@@ -245,7 +193,7 @@ mod tests {
     fn multiple_sources_accumulate() {
         let g = gen::urand(8, 6, 3);
         let got = bc(&g, &[1, 2, 3, 4], &pool());
-        let want = bc_exact_oracle(&g, &[1, 2, 3, 4]);
+        let want = brandes(&g, &[1, 2, 3, 4]);
         assert_close(&got, &want);
     }
 }

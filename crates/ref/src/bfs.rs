@@ -5,7 +5,7 @@
 //! heuristic switches top-down → bottom-up when the frontier's outgoing
 //! edge count exceeds `1/alpha` of the unexplored edges, and back when the
 //! frontier shrinks below `n / beta` vertices — GAP's `alpha = 15`,
-//! `beta = 18` ([`stats::DO_ALPHA`], [`stats::DO_BETA`]).
+//! `beta = 18` (`stats::DO_ALPHA`, `stats::DO_BETA`).
 
 use gapbs_graph::stats;
 use gapbs_graph::types::{NodeId, NO_PARENT};

@@ -155,55 +155,10 @@ mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::verify_cc;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    /// Oracle: sequential union-find over all arcs (plus in-arcs).
-    pub(crate) fn cc_oracle(g: &Graph) -> Vec<NodeId> {
-        let n = g.num_vertices();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(p: &mut [usize], x: usize) -> usize {
-            let mut r = x;
-            while p[r] != r {
-                r = p[r];
-            }
-            let mut c = x;
-            while p[c] != c {
-                let next = p[c];
-                p[c] = r;
-                c = next;
-            }
-            r
-        }
-        for u in 0..n as NodeId {
-            for &v in g.out_neighbors(u) {
-                let (a, b) = (find(&mut parent, u as usize), find(&mut parent, v as usize));
-                if a != b {
-                    parent[a.max(b)] = a.min(b);
-                }
-            }
-        }
-        (0..n).map(|u| find(&mut parent, u) as NodeId).collect()
-    }
-
-    /// Checks that two labelings induce the same partition.
-    pub(crate) fn same_partition(a: &[NodeId], b: &[NodeId]) -> bool {
-        if a.len() != b.len() {
-            return false;
-        }
-        let mut map_ab = std::collections::HashMap::new();
-        let mut map_ba = std::collections::HashMap::new();
-        for (&x, &y) in a.iter().zip(b.iter()) {
-            if *map_ab.entry(x).or_insert(y) != y {
-                return false;
-            }
-            if *map_ba.entry(y).or_insert(x) != x {
-                return false;
-            }
-        }
-        true
     }
 
     #[test]
@@ -227,8 +182,7 @@ mod tests {
         for seed in 1..5 {
             let g = gen::urand(9, 6, seed);
             let got = cc(&g, &pool());
-            let want = cc_oracle(&g);
-            assert!(same_partition(&got, &want), "seed {seed}");
+            verify_cc(&g, &got).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 
@@ -244,8 +198,6 @@ mod tests {
     #[test]
     fn road_graph_components_match_oracle() {
         let g = gen::road(&gen::RoadConfig::gap_like(24), 4);
-        let got = cc(&g, &pool());
-        let want = cc_oracle(&g);
-        assert!(same_partition(&got, &want));
+        verify_cc(&g, &cc(&g, &pool())).unwrap();
     }
 }

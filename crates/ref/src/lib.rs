@@ -16,12 +16,12 @@
 //! harness can pin the thread count, mirroring the paper's fixed-core
 //! Baseline methodology.
 
-pub mod bc;
+mod bc;
 pub mod bfs;
-pub mod cc;
+mod cc;
 pub mod ms_bfs;
 pub mod pr;
-pub mod sssp;
+mod sssp;
 pub mod tc;
 
 pub use bc::bc;
@@ -39,6 +39,3 @@ pub const PR_TOLERANCE: f64 = 1e-4;
 /// Default PageRank iteration cap (GAP's `-i 20`; we allow more so the
 /// Jacobi/Gauss–Seidel convergence contrast is visible).
 pub const PR_MAX_ITERS: usize = 100;
-/// Number of BC root vertices per trial (the GAP spec approximates BC with
-/// four roots).
-pub const BC_ROOTS: usize = 4;

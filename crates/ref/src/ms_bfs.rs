@@ -17,7 +17,7 @@
 //! run canonicalizes to, at every thread count.
 //!
 //! Like `bfs`, the sweep picks a direction per level: it pulls when the
-//! frontier's out-degree sum (`scout`) times [`MS_PULL_ALPHA`] exceeds one
+//! frontier's out-degree sum (`scout`) times `MS_PULL_ALPHA` exceeds one
 //! pass over every vertex and arc, and pushes otherwise. A push level runs
 //! in two phases:
 //!
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum number of sources one word-packed sweep carries (one bit per
 /// search in a `u64`).
-pub const MAX_BATCH: usize = 64;
+pub(crate) const MAX_BATCH: usize = 64;
 
 /// Depth value meaning "unreached" in [`MsBfsResult::depths`].
 pub const UNREACHED_DEPTH: u32 = u32::MAX;
@@ -100,7 +100,7 @@ pub fn depths_from_parents(parents: &[NodeId]) -> Vec<u32> {
 }
 
 /// Runs BFS from every vertex in `sources` with one shared sweep per
-/// [`MAX_BATCH`]-wide group, returning per-source depth arrays. Sources
+/// `MAX_BATCH`-wide group, returning per-source depth arrays. Sources
 /// may repeat (each occurrence gets its own result column) and may be
 /// isolated vertices.
 ///
@@ -133,7 +133,7 @@ pub fn ms_bfs(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> MsBfsResult {
 /// sweep), and 3 also keeps Road's widest medium levels (0.24–0.26 of a
 /// sweep) on the push side. GAP's [`DO_ALPHA`](gapbs_graph::stats::DO_ALPHA)
 /// divides one search's *unexplored* edges and is not reused here.
-pub const MS_PULL_ALPHA: u64 = 3;
+pub(crate) const MS_PULL_ALPHA: u64 = 3;
 
 /// One word-packed sweep over at most [`MAX_BATCH`] sources.
 fn ms_bfs_word(g: &Graph, sources: &[NodeId], pool: &ThreadPool) -> Vec<Vec<u32>> {

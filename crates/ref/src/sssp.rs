@@ -19,17 +19,6 @@ use std::sync::atomic::Ordering;
 /// coordinating thread, no parallel round).
 const FUSION_THRESHOLD: usize = 512;
 
-/// A reasonable per-graph delta: GAP's experiments use 2 for road-like
-/// graphs (small weights dominate) and a large delta for low-diameter
-/// graphs. The harness passes topology-appropriate values.
-pub fn default_delta(avg_degree: f64) -> Weight {
-    if avg_degree < 4.0 {
-        2
-    } else {
-        32
-    }
-}
-
 /// Runs delta-stepping from `source`, returning tentative distances
 /// ([`INF_DIST`] for unreachable vertices).
 pub fn sssp(g: &WGraph, source: NodeId, delta: Weight, pool: &ThreadPool) -> Vec<Distance> {
@@ -139,32 +128,10 @@ mod tests {
     use super::*;
     use gapbs_graph::edgelist::wedges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::oracles::dijkstra;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
-    }
-
-    /// Sequential Dijkstra oracle.
-    fn dijkstra(g: &WGraph, source: NodeId) -> Vec<Distance> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut dist = vec![INF_DIST; g.num_vertices()];
-        let mut heap = BinaryHeap::new();
-        dist[source as usize] = 0;
-        heap.push(Reverse((0i64, source)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            for (v, w) in g.out_neighbors_weighted(u) {
-                let nd = d + Distance::from(w);
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        dist
     }
 
     #[test]
@@ -200,11 +167,5 @@ mod tests {
                 assert_eq!(got, want, "seed={seed} delta={delta}");
             }
         }
-    }
-
-    #[test]
-    fn delta_choice_is_topology_aware() {
-        assert_eq!(default_delta(2.4), 2);
-        assert_eq!(default_delta(24.0), 32);
     }
 }

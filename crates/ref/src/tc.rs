@@ -47,30 +47,12 @@ pub fn worth_relabeling(g: &Graph) -> bool {
         .is_some_and(|(mean, median)| mean as usize > 2 * median.max(1))
 }
 
-/// Brute-force triangle oracle for tests (O(n·d²)).
-#[doc(hidden)]
-pub fn tc_oracle(g: &Graph) -> u64 {
-    let mut count = 0u64;
-    for u in g.vertices() {
-        for &v in g.out_neighbors(u) {
-            if v <= u {
-                continue;
-            }
-            for &w in g.out_neighbors(v) {
-                if w > v && g.out_csr().has_edge(u, w) {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gapbs_graph::edgelist::edges;
     use gapbs_graph::{gen, Builder};
+    use gapbs_verify::oracles::triangles;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -110,7 +92,7 @@ mod tests {
     fn matches_oracle_on_random_graphs() {
         for seed in 1..4 {
             let g = gen::kron(8, 10, seed);
-            assert_eq!(tc(&g, &pool()), tc_oracle(&g), "seed {seed}");
+            assert_eq!(tc(&g, &pool()), triangles(&g), "seed {seed}");
         }
     }
 

@@ -100,7 +100,7 @@ pub struct GateSnapshot {
 /// cumulative stats, instantaneous queue gauges, and the end-to-end
 /// latency histogram, all from the same instant.
 #[derive(Debug, Clone)]
-pub struct GateObservation {
+pub(crate) struct GateObservation {
     /// Cumulative lifecycle stats.
     pub stats: GateSnapshot,
     /// Permits currently held.
@@ -234,7 +234,7 @@ impl AdmissionGate {
     /// Flips the gate into draining mode and blocks until every
     /// outstanding permit has been released. Waiters are woken and fail
     /// with [`AdmitError::Draining`].
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.draining = true;
         self.cond.notify_all();
@@ -244,7 +244,7 @@ impl AdmissionGate {
     }
 
     /// `true` once [`drain`](Self::drain) has begun (readiness probes).
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -252,12 +252,12 @@ impl AdmissionGate {
     }
 
     /// Number of permits currently held.
-    pub fn active(&self) -> usize {
+    pub(crate) fn active(&self) -> usize {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).active
     }
 
     /// Copies the cumulative lifecycle stats. Unsynchronized with
-    /// in-flight transitions — use [`observe`](Self::observe) when the
+    /// in-flight transitions — use `observe` when the
     /// cross-field invariants matter (scrapes, lint).
     pub fn snapshot(&self) -> GateSnapshot {
         GateSnapshot {
@@ -276,7 +276,7 @@ impl AdmissionGate {
     /// writers hold the same lock, so within the returned observation
     /// `admitted == completed + active`, `latency.count == completed` and
     /// `inline <= completed` hold exactly — even mid-load.
-    pub fn observe(&self) -> GateObservation {
+    pub(crate) fn observe(&self) -> GateObservation {
         let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let queue_age_us = state
             .waiting_since
@@ -306,7 +306,7 @@ impl AdmissionGate {
     /// accounted as admitted (its own permit, or
     /// [`note_batch_members`](Self::note_batch_members) for sources that
     /// share one), so `batch_queries <= admitted` is an invariant.
-    pub fn note_batch(&self, members: u64) {
+    pub(crate) fn note_batch(&self, members: u64) {
         let _state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.stats
             .batch_queries
@@ -321,7 +321,7 @@ impl AdmissionGate {
     /// as a unit — and each contributes one `latency_us` histogram entry
     /// at the batch's end-to-end latency, keeping `latency.count ==
     /// completed` exact.
-    pub fn note_batch_members(&self, extra: u64, latency_us: u64) {
+    pub(crate) fn note_batch_members(&self, extra: u64, latency_us: u64) {
         let _state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         self.stats.admitted.fetch_add(extra, Ordering::Relaxed);
         self.stats.completed.fetch_add(extra, Ordering::Relaxed);
@@ -334,7 +334,7 @@ impl AdmissionGate {
 
     /// Counts a query that finished execution past its deadline (admitted
     /// and completed, but answered with a `deadline_exceeded` error).
-    pub fn note_deadline_exceeded(&self) {
+    pub(crate) fn note_deadline_exceeded(&self) {
         self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
         record_global(gapbs_telemetry::Counter::DeadlineExceeded);
     }
@@ -356,27 +356,27 @@ impl AdmissionGate {
 
 impl Permit<'_> {
     /// When the slot was granted (queue wait = this minus receive time).
-    pub fn admitted_at(&self) -> Instant {
+    pub(crate) fn admitted_at(&self) -> Instant {
         self.admitted_at
     }
 
     /// Whether another query held a permit when this one was granted —
     /// the engine's cue to run it at width 1 rather than contend for the
     /// shared pool.
-    pub fn concurrent(&self) -> bool {
+    pub(crate) fn concurrent(&self) -> bool {
         self.active_at_admit > 1
     }
 
     /// Marks the query as run at width 1; counted into
     /// [`GateSnapshot::inline`] when the permit is released.
-    pub fn note_inline(&self) {
+    pub(crate) fn note_inline(&self) {
         self.inline.store(true, Ordering::Relaxed);
     }
 
     /// Sets the end-to-end latency (µs) this permit's release will record
     /// into the gate's histogram. Unset permits record their own hold
     /// time, so every release contributes exactly one entry either way.
-    pub fn set_latency_us(&self, us: u64) {
+    pub(crate) fn set_latency_us(&self, us: u64) {
         self.latency_us
             .store(us.min(u64::MAX - 1), Ordering::Relaxed);
     }

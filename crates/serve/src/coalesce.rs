@@ -35,7 +35,7 @@ use crate::protocol::ProtoError;
 
 /// Per-source output of a coalesced batch: the canonical depth array the
 /// response fields and fingerprint derive from.
-pub type MemberDepths = Arc<Vec<u32>>;
+pub(crate) type MemberDepths = Arc<Vec<u32>>;
 
 #[derive(Debug, Default)]
 struct BatchState {
@@ -49,7 +49,7 @@ struct BatchState {
 
 /// One pending or executing batch; members rendezvous here.
 #[derive(Debug, Default)]
-pub struct PendingBatch {
+pub(crate) struct PendingBatch {
     state: Mutex<BatchState>,
     cond: Condvar,
 }
@@ -57,7 +57,7 @@ pub struct PendingBatch {
 impl PendingBatch {
     /// Leader: hands every parked member its result (or the shared
     /// error) and wakes them.
-    pub fn publish(&self, output: Result<Vec<MemberDepths>, ProtoError>) {
+    pub(crate) fn publish(&self, output: Result<Vec<MemberDepths>, ProtoError>) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.output = Some(output);
         self.cond.notify_all();
@@ -65,7 +65,7 @@ impl PendingBatch {
 
     /// Follower: parks until the leader publishes, then returns this
     /// member's depth column.
-    pub fn wait(&self, member: usize) -> Result<MemberDepths, ProtoError> {
+    pub(crate) fn wait(&self, member: usize) -> Result<MemberDepths, ProtoError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(output) = &state.output {
@@ -80,7 +80,7 @@ impl PendingBatch {
 }
 
 /// How a query entered a batch.
-pub enum Joined {
+pub(crate) enum Joined {
     /// First member: owns the window and the MS-BFS execution.
     Leader(Arc<PendingBatch>),
     /// Subsequent member at the given index; waits for the leader.
@@ -89,14 +89,14 @@ pub enum Joined {
 
 /// The admission-window collector; see the module docs.
 #[derive(Debug)]
-pub struct Coalescer {
+pub(crate) struct Coalescer {
     window: Duration,
     pending: Mutex<HashMap<GraphSpec, Arc<PendingBatch>>>,
 }
 
 impl Coalescer {
     /// Collector holding each batch's window open for `window`.
-    pub fn new(window: Duration) -> Coalescer {
+    pub(crate) fn new(window: Duration) -> Coalescer {
         Coalescer {
             window,
             pending: Mutex::new(HashMap::new()),
@@ -104,13 +104,13 @@ impl Coalescer {
     }
 
     /// How long a leader holds the window open.
-    pub fn window(&self) -> Duration {
+    pub(crate) fn window(&self) -> Duration {
         self.window
     }
 
     /// Joins (or opens) the pending batch for `graph`. The caller must
     /// have validated `source` against the graph's vertex range.
-    pub fn join(&self, graph: GraphSpec, source: NodeId) -> Joined {
+    pub(crate) fn join(&self, graph: GraphSpec, source: NodeId) -> Joined {
         let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(batch) = pending.get(&graph) {
             let mut state = batch.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -134,7 +134,7 @@ impl Coalescer {
 
     /// Leader, after the window: unregisters the batch and returns its
     /// member sources (index = member). No query can join past this.
-    pub fn close(&self, graph: GraphSpec, batch: &Arc<PendingBatch>) -> Vec<NodeId> {
+    pub(crate) fn close(&self, graph: GraphSpec, batch: &Arc<PendingBatch>) -> Vec<NodeId> {
         let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
         if pending
             .get(&graph)

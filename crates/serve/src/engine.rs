@@ -40,7 +40,7 @@ use gapbs_parallel::ThreadPool;
 use gapbs_telemetry::json::Json;
 use gapbs_telemetry::{Counter, LedgerSink, TrialRecord};
 
-use crate::admission::{AdmissionGate, AdmitError, GateObservation};
+use crate::admission::{AdmissionGate, AdmitError};
 use crate::coalesce::{Coalescer, Joined, MemberDepths};
 use crate::metrics::{ServeMetrics, PROM_PREFIX};
 use crate::protocol::canonical::{self, DepthSummary};
@@ -154,19 +154,9 @@ impl Engine {
         &self.gate
     }
 
-    /// The serve-side metric instruments.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
     /// The resident registry.
     pub fn registry(&self) -> &GraphRegistry {
         &self.registry
-    }
-
-    /// The shared execution pool.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
     }
 
     /// Runs one query end to end and returns the response line.
@@ -530,14 +520,15 @@ impl Engine {
         Ok(bfs_outcome(query, source, &depths))
     }
 
-    /// One coherent gate observation plus this instant's pool stats —
-    /// the basis of every scrape.
-    pub fn observe(&self) -> GateObservation {
+    /// One coherent gate observation.
+    #[cfg(test)]
+    pub(crate) fn observe(&self) -> crate::admission::GateObservation {
         self.gate.observe()
     }
 
     /// Daemon statistics for `{"cmd":"stats"}`. The lifecycle fields and
-    /// `active`/`waiting` come from one coherent [`GateObservation`], so
+    /// `active`/`waiting` come from one coherent
+    /// `GateObservation`, so
     /// within a single response `queries_admitted == queries_completed +
     /// active` holds exactly (and `metrics.latency_us.count ==
     /// queries_completed`, `queries_inline <= queries_completed`); a
@@ -631,7 +622,7 @@ impl Engine {
 
     /// The full metrics plane as Prometheus text exposition (format
     /// 0.0.4), served on the `--metrics-addr` listener's `/metrics`.
-    pub fn prometheus_text(&self) -> String {
+    pub(crate) fn prometheus_text(&self) -> String {
         let obs = self.gate.observe();
         self.metrics
             .snapshot(&obs, self.pool.stats())
@@ -639,7 +630,7 @@ impl Engine {
     }
 
     /// Flushes the per-query ledger (shutdown path).
-    pub fn flush_ledger(&self) -> std::io::Result<()> {
+    pub(crate) fn flush_ledger(&self) -> std::io::Result<()> {
         match &self.ledger {
             Some(sink) => sink.flush(),
             None => Ok(()),
@@ -722,9 +713,9 @@ fn admit_error(err: AdmitError) -> ProtoError {
 ///
 /// # Errors
 ///
-/// [`ErrorCode::UnknownGraph`] when the graph is not resident,
-/// [`ErrorCode::UnknownFramework`] when no adapter matches, and
-/// [`ErrorCode::BadSource`] when `source`/`target`/`vertex` fall outside
+/// `ErrorCode::UnknownGraph` when the graph is not resident,
+/// `ErrorCode::UnknownFramework` when no adapter matches, and
+/// `ErrorCode::BadSource` when `source`/`target`/`vertex` fall outside
 /// the graph's vertex range.
 pub fn run_query_local(
     registry: &GraphRegistry,
@@ -755,8 +746,8 @@ pub fn run_query_local(
 ///
 /// # Errors
 ///
-/// [`ErrorCode::BadSource`] when a vertex field is out of range, and
-/// [`ErrorCode::Internal`] when preparation or the kernel panics: the
+/// `ErrorCode::BadSource` when a vertex field is out of range, and
+/// `ErrorCode::Internal` when preparation or the kernel panics: the
 /// panic is caught here, so it fails this query alone and never unwinds
 /// the handler thread or drops its connection.
 pub fn execute_query(

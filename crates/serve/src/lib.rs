@@ -6,21 +6,21 @@
 //! measures per-trial (graph construction, kernel preparation) are paid
 //! once and amortized over a query stream:
 //!
-//! * [`registry`] — the corpus, generated once at startup and shared
+//! * `registry` — the corpus, generated once at startup and shared
 //!   immutably (`Arc<BenchGraph>`) by every handler thread;
 //! * [`protocol`] — line-delimited JSON requests/responses with stable
 //!   error codes and canonical-form response fingerprints;
-//! * [`admission`] — a bounded concurrency gate with deadline-aware
+//! * `admission` — a bounded concurrency gate with deadline-aware
 //!   queueing, so overload degrades into fast rejections instead of
 //!   unbounded queueing inside the pool;
-//! * [`coalesce`] — an opt-in admission-window collector that
+//! * `coalesce` — an opt-in admission-window collector that
 //!   transparently merges concurrent same-graph single-source BFS
 //!   queries into one multi-source (MS-BFS) execution, with per-source
 //!   fan-out and unchanged canonical fingerprints;
 //! * [`engine`] — per-query lifecycle: admit, prepare what the kernel
 //!   reads, execute at the width concurrency allows, deadline-check,
 //!   account one ledger record;
-//! * [`metrics`] — the live metrics plane: per-{kernel, graph,
+//! * `metrics` — the live metrics plane: per-{kernel, graph,
 //!   framework} latency histograms, queue/RSS gauges, and pool rates,
 //!   scraped via `{"cmd":"stats"}` and the `--metrics-addr` listener's
 //!   Prometheus `/metrics` + `/health`/`/ready` probes
@@ -44,19 +44,17 @@
 //!
 //! [`ThreadPool`]: gapbs_parallel::ThreadPool
 
-pub mod admission;
-pub mod coalesce;
+mod admission;
+mod coalesce;
 pub mod engine;
-pub mod metrics;
+mod metrics;
 pub mod protocol;
-pub mod registry;
+mod registry;
 pub mod server;
-pub mod signal;
+mod signal;
 
-pub use admission::{AdmissionGate, AdmitError, GateObservation, GateSnapshot, Permit};
-pub use coalesce::Coalescer;
+pub use admission::{AdmissionGate, AdmitError, GateSnapshot, Permit};
 pub use engine::{execute_query, run_query_local, Engine, EngineConfig, QueryOutcome};
-pub use metrics::ServeMetrics;
-pub use protocol::{parse_request, BatchQuery, Command, ErrorCode, ProtoError, Query};
+pub use protocol::{parse_request, BatchQuery, Command, ProtoError, Query};
 pub use registry::{GraphRegistry, LoadRecord, RegistryOptions};
-pub use server::{serve_main, ServeConfig, ServeSummary, Server};
+pub use server::{serve_main, ServeConfig, Server};

@@ -27,10 +27,10 @@ use gapbs_telemetry::metrics::{
 use crate::admission::GateObservation;
 
 /// The Prometheus metric-name prefix for every exposed series.
-pub const PROM_PREFIX: &str = "gapbs_serve_";
+pub(crate) const PROM_PREFIX: &str = "gapbs_serve_";
 
 /// All serve-side instruments; see the module docs.
-pub struct ServeMetrics {
+pub(crate) struct ServeMetrics {
     registry: MetricsRegistry,
     /// Lazily registered per-{kernel, graph, framework} latency
     /// histograms (µs). Lazy because 6×5×6 combinations exist but a
@@ -77,7 +77,7 @@ impl Default for ServeMetrics {
 
 impl ServeMetrics {
     /// Registers every fixed instrument.
-    pub fn new() -> ServeMetrics {
+    pub(crate) fn new() -> ServeMetrics {
         let registry = MetricsRegistry::new();
         let queue_wait_us = registry.histogram(
             "queue_wait_us",
@@ -135,7 +135,7 @@ impl ServeMetrics {
 
     /// Sets the startup time-to-ready gauge (seconds until every graph
     /// was resident). Called once when the engine is built.
-    pub fn set_time_to_ready(&self, seconds: f64) {
+    pub(crate) fn set_time_to_ready(&self, seconds: f64) {
         self.time_to_ready_seconds.set(seconds);
     }
 
@@ -143,7 +143,7 @@ impl ServeMetrics {
     /// snapshot-cache hit bumps `snapshot_hit{graph=...}`, a rebuild
     /// bumps `snapshot_miss{graph=...}`. Both series are registered so
     /// every resident graph exposes the pair (one at 1, one at 0).
-    pub fn note_snapshot_load(&self, graph: &str, hit: bool) {
+    pub(crate) fn note_snapshot_load(&self, graph: &str, hit: bool) {
         let mut map = self
             .snapshot_loads
             .lock()
@@ -171,7 +171,7 @@ impl ServeMetrics {
 
     /// Sets the resident-bytes gauge for one loaded graph (labelled
     /// `graph_bytes{graph="..."}` in the exposition).
-    pub fn set_graph_bytes(&self, graph: &str, bytes: u64) {
+    pub(crate) fn set_graph_bytes(&self, graph: &str, bytes: u64) {
         let mut map = self.graph_bytes.lock().unwrap_or_else(|e| e.into_inner());
         map.entry(graph.to_string())
             .or_insert_with(|| {
@@ -187,7 +187,7 @@ impl ServeMetrics {
     /// Records one completed query: its end-to-end latency into the
     /// {kernel, graph, framework} histogram and its queue wait into the
     /// global wait histogram.
-    pub fn observe_query(
+    pub(crate) fn observe_query(
         &self,
         kernel: &str,
         graph: &str,
@@ -222,17 +222,17 @@ impl ServeMetrics {
     }
 
     /// Records the width of one executed MS-BFS batch.
-    pub fn observe_batch_width(&self, members: u64) {
+    pub(crate) fn observe_batch_width(&self, members: u64) {
         self.batch_width.record(members);
     }
 
     /// Counts one slow query (already logged by the engine).
-    pub fn note_slow(&self) {
+    pub(crate) fn note_slow(&self) {
         self.slow_queries.add(1);
     }
 
     /// Counts one inline-traced query.
-    pub fn note_traced(&self) {
+    pub(crate) fn note_traced(&self) {
         self.traced_queries.add(1);
     }
 
@@ -243,7 +243,7 @@ impl ServeMetrics {
     /// registry's instruments follow. Pool counters are brought current
     /// by folding in the delta versus the last scrape, and the RSS gauge
     /// is refreshed from procfs.
-    pub fn snapshot(&self, gate: &GateObservation, pool: PoolStats) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self, gate: &GateObservation, pool: PoolStats) -> MetricsSnapshot {
         {
             let mut seen = self.pool_seen.lock().unwrap_or_else(|e| e.into_inner());
             let delta = pool.delta(&seen);

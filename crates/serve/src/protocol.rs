@@ -27,7 +27,7 @@ use gapbs_telemetry::json::Json;
 
 /// Stable machine-readable error codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorCode {
+pub(crate) enum ErrorCode {
     /// The line was not valid JSON.
     Malformed,
     /// Valid JSON, but required fields are missing or mistyped.
@@ -52,7 +52,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::Malformed => "malformed",
             ErrorCode::BadRequest => "bad_request",
@@ -72,14 +72,14 @@ impl ErrorCode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtoError {
     /// Stable error code.
-    pub code: ErrorCode,
+    pub(crate) code: ErrorCode,
     /// Human-readable detail for the `error` field.
     pub message: String,
 }
 
 impl ProtoError {
     /// Builds an error.
-    pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         ProtoError {
             code,
             message: message.into(),
@@ -143,7 +143,7 @@ pub struct Query {
 }
 
 /// Default top-k size for PR/BC responses.
-pub const DEFAULT_TOP_K: usize = 10;
+pub(crate) const DEFAULT_TOP_K: usize = 10;
 
 fn parse_kernel(s: &str) -> Result<Kernel, ProtoError> {
     match s.to_lowercase().as_str() {
@@ -160,24 +160,9 @@ fn parse_kernel(s: &str) -> Result<Kernel, ProtoError> {
     }
 }
 
-/// Parses a corpus graph name (the registry key).
-pub fn parse_graph(s: &str) -> Result<GraphSpec, ProtoError> {
-    match s.to_lowercase().as_str() {
-        "web" => Ok(GraphSpec::Web),
-        "twitter" => Ok(GraphSpec::Twitter),
-        "road" => Ok(GraphSpec::Road),
-        "kron" => Ok(GraphSpec::Kron),
-        "urand" => Ok(GraphSpec::Urand),
-        other => Err(ProtoError::new(
-            ErrorCode::UnknownGraph,
-            format!("unknown graph {other:?}; expected web|twitter|road|kron|urand"),
-        )),
-    }
-}
-
 /// Resolves a framework alias to its display name (the same aliases the
 /// kernel binaries' `-x` flag takes).
-pub fn parse_framework(s: &str) -> Result<&'static str, ProtoError> {
+pub(crate) fn parse_framework(s: &str) -> Result<&'static str, ProtoError> {
     match s.to_lowercase().as_str() {
         "gap" | "ref" => Ok("GAP"),
         "suitesparse" | "graphblas" | "lagraph" => Ok("SuiteSparse"),
@@ -258,7 +243,7 @@ fn parse_query_or_batch(v: &Json) -> Result<Command, ProtoError> {
 
 /// Most sources one batch line may carry (bounds the response line and
 /// the per-batch state; MS-BFS itself chunks in 64-wide words).
-pub const MAX_BATCH_SOURCES: usize = 1024;
+pub(crate) const MAX_BATCH_SOURCES: usize = 1024;
 
 fn parse_batch(v: &Json) -> Result<BatchQuery, ProtoError> {
     let query = parse_query_fields(v)?;
@@ -330,9 +315,12 @@ fn parse_query_fields(v: &Json) -> Result<Query, ProtoError> {
     let kernel = parse_kernel(v.get("kernel").and_then(Json::as_str).ok_or_else(|| {
         ProtoError::new(ErrorCode::BadRequest, "missing string field \"kernel\"")
     })?)?;
-    let graph = parse_graph(v.get("graph").and_then(Json::as_str).ok_or_else(|| {
-        ProtoError::new(ErrorCode::BadRequest, "missing string field \"graph\"")
-    })?)?;
+    let graph = v
+        .get("graph")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ProtoError::new(ErrorCode::BadRequest, "missing string field \"graph\""))?
+        .parse()
+        .map_err(|message| ProtoError::new(ErrorCode::UnknownGraph, message))?;
     let framework = match v.get("framework") {
         None | Some(Json::Null) => "GAP",
         Some(f) => parse_framework(f.as_str().ok_or_else(|| {
@@ -433,7 +421,7 @@ pub fn success_line(
 
 /// Encodes the single response line of a batch request: one entry per
 /// source (in request order), each with its own canonical fingerprint.
-pub fn batch_success_line(
+pub(crate) fn batch_success_line(
     id: Option<&Json>,
     query: &Query,
     latency_ms: f64,
@@ -461,7 +449,7 @@ pub fn batch_success_line(
 }
 
 /// Encodes an error response line (no trailing newline).
-pub fn error_line(id: Option<&Json>, err: &ProtoError) -> String {
+pub(crate) fn error_line(id: Option<&Json>, err: &ProtoError) -> String {
     let mut fields = vec![
         ("ok".to_string(), Json::Bool(false)),
         ("code".to_string(), Json::Str(err.code.as_str().to_string())),
@@ -481,7 +469,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit over a byte stream — the response fingerprint hash.
 #[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -491,12 +479,12 @@ impl Default for Fnv1a {
 
 impl Fnv1a {
     /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Absorbs bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
@@ -504,12 +492,12 @@ impl Fnv1a {
     }
 
     /// Absorbs a little-endian u64.
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
     /// The digest.
-    pub fn finish(self) -> u64 {
+    pub(crate) fn finish(self) -> u64 {
         self.0
     }
 }
@@ -553,7 +541,7 @@ pub mod canonical {
     }
 
     /// Fingerprint of a canonical BFS depth array: FNV-1a over each
-    /// depth as a little-endian `u64` ([`summarize_depths`]' one-column
+    /// depth as a little-endian `u64` (`summarize_depths`' one-column
     /// case).
     pub fn fingerprint_depths(depths: &[u32]) -> u64 {
         summarize_depths(&[depths])[0].fingerprint
@@ -561,7 +549,7 @@ pub mod canonical {
 
     /// What a BFS reply reports of one canonical depth column.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct DepthSummary {
+    pub(crate) struct DepthSummary {
         /// [`fingerprint_depths`] of the column.
         pub fingerprint: u64,
         /// Vertices at a depth other than [`UNREACHED`].
@@ -588,7 +576,7 @@ pub mod canonical {
     /// # Panics
     ///
     /// Panics if the columns differ in length.
-    pub fn summarize_depths<D: AsRef<[u32]>>(columns: &[D]) -> Vec<DepthSummary> {
+    pub(crate) fn summarize_depths<D: AsRef<[u32]>>(columns: &[D]) -> Vec<DepthSummary> {
         let mut out = Vec::with_capacity(columns.len());
         let mut groups = columns.chunks_exact(LANES);
         for group in &mut groups {
@@ -660,7 +648,7 @@ pub mod canonical {
     }
 
     /// Fingerprint of a scalar count (TC).
-    pub fn fingerprint_count(count: u64) -> u64 {
+    pub(crate) fn fingerprint_count(count: u64) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(count);
         h.finish()

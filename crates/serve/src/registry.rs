@@ -116,20 +116,15 @@ impl GraphRegistry {
         }
     }
 
-    /// Loads the full five-graph corpus.
-    pub fn load_corpus(scale: Scale, pool: &ThreadPool) -> GraphRegistry {
-        Self::load(scale, &GraphSpec::TABLE_ORDER, pool)
-    }
-
     /// The scale every resident graph was generated at.
-    pub fn scale(&self) -> Scale {
+    pub(crate) fn scale(&self) -> Scale {
         self.scale
     }
 
     /// Wall-clock seconds from load start until every graph was
     /// resident — the daemon's cold-start cost, exposed as the
     /// `time_to_ready_seconds` gauge.
-    pub fn time_to_ready_seconds(&self) -> f64 {
+    pub(crate) fn time_to_ready_seconds(&self) -> f64 {
         self.time_to_ready_seconds
     }
 
@@ -156,7 +151,7 @@ impl GraphRegistry {
     }
 
     /// The resident graphs, in load order.
-    pub fn graphs(&self) -> impl Iterator<Item = (GraphSpec, &Arc<BenchGraph>)> {
+    pub(crate) fn graphs(&self) -> impl Iterator<Item = (GraphSpec, &Arc<BenchGraph>)> {
         self.graphs.iter().map(|(s, bg)| (*s, bg))
     }
 

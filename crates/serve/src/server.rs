@@ -443,25 +443,12 @@ fn send_line(writer: &mut TcpStream, response: &str) -> std::io::Result<()> {
     writer.flush()
 }
 
-/// Parses a corpus scale name.
-pub fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s.to_lowercase().as_str() {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        "large" => Ok(Scale::Large),
-        other => Err(format!(
-            "unknown scale {other:?}; expected tiny|small|medium|large"
-        )),
-    }
-}
-
 /// Parses `--graphs web,kron,...` lists.
-pub fn parse_graph_list(s: &str) -> Result<Vec<GraphSpec>, String> {
+pub(crate) fn parse_graph_list(s: &str) -> Result<Vec<GraphSpec>, String> {
     s.split(',')
         .map(str::trim)
         .filter(|part| !part.is_empty())
-        .map(|part| crate::protocol::parse_graph(part).map_err(|e| e.message))
+        .map(str::parse)
         .collect()
 }
 
@@ -488,7 +475,7 @@ pub fn serve_main(args: impl Iterator<Item = String>) -> i32 {
             "--addr" => value("--addr").map(|v| config.addr = v),
             "--port-file" => value("--port-file").map(|v| config.port_file = Some(v.into())),
             "--scale" => value("--scale")
-                .and_then(|v| parse_scale(&v))
+                .and_then(|v| v.parse())
                 .map(|s| config.scale = s),
             "--graphs" => value("--graphs")
                 .and_then(|v| parse_graph_list(&v))
@@ -555,9 +542,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_and_graph_lists_parse() {
-        assert_eq!(parse_scale("TINY").unwrap(), Scale::Tiny);
-        assert!(parse_scale("huge").is_err());
+    fn graph_lists_parse() {
         assert_eq!(
             parse_graph_list("kron, road").unwrap(),
             vec![GraphSpec::Kron, GraphSpec::Road]

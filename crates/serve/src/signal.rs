@@ -10,16 +10,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// `true` once a registered signal has been delivered (or
-/// [`request_shutdown`] was called in-process).
-pub fn shutdown_requested() -> bool {
+/// `true` once a registered signal has been delivered.
+pub(crate) fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Flips the shutdown flag from inside the process (the
-/// `{"cmd":"shutdown"}` path, and tests).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -38,7 +31,7 @@ mod imp {
     }
 
     /// Routes SIGINT and SIGTERM to the shutdown flag.
-    pub fn install() {
+    pub(crate) fn install() {
         let handler = on_signal as extern "C" fn(i32) as *const () as usize;
         unsafe {
             signal(SIGINT, handler);
@@ -50,19 +43,7 @@ mod imp {
 #[cfg(not(unix))]
 mod imp {
     /// No signal plumbing off-unix; `{"cmd":"shutdown"}` still works.
-    pub fn install() {}
+    pub(crate) fn install() {}
 }
 
-pub use imp::install;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn in_process_request_flips_the_flag() {
-        install();
-        request_shutdown();
-        assert!(shutdown_requested());
-    }
-}
+pub(crate) use imp::install;

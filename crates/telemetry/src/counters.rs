@@ -128,7 +128,7 @@ impl Counter {
     ];
 
     /// Number of counters in the vocabulary.
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// The stable snake_case ledger key.
     pub fn name(self) -> &'static str {
@@ -162,7 +162,7 @@ impl Counter {
     }
 
     /// Parses a ledger key back to the counter.
-    pub fn from_name(name: &str) -> Option<Counter> {
+    pub(crate) fn from_name(name: &str) -> Option<Counter> {
         Counter::ALL.into_iter().find(|c| c.name() == name)
     }
 }
@@ -199,13 +199,14 @@ impl CounterSet {
     }
 
     /// `true` when every counter is zero.
-    pub fn is_zero(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_zero(&self) -> bool {
         self.values.iter().all(|&v| v == 0)
     }
 
     /// Traversed edges per second — the GAP suite's headline rate metric.
     /// `None` when no edges were counted or the time is degenerate.
-    pub fn teps(&self, seconds: f64) -> Option<f64> {
+    pub(crate) fn teps(&self, seconds: f64) -> Option<f64> {
         let edges = self.get(Counter::EdgesExamined);
         (edges > 0 && seconds > 0.0).then(|| edges as f64 / seconds)
     }
@@ -213,13 +214,13 @@ impl CounterSet {
     /// Work efficiency: edges examined relative to the graph's arc count
     /// `m`. A direction-optimizing BFS lands well below 1.0; a Jacobi PR
     /// pays ~1.0 per iteration.
-    pub fn work_ratio(&self, num_arcs: u64) -> Option<f64> {
+    pub(crate) fn work_ratio(&self, num_arcs: u64) -> Option<f64> {
         let edges = self.get(Counter::EdgesExamined);
         (edges > 0 && num_arcs > 0).then(|| edges as f64 / num_arcs as f64)
     }
 
     /// `(key, value)` pairs in ledger order.
-    pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
         Counter::ALL.into_iter().map(|c| (c, self.get(c)))
     }
 }
@@ -253,7 +254,7 @@ impl Shard {
 /// The global instance behind [`record`] is the one kernels write; tests
 /// and embedders can also own private registries.
 #[derive(Debug)]
-pub struct Registry {
+pub(crate) struct Registry {
     shards: [Shard; SHARDS],
 }
 
@@ -265,7 +266,7 @@ impl Default for Registry {
 
 impl Registry {
     /// Creates a zeroed registry.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const SHARD: Shard = Shard::new();
         Registry {
@@ -276,7 +277,7 @@ impl Registry {
     /// Adds `n` to `counter` in the calling thread's shard. Relaxed: the
     /// total is only read at aggregation points after joins.
     #[inline]
-    pub fn add(&self, counter: Counter, n: u64) {
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
         if n == 0 {
             return;
         }
@@ -284,7 +285,7 @@ impl Registry {
     }
 
     /// Sums every shard into one [`CounterSet`].
-    pub fn aggregate(&self) -> CounterSet {
+    pub(crate) fn aggregate(&self) -> CounterSet {
         let mut out = CounterSet::zero();
         for shard in &self.shards {
             for c in Counter::ALL {
@@ -296,7 +297,7 @@ impl Registry {
     }
 
     /// Zeroes every cell.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for shard in &self.shards {
             for cell in &shard.cells {
                 cell.store(0, Ordering::Relaxed);
@@ -316,11 +317,6 @@ fn shard_index() -> usize {
 
 static GLOBAL: Registry = Registry::new();
 
-/// The global registry the instrumented kernels write into.
-pub fn global() -> &'static Registry {
-    &GLOBAL
-}
-
 /// Records `n` units of `counter` against the global registry: one relaxed
 /// `fetch_add` on the calling thread's shard.
 ///
@@ -338,7 +334,7 @@ pub fn snapshot() -> CounterSet {
 }
 
 /// Zeroes the global registry.
-pub fn reset() {
+pub(crate) fn reset() {
     GLOBAL.reset();
 }
 

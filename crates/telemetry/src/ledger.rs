@@ -17,7 +17,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Ledger schema version; bump on breaking field changes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// One trial's record — one JSONL line.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -71,7 +71,7 @@ pub struct TrialRecord {
 
 impl TrialRecord {
     /// Encodes the record as one compact JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
+    pub(crate) fn to_json_line(&self) -> String {
         let counters = Json::obj(
             self.counters
                 .iter()
@@ -125,7 +125,7 @@ impl TrialRecord {
     /// # Errors
     ///
     /// Returns a message on malformed JSON or missing required fields.
-    pub fn from_json_line(line: &str) -> Result<TrialRecord, String> {
+    pub(crate) fn from_json_line(line: &str) -> Result<TrialRecord, String> {
         let v = Json::parse(line)?;
         let str_field = |key: &str| -> Result<String, String> {
             v.get(key)
@@ -223,13 +223,9 @@ impl Ledger {
         })
     }
 
-    /// The ledger file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The git revision stamped onto appended records.
-    pub fn git_rev(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn git_rev(&self) -> &str {
         &self.git_rev
     }
 
@@ -280,7 +276,6 @@ impl Ledger {
 /// before exiting.
 #[derive(Debug)]
 pub struct LedgerSink {
-    path: PathBuf,
     git_rev: String,
     writer: std::sync::Mutex<std::io::BufWriter<std::fs::File>>,
     appended: std::sync::atomic::AtomicU64,
@@ -305,16 +300,10 @@ impl LedgerSink {
             .append(true)
             .open(&path)?;
         Ok(LedgerSink {
-            path,
             git_rev: detect_git_rev(),
             writer: std::sync::Mutex::new(std::io::BufWriter::new(file)),
             appended: std::sync::atomic::AtomicU64::new(0),
         })
-    }
-
-    /// The ledger file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Records appended through this sink so far (flushed or not).

@@ -5,7 +5,7 @@
 //! wall-clock-only harness can assert Table V ratios without explaining
 //! them. This crate makes the work visible:
 //!
-//! * [`counters`] — a lock-free registry of per-thread relaxed-atomic
+//! * `counters` — a lock-free registry of per-thread relaxed-atomic
 //!   cells over a fixed counter vocabulary, aggregated on demand;
 //! * [`span`] — phase timers (`build`, `relabel`, `kernel`, `verify`)
 //!   that expose restructuring cost per the GAP timing rules;
@@ -26,16 +26,16 @@
 //! once per chunk, worker or round, and trace emitters sit behind one
 //! relaxed load of the session flag ([`trace::is_on`]).
 
-pub mod counters;
+mod counters;
 pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod span;
 pub mod trace;
 
-pub use counters::{record, snapshot, Counter, CounterSet, Registry};
+pub use counters::{record, snapshot, Counter, CounterSet};
 pub use ledger::{Ledger, LedgerSink, TrialRecord};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::Histogram;
 pub use span::{Phase, PhaseTimes, Span};
 pub use trace::Trace;
 

@@ -6,7 +6,7 @@
 //! reports full trial distributions rather than means — a live service
 //! owes its operator the same: quantiles, not averages.
 //!
-//! The recording discipline matches [`crate::counters`]: per-thread
+//! The recording discipline matches `crate::counters`: per-thread
 //! cache-line-padded shards of relaxed atomics, so the hot path is one
 //! uncontended `fetch_add`. Like the work counters they are always on.
 //! The cost per record is a leading-zeros instruction plus one relaxed
@@ -46,7 +46,7 @@ pub fn bucket_of(value: u64) -> usize {
 
 /// Inclusive lower bound of bucket `i` (0 for the zero bucket).
 #[inline]
-pub fn bucket_lo(i: usize) -> u64 {
+pub(crate) fn bucket_lo(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -151,16 +151,6 @@ impl Histogram {
             sum,
         }
     }
-
-    /// Zeroes every cell.
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            for cell in &shard.buckets {
-                cell.store(0, Ordering::Relaxed);
-            }
-            shard.sum.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// An immutable merged view of a [`Histogram`].
@@ -208,30 +198,6 @@ impl HistogramSnapshot {
         }
         // Unreachable: seen == count >= rank after the loop.
         Some(bucket_lo(BUCKETS - 1))
-    }
-
-    /// Mean of the raw recorded values; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Merges another snapshot into this one (for cross-shard or
-    /// cross-histogram rollups).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.wrapping_add(*b);
-        }
-        self.count = self.count.wrapping_add(other.count);
-        self.sum = self.sum.wrapping_add(other.sum);
-    }
-
-    /// `(lo, hi, count)` for each non-empty bucket, in value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_lo(i), bucket_hi(i), c))
     }
 
     /// Compact JSON for the stats snapshot: count/sum/p50..p999 plus the
@@ -341,14 +307,6 @@ impl CounterHandle {
             c.fetch_add(n, Ordering::Relaxed);
         }
     }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        match &self.0.inner {
-            Instrument::Counter(c) => c.load(Ordering::Relaxed),
-            _ => 0,
-        }
-    }
 }
 
 impl GaugeHandle {
@@ -357,22 +315,6 @@ impl GaugeHandle {
     pub fn set(&self, v: i64) {
         if let Instrument::Gauge(g) = &self.0.inner {
             g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds (possibly negative) `d`.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        if let Instrument::Gauge(g) = &self.0.inner {
-            g.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        match &self.0.inner {
-            Instrument::Gauge(g) => g.load(Ordering::Relaxed),
-            _ => 0,
         }
     }
 }
@@ -387,7 +329,8 @@ impl FloatGaugeHandle {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self) -> f64 {
         match &self.0.inner {
             Instrument::FloatGauge(g) => f64::from_bits(g.load(Ordering::Relaxed)),
             _ => 0.0,
@@ -401,14 +344,6 @@ impl HistogramHandle {
     pub fn record(&self, v: u64) {
         if let Instrument::Histogram(h) = &self.0.inner {
             h.record(v);
-        }
-    }
-
-    /// Merged snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        match &self.0.inner {
-            Instrument::Histogram(h) => h.snapshot(),
-            _ => HistogramSnapshot::default(),
         }
     }
 }
@@ -746,7 +681,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.quantile(0.5), None);
-        assert_eq!(s.mean(), None);
     }
 
     #[test]
@@ -788,24 +722,6 @@ mod tests {
             assert!(v >= last);
             last = v;
         }
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [1, 5, 9, 100] {
-            a.record(v);
-            both.record(v);
-        }
-        for v in [2, 5, 1000] {
-            b.record(v);
-            both.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
     }
 
     #[test]

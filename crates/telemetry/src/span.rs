@@ -29,13 +29,13 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in ledger order.
-    pub const ALL: [Phase; 4] = [Phase::Build, Phase::Relabel, Phase::Kernel, Phase::Verify];
+    pub(crate) const ALL: [Phase; 4] = [Phase::Build, Phase::Relabel, Phase::Kernel, Phase::Verify];
 
     /// Number of phases.
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// The stable snake_case ledger key.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Phase::Build => "build",
             Phase::Relabel => "relabel",
@@ -45,7 +45,7 @@ impl Phase {
     }
 
     /// Parses a ledger key back to the phase.
-    pub fn from_name(name: &str) -> Option<Phase> {
+    pub(crate) fn from_name(name: &str) -> Option<Phase> {
         Phase::ALL.into_iter().find(|p| p.name() == name)
     }
 }
@@ -68,7 +68,7 @@ impl PhaseTimes {
     }
 
     /// Sets one phase's seconds (ledger parsing and tests).
-    pub fn set(&mut self, p: Phase, s: f64) {
+    pub(crate) fn set(&mut self, p: Phase, s: f64) {
         self.seconds[p as usize] = s;
     }
 
@@ -82,7 +82,7 @@ impl PhaseTimes {
     }
 
     /// `(key, seconds)` pairs in ledger order.
-    pub fn iter(&self) -> impl Iterator<Item = (Phase, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Phase, f64)> + '_ {
         Phase::ALL.into_iter().map(|p| (p, self.get(p)))
     }
 }
@@ -95,7 +95,7 @@ pub struct PhaseClock {
 
 impl PhaseClock {
     /// Creates a zeroed clock.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
         PhaseClock {
@@ -109,7 +109,7 @@ impl PhaseClock {
     }
 
     /// Snapshot in seconds.
-    pub fn times(&self) -> PhaseTimes {
+    pub(crate) fn times(&self) -> PhaseTimes {
         let mut out = PhaseTimes::zero();
         for p in Phase::ALL {
             out.set(
@@ -121,7 +121,8 @@ impl PhaseClock {
     }
 
     /// Zeroes every phase.
-    pub fn reset(&self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&self) {
         for cell in &self.nanos {
             cell.store(0, Ordering::Relaxed);
         }
@@ -140,18 +141,11 @@ pub fn phase_times() -> PhaseTimes {
     GLOBAL_CLOCK.times()
 }
 
-/// Zeroes the global clock.
-pub fn reset() {
-    GLOBAL_CLOCK.reset();
-}
-
-/// An open span: accrues its inclusive elapsed time to its phase on drop
-/// (or on an explicit [`Span::close`], which also returns the seconds).
+/// An open span: accrues its inclusive elapsed time to its phase on drop.
 #[derive(Debug)]
 pub struct Span {
     phase: Phase,
     start: Instant,
-    open: bool,
 }
 
 impl Span {
@@ -160,34 +154,13 @@ impl Span {
         Span {
             phase,
             start: Instant::now(),
-            open: true,
         }
-    }
-
-    /// The span's phase.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
-    /// Closes the span, accruing and returning its elapsed seconds.
-    pub fn close(mut self) -> f64 {
-        self.finish()
-    }
-
-    fn finish(&mut self) -> f64 {
-        if !self.open {
-            return 0.0;
-        }
-        self.open = false;
-        let elapsed = self.start.elapsed();
-        GLOBAL_CLOCK.accrue(self.phase, elapsed.as_nanos() as u64);
-        elapsed.as_secs_f64()
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.finish();
+        GLOBAL_CLOCK.accrue(self.phase, self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -235,14 +208,6 @@ mod tests {
             "parent must include child: {:?}",
             d
         );
-    }
-
-    #[test]
-    fn close_returns_elapsed() {
-        let span = Span::enter(Phase::Verify);
-        std::thread::sleep(Duration::from_millis(5));
-        let secs = span.close();
-        assert!(secs >= 0.004, "close returned {secs}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! timelines, and a resource sampler, exported as Chrome trace-event
 //! JSON (loadable in Perfetto / `chrome://tracing`).
 //!
-//! The counters in [`crate::counters`] aggregate a trial into totals;
+//! The counters in `crate::counters` aggregate a trial into totals;
 //! this module keeps the *sequence*. Three producers feed per-thread
 //! event buffers:
 //!
@@ -55,7 +55,7 @@ pub enum Dir {
 
 impl Dir {
     /// Stable trace label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Dir::Push => "push",
             Dir::Pull => "pull",
@@ -116,7 +116,7 @@ pub enum IterEvent {
 
 impl IterEvent {
     /// Stable trace event name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             IterEvent::BfsLevel { .. } => "bfs_level",
             IterEvent::SsspBucket { .. } => "sssp_bucket",
@@ -228,7 +228,8 @@ pub struct Trace {
 
 impl Trace {
     /// `true` when no events were recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 

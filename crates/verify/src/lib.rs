@@ -35,11 +35,6 @@ impl VerifyError {
             message: message.into(),
         }
     }
-
-    /// The kernel whose output failed verification.
-    pub fn kernel(&self) -> &'static str {
-        self.kernel
-    }
 }
 
 impl fmt::Display for VerifyError {
@@ -313,6 +308,5 @@ mod tests {
         let g = path();
         let err = verify_bfs(&g, 0, &[0, 0]).unwrap_err();
         assert!(err.to_string().starts_with("bfs"));
-        assert_eq!(err.kernel(), "bfs");
     }
 }

@@ -7,7 +7,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// BFS depths from `source` following out-edges; `None` = unreachable.
-pub fn bfs_depths(g: &Graph, source: NodeId) -> Vec<Option<usize>> {
+pub(crate) fn bfs_depths(g: &Graph, source: NodeId) -> Vec<Option<usize>> {
     let n = g.num_vertices();
     let mut depth = vec![None; n];
     if n == 0 {
@@ -54,7 +54,7 @@ pub fn dijkstra(g: &WGraph, source: NodeId) -> Vec<Distance> {
 
 /// One damped PageRank power-iteration step with uniform dangling-mass
 /// redistribution, pulled over incoming edges.
-pub fn pagerank_step(g: &Graph, scores: &[Score], damping: f64) -> Vec<Score> {
+pub(crate) fn pagerank_step(g: &Graph, scores: &[Score], damping: f64) -> Vec<Score> {
     let n = g.num_vertices();
     let base = (1.0 - damping) / n as Score;
     let dangling: Score = g
@@ -76,7 +76,7 @@ pub fn pagerank_step(g: &Graph, scores: &[Score], damping: f64) -> Vec<Score> {
 }
 
 /// Weak-connectivity labels via sequential union-find with path halving.
-pub fn components(g: &Graph) -> Vec<NodeId> {
+pub(crate) fn components(g: &Graph) -> Vec<NodeId> {
     let n = g.num_vertices();
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -99,6 +99,12 @@ pub fn components(g: &Graph) -> Vec<NodeId> {
 
 /// Sequential Brandes BC over the given sources, normalized by the maximum
 /// score (the convention of the GAP reference output).
+///
+/// A bug the study itself found and fixed ("We identified and fixed a bug
+/// in the implementation of BC's path counting algorithm", §VI): path
+/// counts must accumulate from *every* same-level predecessor, not only
+/// the claiming one. Every framework's BC test compares against this
+/// oracle to pin that behaviour.
 pub fn brandes(g: &Graph, sources: &[NodeId]) -> Vec<Score> {
     let n = g.num_vertices();
     let mut scores = vec![0.0; n];

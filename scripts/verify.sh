@@ -24,6 +24,11 @@ cargo fmt --check
 echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== lint: cargo doc --workspace --no-deps, rustdoc warnings denied =="
+# Catches broken and private intra-doc links, which narrowing an item to
+# pub(crate) turns into warnings on the public docs that still link it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== repo benchmark: build + its own tests =="
 # benchmark/ is its own package linking the workspace crates: break it here.
 cargo build --release --manifest-path benchmark/Cargo.toml

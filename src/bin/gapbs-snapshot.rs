@@ -39,23 +39,15 @@ fn usage_exit() -> ! {
     exit(2)
 }
 
-fn parse_scale(s: &str) -> Scale {
-    match s.to_lowercase().as_str() {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        "large" => Scale::Large,
-        other => {
-            eprintln!("unknown scale {other:?}");
-            usage_exit()
-        }
-    }
+fn arg_exit(message: String) -> ! {
+    eprintln!("{message}");
+    usage_exit()
 }
 
 fn build(args: &[String]) {
     let mut dir: Option<PathBuf> = None;
     let mut scale = Scale::Medium;
-    let mut graphs: Option<Vec<String>> = None;
+    let mut graphs: Option<Vec<GraphSpec>> = None;
     let mut compression = Compression::Auto;
     let mut threads = 2usize;
     let mut it = args.iter();
@@ -67,8 +59,15 @@ fn build(args: &[String]) {
         };
         match flag.as_str() {
             "--dir" => dir = Some(value().into()),
-            "--scale" => scale = parse_scale(value()),
-            "--graphs" => graphs = Some(value().split(',').map(|g| g.to_lowercase()).collect()),
+            "--scale" => scale = value().parse().unwrap_or_else(|e| arg_exit(e)),
+            "--graphs" => {
+                let names = value().split(',').map(str::parse);
+                graphs = Some(
+                    names
+                        .collect::<Result<_, _>>()
+                        .unwrap_or_else(|e| arg_exit(e)),
+                );
+            }
             "--compression" => {
                 compression = match value() {
                     "auto" => Compression::Auto,
@@ -87,27 +86,14 @@ fn build(args: &[String]) {
         }
     }
     let dir = dir.unwrap_or_else(|| usage_exit());
-    if let Some(names) = &graphs {
-        for name in names {
-            if !GraphSpec::TABLE_ORDER
-                .iter()
-                .any(|s| s.name().eq_ignore_ascii_case(name))
-            {
-                eprintln!("unknown graph {name:?} (corpus: web, twitter, road, kron, urand)");
-                exit(2);
-            }
-        }
-    }
     std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
         eprintln!("cannot create {}: {e}", dir.display());
         exit(2);
     });
     let pool = ThreadPool::new(threads.max(1));
     for spec in GraphSpec::TABLE_ORDER {
-        if let Some(names) = &graphs {
-            if !names.iter().any(|n| spec.name().eq_ignore_ascii_case(n)) {
-                continue;
-            }
+        if graphs.as_ref().is_some_and(|g| !g.contains(&spec)) {
+            continue;
         }
         let built = BenchGraph::generate_in(spec, scale, &pool);
         let stats = built

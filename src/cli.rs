@@ -98,7 +98,7 @@ impl CliOptions {
             match flag.as_str() {
                 "-g" => opts.source = GraphSource::Kron(parse_num(&value("-g")?)?),
                 "-u" => opts.source = GraphSource::Urand(parse_num(&value("-u")?)?),
-                "-c" => opts.source = GraphSource::Corpus(parse_spec(&value("-c")?)?),
+                "-c" => opts.source = GraphSource::Corpus(value("-c")?.parse()?),
                 "-f" => opts.source = GraphSource::File(value("-f")?),
                 "-k" => opts.degree = parse_num::<usize>(&value("-k")?)?,
                 "-s" => opts.symmetrize = true,
@@ -170,7 +170,7 @@ impl CliOptions {
                 (GraphSpec::Urand, g, wg)
             }
             GraphSource::Corpus(spec) => {
-                let scale = scale_from_env();
+                let scale = scale_from_env()?;
                 (
                     *spec,
                     spec.generate_in(scale, pool),
@@ -240,26 +240,9 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid number {s:?}"))
 }
 
-fn parse_spec(s: &str) -> Result<GraphSpec, String> {
-    match s.to_lowercase().as_str() {
-        "web" => Ok(GraphSpec::Web),
-        "twitter" => Ok(GraphSpec::Twitter),
-        "road" => Ok(GraphSpec::Road),
-        "kron" => Ok(GraphSpec::Kron),
-        "urand" => Ok(GraphSpec::Urand),
-        other => Err(format!(
-            "unknown corpus graph {other:?}; expected web|twitter|road|kron|urand"
-        )),
-    }
-}
-
-fn scale_from_env() -> Scale {
-    match std::env::var("GAPBS_SCALE").as_deref() {
-        Ok("tiny") => Scale::Tiny,
-        Ok("medium") => Scale::Medium,
-        Ok("large") => Scale::Large,
-        _ => Scale::Small,
-    }
+/// The corpus scale for `-c`: `GAPBS_SCALE`, defaulting to `small`.
+fn scale_from_env() -> Result<Scale, String> {
+    std::env::var("GAPBS_SCALE").map_or(Ok(Scale::Small), |s| s.parse())
 }
 
 fn load_file(path: &str, symmetrize: bool) -> Result<(Graph, WGraph), String> {

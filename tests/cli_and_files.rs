@@ -86,10 +86,8 @@ fn missing_file_is_a_clean_error() {
 
 #[test]
 fn corpus_source_parses_and_loads_tiny() {
-    std::env::set_var("GAPBS_SCALE", "tiny");
     let opts = parse(&["-c", "urand"]);
     assert!(matches!(opts.source, GraphSource::Corpus(_)));
     let input = opts.load().unwrap();
     assert!(input.num_vertices() >= 1024);
-    std::env::remove_var("GAPBS_SCALE");
 }
