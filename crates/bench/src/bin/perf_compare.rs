@@ -26,7 +26,6 @@
 
 use gapbs_bench::perf::{enforce_rss_budget, lint, lint_stats};
 use gapbs_telemetry::json::Json;
-use gapbs_telemetry::Ledger;
 use std::io::Read;
 use std::process::exit;
 
@@ -109,7 +108,7 @@ fn main() {
         eprintln!("{USAGE}");
         exit(2);
     };
-    let records = Ledger::read(path).unwrap_or_else(|e| {
+    let records = gapbs_telemetry::ledger::read(path).unwrap_or_else(|e| {
         eprintln!("{e}");
         exit(2);
     });

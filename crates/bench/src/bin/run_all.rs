@@ -17,11 +17,8 @@ fn main() {
         std::process::exit(2)
     });
     let mut config = TrialConfig {
-        trials: std::env::var("GAPBS_TRIALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3),
-        verify: std::env::var("GAPBS_VERIFY").as_deref() != Ok("0"),
+        trials: from_env("GAPBS_TRIALS", parse_trials),
+        verify: from_env("GAPBS_VERIFY", parse_verify),
         ..Default::default()
     };
     // `--ledger [path]` appends one JSONL record per trial (default
@@ -117,4 +114,63 @@ fn main() {
     }
 
     println!("{}", gapbs_bench::shape_claims(&report));
+}
+
+/// Parses environment variable `name` with `parse` (which sees `None`
+/// when it is unset), exiting 2 with a message naming the variable on a
+/// bad value.
+fn from_env<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let value = std::env::var(name).ok();
+    parse(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// `GAPBS_TRIALS`: a positive trial count, 3 when unset.
+fn parse_trials(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None => Ok(3),
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("{v:?} is not a positive integer")),
+    }
+}
+
+/// `GAPBS_VERIFY`: `1` (the default) verifies every cell, `0` skips the
+/// oracles.
+fn parse_verify(value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("1") => Ok(true),
+        Some("0") => Ok(false),
+        Some(v) => Err(format!("{v:?} is neither 0 nor 1")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trials_accept_only_a_positive_integer() {
+        assert_eq!(parse_trials(None), Ok(3));
+        assert_eq!(parse_trials(Some("1")), Ok(1));
+        assert_eq!(parse_trials(Some("12")), Ok(12));
+        for bad in ["1O", "0", "-1", "", " 3", "three"] {
+            let err = parse_trials(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn verify_accepts_only_zero_or_one() {
+        assert_eq!(parse_verify(None), Ok(true));
+        assert_eq!(parse_verify(Some("1")), Ok(true));
+        assert_eq!(parse_verify(Some("0")), Ok(false));
+        for bad in ["", "yes", "false", "2", "00"] {
+            assert!(parse_verify(Some(bad)).is_err(), "{bad:?} accepted");
+        }
+    }
 }

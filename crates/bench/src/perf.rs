@@ -1,6 +1,6 @@
 //! Ledger and stats sanity checks behind `perf_compare`.
 //!
-//! [`lint`] checks one run ledger (see `gapbs_telemetry::Ledger`) for
+//! [`lint`] checks one run ledger (see `gapbs_telemetry::ledger`) for
 //! structural and accounting problems, [`enforce_rss_budget`] holds every
 //! cell to an absolute peak-RSS budget, and [`lint_stats`] checks one
 //! `{"cmd":"stats"}` snapshot from the serve daemon. None of them times

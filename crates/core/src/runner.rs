@@ -13,7 +13,7 @@ use crate::report::Report;
 use crate::spec::{SourcePicker, BC_ROOTS, PR_TOLERANCE};
 use gapbs_graph::gen::Scale;
 use gapbs_parallel::ThreadPool;
-use gapbs_telemetry::{Ledger, Phase, Span, TrialRecord};
+use gapbs_telemetry::{LedgerSink, Phase, Span, TrialRecord};
 use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -142,12 +142,24 @@ pub fn run_cell_in_pool(
         config,
         pool,
         &OnceCell::new(),
+        open_ledger(config).as_ref(),
     )
+}
+
+/// Opens `config.ledger_path`, reporting (not failing on) an open error.
+fn open_ledger(config: &TrialConfig) -> Option<LedgerSink> {
+    let path = config.ledger_path.as_ref()?;
+    LedgerSink::open(path)
+        .map_err(|e| eprintln!("ledger {}: {e}", path.display()))
+        .ok()
 }
 
 /// [`run_cell_in_pool`] with the input's sequential triangle count held in
 /// `tc_oracle`: computed on first use, so a matrix run pays for the
 /// oracle once per graph instead of once per (framework, graph) cell.
+/// Each trial's record is appended to `ledger` and flushed at once, so a
+/// killed run keeps every finished trial.
+#[allow(clippy::too_many_arguments)]
 fn run_cell_with_oracle(
     framework: &dyn Framework,
     input: &BenchGraph,
@@ -156,12 +168,8 @@ fn run_cell_with_oracle(
     config: &TrialConfig,
     pool: &ThreadPool,
     tc_oracle: &OnceCell<u64>,
+    ledger: Option<&LedgerSink>,
 ) -> CellRecord {
-    let ledger = config.ledger_path.as_ref().and_then(|path| {
-        Ledger::open(path)
-            .map_err(|e| eprintln!("ledger {}: {e}", path.display()))
-            .ok()
-    });
     // Phase/counter marks advance trial by trial; the delta between marks
     // is what one trial (plus, for trial 0, the build) cost.
     let mut phases_mark = gapbs_telemetry::span::phase_times();
@@ -271,7 +279,7 @@ fn run_cell_with_oracle(
             ),
             trial_trace_start,
         );
-        if let Some(ledger) = &ledger {
+        if let Some(ledger) = ledger {
             let now_phases = gapbs_telemetry::span::phase_times();
             let now_counters = gapbs_telemetry::snapshot();
             let phase_delta = now_phases.delta(&phases_mark);
@@ -297,7 +305,7 @@ fn run_cell_with_oracle(
             };
             phases_mark = now_phases;
             counters_mark = now_counters;
-            if let Err(e) = ledger.append(&record) {
+            if let Err(e) = ledger.append(&record).and_then(|()| ledger.flush()) {
                 eprintln!("ledger append: {e}");
             }
         }
@@ -353,6 +361,7 @@ where
 {
     let mut cells = Vec::new();
     let tc_oracles: Vec<OnceCell<u64>> = inputs.iter().map(|_| OnceCell::new()).collect();
+    let ledger = open_ledger(config);
     for mode in modes {
         for (input, tc_oracle) in inputs.iter().zip(&tc_oracles) {
             for framework in frameworks {
@@ -365,6 +374,7 @@ where
                         config,
                         pool,
                         tc_oracle,
+                        ledger.as_ref(),
                     );
                     progress(&record);
                     cells.push(record);

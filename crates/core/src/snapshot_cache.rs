@@ -86,23 +86,25 @@ impl BenchGraph {
         scale: Scale,
         compression: Compression,
     ) -> Result<WriteStats, GraphError> {
-        let contents = SnapshotContents {
-            graph: &self.graph,
-            wgraph: Some(&self.wgraph),
-            sym_graph: if self.graph.is_directed() {
-                Some(&self.sym_graph)
-            } else {
-                None
-            },
-            source_candidates: Some(&self.source_candidates),
-            delta: self.delta,
-            params_hash: params_hash(self.spec, scale),
-        };
         snapshot::write(
             &snapshot_path(dir, self.spec, scale),
-            &contents,
+            &self.snapshot_contents(params_hash(self.spec, scale)),
             compression,
         )
+    }
+
+    /// Everything this input stores in a snapshot bundle: the graph, its
+    /// weighted companion, the symmetrized view when directed, the
+    /// source candidates and Δ.
+    pub fn snapshot_contents(&self, params_hash: u64) -> SnapshotContents<'_> {
+        SnapshotContents {
+            graph: &self.graph,
+            wgraph: Some(&self.wgraph),
+            sym_graph: self.graph.is_directed().then_some(&self.sym_graph),
+            source_candidates: Some(&self.source_candidates),
+            delta: self.delta,
+            params_hash,
+        }
     }
 
     /// Loads a prepared input from a snapshot file, verifying the

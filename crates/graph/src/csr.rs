@@ -33,8 +33,8 @@ pub struct CsrGraph {
 /// Checks every CSR invariant on `(offsets, targets)`: monotone offsets
 /// starting at 0 and ending at `targets.len()`, sorted duplicate-free
 /// rows, in-range targets. O(V + E). Returns the first violation as a
-/// message; [`CsrGraph::from_parts`] panics on it, the snapshot loader's
-/// paranoid mode surfaces it as a structured error.
+/// message; debug builds panic on it, the snapshot loader's paranoid
+/// mode surfaces it as a structured error.
 pub(crate) fn check_parts(offsets: &[u32], targets: &[NodeId]) -> Result<(), String> {
     if offsets.is_empty() {
         return Err("offsets must have at least one entry".to_string());
@@ -75,6 +75,7 @@ pub(crate) fn check_parts(offsets: &[u32], targets: &[NodeId]) -> Result<(), Str
 
 /// Panics unless `(offsets, targets)` satisfy every CSR invariant (see
 /// [`check_parts`]).
+#[cfg(any(test, debug_assertions))]
 fn validate_parts(offsets: &[u32], targets: &[NodeId]) {
     if let Err(msg) = check_parts(offsets, targets) {
         panic!("{msg}");
@@ -82,19 +83,17 @@ fn validate_parts(offsets: &[u32], targets: &[NodeId]) {
 }
 
 impl CsrGraph {
-    /// Builds a CSR from raw parts, validating every invariant.
-    ///
-    /// This is the boundary constructor for untrusted input (I/O, tests).
-    /// Internal construction paths whose pipelines establish the invariants
-    /// themselves use [`Self::from_parts_unchecked`] instead.
+    /// Builds a CSR from raw parts, validating every invariant: the
+    /// hand-written fixtures of the unit tests. Construction paths use
+    /// [`Self::from_parts_unchecked`]; untrusted bytes enter only through
+    /// the snapshot loader, which reports violations as errors.
     ///
     /// # Panics
     ///
     /// Panics if the offsets are not monotone, do not start at zero, or do
     /// not end at `targets.len()`, or if any adjacency list is unsorted or
-    /// contains duplicates or out-of-range targets. These are programming
-    /// errors in construction code, not user-input errors, hence panics
-    /// rather than `Result`.
+    /// contains duplicates or out-of-range targets.
+    #[cfg(test)]
     pub(crate) fn from_parts(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         validate_parts(&offsets, &targets);
         CsrGraph {

@@ -42,8 +42,8 @@
 //! checksum-consistent but malformed file fails with a structured
 //! error instead of reaching kernels or the parallel decoder. Paranoid
 //! loads (`LoadOptions::paranoid`) additionally re-run the full CSR
-//! invariant sweep that `crate::CsrGraph::from_parts` performs
-//! (sorted duplicate-free rows), surfacing violations as
+//! invariant sweep (sorted duplicate-free rows) and require positive
+//! weights, surfacing violations as
 //! [`SnapshotError::Invalid`].
 //!
 //! # Compressed adjacency
@@ -626,9 +626,9 @@ pub fn write(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LoadOptions {
     /// Re-run the full O(V+E) CSR invariant sweep on every loaded
-    /// structure (the `from_parts` boundary check). Default loads rely
-    /// on the section checksums only, keeping the load O(bytes-scanned)
-    /// with zero copies.
+    /// structure (sorted duplicate-free rows, positive weights). Default
+    /// loads rely on the section checksums only, keeping the load
+    /// O(bytes-scanned) with zero copies.
     pub paranoid: bool,
     /// Skip `mmap` and read the file into an aligned heap buffer (the
     /// path non-unix targets always take).
@@ -1021,6 +1021,20 @@ impl Snapshot {
         Ok((CsrGraph::from_segments_unchecked(offs, targets), shared))
     }
 
+    /// Loads a weight section of `m` arcs. Paranoid loads also hold every
+    /// weight to GAP SSSP's positivity rule, as the builder does.
+    fn load_weights(&self, kind: SectionKind, m: usize) -> Result<Segment<Weight>, GraphError> {
+        let weights: Segment<Weight> = self.typed(self.find(kind)?, m)?;
+        if self.paranoid {
+            if let Some(&bad) = weights.iter().find(|&&w| w <= 0) {
+                return err(SnapshotError::Invalid {
+                    message: format!("section {} holds non-positive weight {bad}", kind.name()),
+                });
+            }
+        }
+        Ok(weights)
+    }
+
     fn compressed_from(
         &self,
         sec: &RawSection,
@@ -1135,7 +1149,7 @@ impl Snapshot {
             pool,
         )?;
         let m = out.num_edges();
-        let out_weights: Segment<Weight> = self.typed(self.find(SectionKind::OutWeights)?, m)?;
+        let out_weights = self.load_weights(SectionKind::OutWeights, m)?;
         // The weighted companion shares the graph's offset and target
         // storage; only the weight arrays are distinct sections.
         let w_out = WCsrGraph::from_segments(
@@ -1150,7 +1164,7 @@ impl Snapshot {
                 Some(self.num_arcs),
                 pool,
             )?;
-            let in_weights: Segment<Weight> = self.typed(self.find(SectionKind::InWeights)?, m)?;
+            let in_weights = self.load_weights(SectionKind::InWeights, m)?;
             let w_in = WCsrGraph::from_segments(
                 CsrGraph::from_segments_unchecked(inc.offsets_segment(), in_targets),
                 in_weights,

@@ -177,7 +177,6 @@ impl AdmissionGate {
         if state.active < self.max_active {
             state.active += 1;
             self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-            record_global(gapbs_telemetry::Counter::QueriesAdmitted);
             return Ok(self.permit(state.active));
         }
         if state.waiting >= self.max_waiting {
@@ -223,10 +222,7 @@ impl AdmissionGate {
         let active = state.active;
         drop(state);
         match outcome {
-            Ok(()) => {
-                record_global(gapbs_telemetry::Counter::QueriesAdmitted);
-                Ok(self.permit(active))
-            }
+            Ok(()) => Ok(self.permit(active)),
             Err(err) => Err(self.fail(err)),
         }
     }
@@ -312,7 +308,6 @@ impl AdmissionGate {
             .batch_queries
             .fetch_add(members, Ordering::Relaxed);
         self.stats.batch_width.fetch_max(members, Ordering::Relaxed);
-        gapbs_telemetry::record(gapbs_telemetry::Counter::BatchQueries, members);
     }
 
     /// Accounts `extra` logical queries that rode one already-admitted
@@ -328,26 +323,21 @@ impl AdmissionGate {
         for _ in 0..extra {
             self.latency_us.record(latency_us);
         }
-        gapbs_telemetry::record(gapbs_telemetry::Counter::QueriesAdmitted, extra);
-        gapbs_telemetry::record(gapbs_telemetry::Counter::QueriesCompleted, extra);
     }
 
     /// Counts a query that finished execution past its deadline (admitted
     /// and completed, but answered with a `deadline_exceeded` error).
     pub(crate) fn note_deadline_exceeded(&self) {
         self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-        record_global(gapbs_telemetry::Counter::DeadlineExceeded);
     }
 
     fn fail(&self, err: AdmitError) -> AdmitError {
         match err {
             AdmitError::Rejected | AdmitError::Draining => {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                record_global(gapbs_telemetry::Counter::QueriesRejected);
             }
             AdmitError::DeadlineExceeded => {
                 self.stats.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                record_global(gapbs_telemetry::Counter::DeadlineExceeded);
             }
         }
         err
@@ -396,7 +386,6 @@ impl Permit<'_> {
         // Same critical section as the completed count: an observation
         // can never see the two disagree.
         gate.latency_us.record(latency_us);
-        record_global(gapbs_telemetry::Counter::QueriesCompleted);
         // Wake both slot waiters and a drainer waiting for active == 0.
         gate.cond.notify_all();
     }
@@ -406,10 +395,6 @@ impl Drop for Permit<'_> {
     fn drop(&mut self) {
         self.release();
     }
-}
-
-fn record_global(counter: gapbs_telemetry::Counter) {
-    gapbs_telemetry::record(counter, 1);
 }
 
 #[cfg(test)]

@@ -132,6 +132,11 @@ impl Server {
         registry: Arc<GraphRegistry>,
         pool: ThreadPool,
     ) -> std::io::Result<Server> {
+        // Before the port file announces the daemon: a supervisor may
+        // signal as soon as it reads the port, and must get a drain.
+        if config.handle_signals {
+            signal::install();
+        }
         let ledger = match &config.ledger_path {
             Some(path) => Some(LedgerSink::open(path)?),
             None => None,
@@ -157,9 +162,6 @@ impl Server {
             }
             None => None,
         };
-        if config.handle_signals {
-            signal::install();
-        }
         Ok(Server {
             listener,
             metrics_listener,

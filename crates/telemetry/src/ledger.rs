@@ -197,83 +197,30 @@ impl TrialRecord {
     }
 }
 
-/// An append-only JSONL ledger file.
-#[derive(Debug)]
-pub struct Ledger {
-    path: PathBuf,
-    git_rev: String,
-}
-
-impl Ledger {
-    /// Opens (creating directories as needed) a ledger at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Ledger> {
-        let path = path.into();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        Ok(Ledger {
-            path,
-            git_rev: detect_git_rev(),
-        })
-    }
-
-    /// The git revision stamped onto appended records.
-    #[cfg(test)]
-    pub(crate) fn git_rev(&self) -> &str {
-        &self.git_rev
-    }
-
-    /// Appends one record as a JSONL line, filling in the git revision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn append(&self, record: &TrialRecord) -> std::io::Result<()> {
-        let mut record = record.clone();
-        if record.git_rev.is_empty() || record.git_rev == "unknown" {
-            record.git_rev = self.git_rev.clone();
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        writeln!(file, "{}", record.to_json_line())
-    }
-
-    /// Reads every well-formed record from a ledger file, skipping blank
-    /// lines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and the first parse failure.
-    pub fn read(path: impl AsRef<Path>) -> Result<Vec<TrialRecord>, String> {
-        let text = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
-        text.lines()
-            .enumerate()
-            .filter(|(_, line)| !line.trim().is_empty())
-            .map(|(i, line)| {
-                TrialRecord::from_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))
-            })
-            .collect()
-    }
-}
-
-/// A long-lived, buffered JSONL ledger writer for high-rate appenders.
+/// Reads every well-formed record from a ledger file, skipping blank
+/// lines.
 ///
-/// [`Ledger`] reopens the file on every append — the right durability
-/// trade for a benchmark that writes tens of records. A serving daemon
-/// writes one record per query, so this sink keeps the file open behind
-/// a mutex-guarded `BufWriter` and exposes an explicit [`LedgerSink::flush`]
-/// for graceful shutdown. Records buffered but not flushed are lost on
-/// abrupt exit — which is exactly why the daemon drains and flushes
-/// before exiting.
+/// # Errors
+///
+/// Propagates I/O failures and the first parse failure.
+pub fn read(path: impl AsRef<Path>) -> Result<Vec<TrialRecord>, String> {
+    let text = std::fs::read_to_string(path.as_ref())
+        .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            TrialRecord::from_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))
+        })
+        .collect()
+}
+
+/// The JSONL ledger writer: the file stays open behind a mutex-guarded
+/// `BufWriter`, and the git revision is read once, at open.
+///
+/// Records buffered but not flushed are lost on abrupt exit. The trial
+/// runner therefore flushes after every append; the serving daemon,
+/// which writes one record per query, flushes when it drains.
 #[derive(Debug)]
 pub struct LedgerSink {
     git_rev: String,
@@ -434,28 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_appends_and_reads_back() {
-        let dir = std::env::temp_dir().join(format!(
-            "gapbs-ledger-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let path = dir.join("ledger.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let ledger = Ledger::open(&path).unwrap();
-        let mut a = sample();
-        a.git_rev = "unknown".into(); // exercise auto-stamping
-        let b = sample();
-        ledger.append(&a).unwrap();
-        ledger.append(&b).unwrap();
-        let records = Ledger::read(&path).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1], b);
-        assert_eq!(records[0].git_rev, ledger.git_rev(), "rev was stamped");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn sink_buffers_until_flush_and_stamps_revs() {
         let dir = std::env::temp_dir().join(format!(
             "gapbs-sink-test-{}-{:?}",
@@ -471,7 +396,7 @@ mod tests {
         sink.append(&sample()).unwrap();
         assert_eq!(sink.appended(), 2);
         sink.flush().unwrap();
-        let records = Ledger::read(&path).unwrap();
+        let records = read(&path).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].git_rev, sink.git_rev, "rev was stamped");
         assert_eq!(records[1], sample());

@@ -34,7 +34,7 @@ pub mod span;
 pub mod trace;
 
 pub use counters::{record, snapshot, Counter, CounterSet};
-pub use ledger::{Ledger, LedgerSink, TrialRecord};
+pub use ledger::{LedgerSink, TrialRecord};
 pub use metrics::Histogram;
 pub use span::{Phase, PhaseTimes, Span};
 pub use trace::Trace;

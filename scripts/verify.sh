@@ -47,6 +47,13 @@ cleanup() {
 }
 trap cleanup EXIT
 fail() { echo "FAIL: $1"; [[ -n "${2:-}" ]] && cat "$2"; exit 1; }
+# Adds one to the byte at offset 2048 of file $1.
+flip_byte() {
+    local orig
+    orig=$(dd if="$1" bs=1 skip=2048 count=1 status=none | od -An -tu1 | tr -d ' ')
+    printf "\\$(printf '%03o' $(( (orig + 1) % 256 )))" \
+        | dd of="$1" bs=1 seek=2048 count=1 conv=notrunc status=none
+}
 perf_compare() { cargo run -q --release -p gapbs-bench --bin perf_compare -- "$@"; }
 trace_stats() { cargo run -q --release -p gapbs-bench --bin trace_stats -- "$@"; }
 snapshot() { cargo run -q --release --bin gapbs-snapshot -- "$@"; }
@@ -97,14 +104,29 @@ grep -q 'format version : 2' "$smoke_dir/snap_info.out" \
 snapshot verify "$snap_dir/kron-tiny-v2.gsnap" --paranoid > /dev/null
 bad="$smoke_dir/bad.gsnap"
 cp "$snap_dir/road-tiny-v2.gsnap" "$bad"
-orig=$(dd if="$bad" bs=1 skip=2048 count=1 status=none | od -An -tu1 | tr -d ' ')
-printf "\\$(printf '%03o' $(( (orig + 1) % 256 )))" \
-    | dd of="$bad" bs=1 seek=2048 count=1 conv=notrunc status=none
+flip_byte "$bad"
 if snapshot verify "$bad" 2> "$smoke_dir/bad.err" > /dev/null; then
     fail "corrupted snapshot verified clean"
 fi
 grep -q 'checksum mismatch' "$smoke_dir/bad.err" \
     || fail "corruption did not surface as a structured checksum error" "$smoke_dir/bad.err"
+
+echo "== smoke: converter -> .gsnap -> bfs -f, and a corrupt byte =="
+# converter writes the one binary graph format; the kernel binaries load
+# it paranoid, and a flipped byte exits 2 with the structured error.
+conv="$smoke_dir/conv.gsnap"
+cargo run -q --release --bin converter -- -g 10 -b "$conv" 2> /dev/null
+snapshot verify "$conv" --paranoid > /dev/null
+cargo run -q --release --bin bfs -- -f "$conv" -n 1 > "$smoke_dir/conv_bfs.out" 2>&1 \
+    || fail "bfs -f on a converted .gsnap failed" "$smoke_dir/conv_bfs.out"
+grep -q 'Verification: PASS' "$smoke_dir/conv_bfs.out" \
+    || fail "bfs -f on a converted .gsnap did not verify" "$smoke_dir/conv_bfs.out"
+flip_byte "$conv"
+code=0
+cargo run -q --release --bin bfs -- -f "$conv" > /dev/null 2> "$smoke_dir/conv_bad.err" || code=$?
+[[ "$code" -eq 2 ]] || fail "bfs -f on a corrupt .gsnap exited $code, want 2" "$smoke_dir/conv_bad.err"
+grep -q 'checksum mismatch' "$smoke_dir/conv_bad.err" \
+    || fail "corrupt .gsnap did not surface as a checksum error" "$smoke_dir/conv_bad.err"
 
 echo "== smoke: serve daemon + metrics plane =="
 # The daemon serves the tiny snapshots with a metrics listener and

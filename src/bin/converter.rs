@@ -1,16 +1,20 @@
 //! GAP-style `converter` binary: builds graphs once and serializes them
-//! to the binary `.sg` format so later runs skip edge-list parsing.
+//! to a `.gsnap` snapshot so later runs skip generation and parsing.
 //!
 //! ```sh
-//! cargo run --release --bin converter -- -g 14 -b kron14.sg
-//! cargo run --release --bin converter -- -f input.el -s -b out.sg
+//! cargo run --release --bin converter -- -g 14 -b kron14.gsnap
+//! cargo run --release --bin converter -- -f input.el -s -b out.gsnap
 //! cargo run --release --bin converter -- -c road -e road.el
 //! ```
 //!
-//! `-b <path>` writes binary `.sg`; `-e <path>` writes a text edge list.
+//! `-b <path>` writes a full snapshot bundle (graph, weights, the
+//! symmetrized view of a directed graph, source candidates, Δ) that the
+//! kernel binaries load with `-f <path>`; `-e <path>` writes a text edge
+//! list.
 
 use gapbs::cli::{parse_or_exit, CliOptions};
 use gapbs::graph::io;
+use gapbs::graph::snapshot::{self, Compression};
 
 fn main() {
     let opts: CliOptions = parse_or_exit();
@@ -26,12 +30,12 @@ fn main() {
     );
     let mut wrote = false;
     if let Some((_, path)) = opts.extra.iter().find(|(f, _)| f == "-b") {
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
+        let contents = input.snapshot_contents(0);
+        snapshot::write(path.as_ref(), &contents, Compression::Auto).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         });
-        io::write_binary(&input.graph, file).expect("serialization failed");
-        eprintln!("wrote binary graph to {path}");
+        eprintln!("wrote snapshot to {path}");
         wrote = true;
     }
     if let Some((_, path)) = opts.extra.iter().find(|(f, _)| f == "-e") {
@@ -44,7 +48,7 @@ fn main() {
         wrote = true;
     }
     if !wrote {
-        eprintln!("nothing to do: pass -b <path> (.sg) and/or -e <path> (.el)");
+        eprintln!("nothing to do: pass -b <path> (.gsnap) and/or -e <path> (.el)");
         std::process::exit(2);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! `verify` exits 0 when the file is sound and 1 with the structured
 //! error otherwise; `--paranoid` additionally materializes every stored
-//! structure through the full `from_parts` invariant sweep.
+//! structure through the full CSR invariant sweep.
 
 use gapbs_core::framework::BenchGraph;
 use gapbs_core::snapshot_cache::snapshot_path;

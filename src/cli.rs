@@ -8,7 +8,7 @@
 //! -g <scale>   generate a Kronecker graph with 2^scale vertices
 //! -u <scale>   generate a uniform random graph with 2^scale vertices
 //! -c <name>    generate a corpus graph: web|twitter|road|kron|urand
-//! -f <path>    load a graph from file (.el, .wel, .sg)
+//! -f <path>    load a graph from file (.el, .wel, .gsnap)
 //! -k <degree>  average degree for -g/-u (default 16)
 //! -s           symmetrize the input
 //! -n <trials>  number of timed trials (default 3)
@@ -25,8 +25,9 @@
 use crate::core::framework::Framework;
 use crate::core::{all_frameworks, BenchGraph, Mode, TrialConfig};
 use crate::graph::gen::{self, GraphSpec, Scale};
+use crate::graph::snapshot::LoadOptions;
 use crate::graph::types::NodeId;
-use crate::graph::{io, Builder, Graph, WGraph};
+use crate::graph::{io, Builder, Graph, Snapshot, WGraph};
 use std::process::exit;
 
 /// Parsed common options.
@@ -178,7 +179,7 @@ impl CliOptions {
                 )
             }
             GraphSource::File(path) => {
-                let (g, wg) = load_file(path, self.symmetrize)?;
+                let (g, wg) = load_file(path, self.symmetrize, pool)?;
                 (GraphSpec::Kron, g, wg) // spec is nominal for file inputs
             }
         };
@@ -245,7 +246,11 @@ fn scale_from_env() -> Result<Scale, String> {
     std::env::var("GAPBS_SCALE").map_or(Ok(Scale::Small), |s| s.parse())
 }
 
-fn load_file(path: &str, symmetrize: bool) -> Result<(Graph, WGraph), String> {
+fn load_file(
+    path: &str,
+    symmetrize: bool,
+    pool: &gapbs_parallel::ThreadPool,
+) -> Result<(Graph, WGraph), String> {
     let lower = path.to_lowercase();
     if lower.ends_with(".wel") {
         let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
@@ -266,11 +271,17 @@ fn load_file(path: &str, symmetrize: bool) -> Result<(Graph, WGraph), String> {
             Graph::undirected(g.out_csr().clone())
         };
         Ok((g, wg))
-    } else if lower.ends_with(".sg") {
-        let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
-        let g = io::read_binary(file).map_err(|e| e.to_string())?;
-        let wg = synth_weights(&g);
-        Ok((g, wg))
+    } else if lower.ends_with(".gsnap") {
+        // The file is untrusted: a paranoid load validates every stored
+        // structure and reports any defect as a `SnapshotError`.
+        let opts = LoadOptions {
+            paranoid: true,
+            ..LoadOptions::default()
+        };
+        let bundle = Snapshot::open_with(std::path::Path::new(path), opts)
+            .and_then(|snap| snap.bundle_in(Some(pool)))
+            .map_err(|e| format!("{path}: {e}"))?;
+        Ok((bundle.graph, bundle.wgraph))
     } else {
         let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
         let g = io::graph_from_el(file, symmetrize).map_err(|e| e.to_string())?;
@@ -366,7 +377,7 @@ usage: <kernel> [options]
   -g <scale>   kronecker graph, 2^scale vertices
   -u <scale>   uniform random graph, 2^scale vertices
   -c <name>    corpus graph: web|twitter|road|kron|urand (size via GAPBS_SCALE)
-  -f <path>    load graph file (.el, .wel, .sg)
+  -f <path>    load graph file (.el, .wel, .gsnap from converter)
   -k <deg>     average degree for generators (default 16)
   -s           symmetrize input
   -n <trials>  timed trials (default 3)

@@ -201,17 +201,27 @@ fn pr_is_a_distribution() {
     });
 }
 
-/// Graph I/O round-trips arbitrary graphs.
+/// Snapshots round-trip arbitrary graphs.
 #[test]
 fn binary_io_roundtrips() {
+    use gapbs::graph::snapshot::{self, Compression, SnapshotContents};
+    let path = std::env::temp_dir().join(format!("gapbs-prop-{}.gsnap", std::process::id()));
     for_cases(9, |seed, rng| {
         let sym = rng.next_u64() & 1 == 1;
         let g = build(rand_edges(rng), sym);
-        let mut buf = Vec::new();
-        gapbs::graph::io::write_binary(&g, &mut buf).expect("write to vec");
-        let g2 = gapbs::graph::io::read_binary(&buf[..]).expect("read back");
+        let compression = if rng.next_u64() & 1 == 1 {
+            Compression::Always
+        } else {
+            Compression::Never
+        };
+        snapshot::write(&path, &SnapshotContents::graph_only(&g, 0), compression)
+            .expect("write snapshot");
+        let g2 = gapbs::graph::Snapshot::open(&path)
+            .and_then(|snap| snap.graph())
+            .expect("read back");
         assert_eq!(g, g2, "case {seed}");
     });
+    std::fs::remove_file(&path).ok();
 }
 
 /// Every pair of vertices in the largest SCC is mutually reachable,

@@ -24,7 +24,7 @@ use gapbs::core::{all_frameworks, run_matrix_in_pool, BenchGraph, Kernel, Mode, 
 use gapbs::graph::gen::{GraphSpec, Scale};
 use gapbs::parallel::ThreadPool;
 use gapbs_telemetry::json::Json;
-use gapbs_telemetry::{Counter, Ledger, TrialRecord};
+use gapbs_telemetry::{Counter, TrialRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -150,7 +150,7 @@ fn run_matrix(ledger: &Path) -> Work {
         |_| {},
         &pool,
     );
-    let records = Ledger::read(ledger).expect("the matrix wrote its ledger");
+    let records = gapbs_telemetry::ledger::read(ledger).expect("the matrix wrote its ledger");
     let cells = frameworks.len() * Kernel::ALL.len() * inputs.len() * Mode::ALL.len();
     assert_eq!(records.len(), cells, "one record per cell");
     work_of(&records)
