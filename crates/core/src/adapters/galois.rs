@@ -74,55 +74,77 @@ impl Framework for GaloisFramework {
     ) -> Box<dyn PreparedKernels + 'g> {
         Box::new(Prepared::build(input, mode, kernel == Kernel::Tc, pool))
     }
+
+    fn tuned(&self, input: &BenchGraph, kernel: Kernel) -> bool {
+        let baseline = Config::for_mode(input, Mode::Baseline);
+        let optimized = Config::for_mode(input, Mode::Optimized);
+        match kernel {
+            Kernel::Bfs | Kernel::Sssp | Kernel::Bc => baseline.style != optimized.style,
+            Kernel::Cc => baseline.cc_variant != optimized.cc_variant,
+            Kernel::Tc => baseline.tc_relabeling != optimized.tc_relabeling,
+            Kernel::Pr => false,
+        }
+    }
+}
+
+/// What one mode picks for Galois: the execution style of BFS, SSSP and
+/// BC, the Afforest variant of CC and where TC relabels. PR reads none of
+/// it. [`Prepared::build`] and [`GaloisFramework::tuned`] both read this
+/// one choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Config {
+    style: ExecutionStyle,
+    cc_variant: CcVariant,
+    tc_relabeling: Relabeling,
+}
+
+impl Config {
+    fn for_mode(input: &BenchGraph, mode: Mode) -> Self {
+        match mode {
+            // The degree-sampling heuristic guesses the diameter (wrongly
+            // for Urand, §V); TC relabels inside the timed kernel.
+            Mode::Baseline => Config {
+                style: gapbs_galois::classify(&input.graph),
+                cc_variant: CcVariant::VertexAfforest,
+                tc_relabeling: Relabeling::HeuristicTimed,
+            },
+            // The team knows the diameter: async only for the genuinely
+            // deep Road. TC relabels during preparation, outside the
+            // timed region.
+            Mode::Optimized => Config {
+                style: if input.spec.high_diameter() {
+                    ExecutionStyle::Asynchronous
+                } else {
+                    ExecutionStyle::BulkSynchronous
+                },
+                cc_variant: CcVariant::EdgeBlockedAfforest,
+                tc_relabeling: Relabeling::AlreadyRelabeled,
+            },
+        }
+    }
 }
 
 struct Prepared<'g> {
     input: &'g BenchGraph,
-    style: ExecutionStyle,
-    cc_variant: CcVariant,
+    config: Config,
     tc_graph: Option<Graph>,
-    tc_relabeling: Relabeling,
     pool: ThreadPool,
 }
 
 impl<'g> Prepared<'g> {
-    /// Picks the heuristics for `mode`; relabels for Optimized TC only
+    /// Picks the configuration for `mode`; relabels for Optimized TC only
     /// when `tc` may run.
     fn build(input: &'g BenchGraph, mode: Mode, tc: bool, pool: &ThreadPool) -> Self {
-        // Baseline: degree-sampling heuristic guesses the diameter
-        // (wrongly for Urand, §V). Optimized: the team knows the
-        // diameter — async only for the genuinely deep Road.
-        let style = match mode {
-            Mode::Baseline => gapbs_galois::classify(&input.graph),
-            Mode::Optimized => {
-                if input.spec.high_diameter() {
-                    ExecutionStyle::Asynchronous
-                } else {
-                    ExecutionStyle::BulkSynchronous
-                }
-            }
-        };
-        let cc_variant = match mode {
-            Mode::Baseline => CcVariant::VertexAfforest,
-            Mode::Optimized => CcVariant::EdgeBlockedAfforest,
-        };
-        // Optimized TC excludes relabel time: relabel during preparation.
-        let (tc_graph, tc_relabeling) = match mode {
-            Mode::Baseline => (None, Relabeling::HeuristicTimed),
-            Mode::Optimized => (
-                tc.then(|| {
-                    let _relabel = gapbs_telemetry::Span::enter(gapbs_telemetry::Phase::Relabel);
-                    gapbs_galois::tc::relabel_for_optimized(&input.sym_graph, pool)
-                }),
-                Relabeling::AlreadyRelabeled,
-            ),
-        };
+        let config = Config::for_mode(input, mode);
+        let relabel = tc && config.tc_relabeling == Relabeling::AlreadyRelabeled;
+        let tc_graph = relabel.then(|| {
+            let _relabel = gapbs_telemetry::Span::enter(gapbs_telemetry::Phase::Relabel);
+            gapbs_galois::tc::relabel_for_optimized(&input.sym_graph, pool)
+        });
         Prepared {
             input,
-            style,
-            cc_variant,
+            config,
             tc_graph,
-            tc_relabeling,
             pool: pool.clone(),
         }
     }
@@ -130,7 +152,7 @@ impl<'g> Prepared<'g> {
 
 impl PreparedKernels for Prepared<'_> {
     fn bfs(&self, source: NodeId) -> Vec<NodeId> {
-        gapbs_galois::bfs(&self.input.graph, source, self.style, &self.pool)
+        gapbs_galois::bfs(&self.input.graph, source, self.config.style, &self.pool)
     }
 
     fn sssp(&self, source: NodeId) -> Vec<Distance> {
@@ -138,7 +160,7 @@ impl PreparedKernels for Prepared<'_> {
             &self.input.wgraph,
             source,
             self.input.delta,
-            self.style,
+            self.config.style,
             &self.pool,
         )
     }
@@ -154,15 +176,15 @@ impl PreparedKernels for Prepared<'_> {
     }
 
     fn cc(&self) -> Vec<NodeId> {
-        gapbs_galois::cc(&self.input.graph, self.cc_variant, &self.pool)
+        gapbs_galois::cc(&self.input.graph, self.config.cc_variant, &self.pool)
     }
 
     fn bc(&self, sources: &[NodeId]) -> Vec<Score> {
-        gapbs_galois::bc(&self.input.graph, sources, self.style, &self.pool)
+        gapbs_galois::bc(&self.input.graph, sources, self.config.style, &self.pool)
     }
 
     fn tc(&self) -> u64 {
         let graph = self.tc_graph.as_ref().unwrap_or(&self.input.sym_graph);
-        gapbs_galois::tc(graph, self.tc_relabeling, &self.pool)
+        gapbs_galois::tc(graph, self.config.tc_relabeling, &self.pool)
     }
 }

@@ -50,18 +50,35 @@ impl Framework for GraphItFramework {
         mode: Mode,
         pool: &ThreadPool,
     ) -> Box<dyn PreparedKernels + 'g> {
-        // Baseline: the default schedule (per-graph tuning was not allowed
-        // for the Baseline data set, §V). Optimized: the hand-picked
-        // per-graph schedules of §V.
-        let schedule = match mode {
-            Mode::Baseline => Schedule::baseline(),
-            Mode::Optimized => Schedule::optimized_for(input.spec),
-        };
         Box::new(Prepared {
             input,
-            schedule,
+            schedule: schedule(input, mode),
             pool: pool.clone(),
         })
+    }
+
+    /// Compares the schedule fields each kernel reads.
+    fn tuned(&self, input: &BenchGraph, kernel: Kernel) -> bool {
+        let b = schedule(input, Mode::Baseline);
+        let o = schedule(input, Mode::Optimized);
+        match kernel {
+            Kernel::Bfs => (b.direction, b.frontier) != (o.direction, o.frontier),
+            Kernel::Bc => b.frontier != o.frontier,
+            Kernel::Sssp => b.bucket_fusion != o.bucket_fusion,
+            Kernel::Pr => b.cache_tiling != o.cache_tiling,
+            Kernel::Cc => b.short_circuit != o.short_circuit,
+            Kernel::Tc => b.intersection != o.intersection,
+        }
+    }
+}
+
+/// Baseline: the default schedule (per-graph tuning was not allowed for
+/// the Baseline data set, §V). Optimized: the hand-picked per-graph
+/// schedules of §V.
+fn schedule(input: &BenchGraph, mode: Mode) -> Schedule {
+    match mode {
+        Mode::Baseline => Schedule::baseline(),
+        Mode::Optimized => Schedule::optimized_for(input.spec),
     }
 }
 

@@ -245,6 +245,19 @@ pub trait Framework: Send + Sync {
     ) -> Box<dyn PreparedKernels + 'g> {
         self.prepare(input, mode, pool)
     }
+
+    /// Whether the Optimized rules pick a different configuration from
+    /// Baseline for `kernel` on `input`. Under the GAP spec's Optimized
+    /// rules a framework that does not tune reports its Baseline, so the
+    /// matrix runs an Optimized cell only where this holds and the
+    /// report reads every other Optimized cell from its Baseline cell.
+    ///
+    /// The default, for a framework whose `prepare` ignores the mode, is
+    /// `false`. Galois and GraphIt answer from the same per-mode choice
+    /// their `prepare` makes.
+    fn tuned(&self, _input: &BenchGraph, _kernel: Kernel) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -55,7 +55,21 @@ impl Report {
         &self.cells
     }
 
-    /// Looks up one cell.
+    /// The framework names in the order they first appear.
+    fn frameworks(&self) -> Vec<&str> {
+        let mut seen: Vec<&str> = Vec::new();
+        for c in &self.cells {
+            if !seen.contains(&c.framework.as_str()) {
+                seen.push(&c.framework);
+            }
+        }
+        seen
+    }
+
+    /// Looks up one cell. An Optimized cell the run left out, because
+    /// the framework's Optimized rules equal its Baseline
+    /// ([`Framework::tuned`]), reads as the Baseline cell; its `mode`
+    /// then says Baseline.
     pub(crate) fn find(
         &self,
         framework: &str,
@@ -63,9 +77,12 @@ impl Report {
         graph: &str,
         mode: Mode,
     ) -> Option<&CellRecord> {
-        self.cells.iter().find(|c| {
-            c.framework == framework && c.kernel == kernel && c.graph == graph && c.mode == mode
-        })
+        let exact = |mode: Mode| {
+            self.cells.iter().find(|c| {
+                c.framework == framework && c.kernel == kernel && c.graph == graph && c.mode == mode
+            })
+        };
+        exact(mode).or_else(|| exact(Mode::Baseline))
     }
 
     /// Speedup of `framework` over the GAP reference for a test
@@ -84,11 +101,16 @@ impl Report {
 
     /// The fastest framework and its time for a test (one Table IV cell).
     pub fn fastest(&self, kernel: Kernel, graph: &str, mode: Mode) -> Option<(&str, f64)> {
-        self.cells
-            .iter()
-            .filter(|c| c.kernel == kernel && c.graph == graph && c.mode == mode && c.verified)
+        self.fastest_cell(kernel, graph, mode)
             .map(|c| (c.framework.as_str(), c.stat_seconds()))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    fn fastest_cell(&self, kernel: Kernel, graph: &str, mode: Mode) -> Option<&CellRecord> {
+        self.frameworks()
+            .into_iter()
+            .filter_map(|fw| self.find(fw, kernel, graph, mode))
+            .filter(|c| c.verified)
+            .min_by(|a, b| a.stat_seconds().total_cmp(&b.stat_seconds()))
     }
 
     /// Renders Table IV: fastest times for both rule sets, annotated with
@@ -101,25 +123,32 @@ impl Report {
             self.scale
         );
         for mode in Mode::ALL {
-            let _ = writeln!(out, "\n  {mode}");
+            let width = 22 + mark_width(mode);
+            mode_header(&mut out, mode);
             let _ = write!(out, "  {:>6}", "Kernel");
             for g in GRAPH_ORDER {
-                let _ = write!(out, " {:>22}", g.name());
+                let _ = write!(out, " {:>width$}", g.name());
             }
             let _ = writeln!(out);
             for kernel in Kernel::ALL {
                 let _ = write!(out, "  {:>6}", kernel.name());
                 for g in GRAPH_ORDER {
-                    match self.fastest(kernel, g.name(), mode) {
-                        Some((fw, t)) => {
-                            let _ = write!(out, " {:>12.6} ({:>7})", t, fw);
+                    match self.fastest_cell(kernel, g.name(), mode) {
+                        Some(c) => {
+                            let _ = write!(
+                                out,
+                                " {:>12.6} ({:>7}){}",
+                                c.stat_seconds(),
+                                c.framework,
+                                mark(c, mode)
+                            );
                         }
                         None => {
-                            let _ = write!(out, " {:>22}", "-");
+                            let _ = write!(out, " {:>width$}", "-");
                         }
                     }
                 }
-                let _ = writeln!(out);
+                end_row(&mut out);
             }
         }
         out
@@ -134,41 +163,36 @@ impl Report {
             "TABLE V — SPEEDUP OVER GAP REFERENCE (100% = parity), corpus scale {}",
             self.scale
         );
-        let frameworks: Vec<String> = {
-            let mut seen = Vec::new();
-            for c in &self.cells {
-                if c.framework != BASELINE_FRAMEWORK && !seen.contains(&c.framework) {
-                    seen.push(c.framework.clone());
-                }
-            }
-            seen
-        };
+        let frameworks = self.frameworks();
         for mode in Mode::ALL {
-            let _ = writeln!(out, "\n  {mode}");
+            let width = 12 + mark_width(mode);
+            mode_header(&mut out, mode);
             let _ = write!(out, "  {:>12} {:>6}", "Framework", "Kernel");
             for g in GRAPH_ORDER {
-                let _ = write!(out, " {:>12}", g.name());
+                let _ = write!(out, " {:>width$}", g.name());
             }
             let _ = writeln!(out);
-            for fw in &frameworks {
+            for &fw in frameworks.iter().filter(|&&fw| fw != BASELINE_FRAMEWORK) {
                 for kernel in Kernel::ALL {
                     let _ = write!(out, "  {:>12} {:>6}", fw, kernel.name());
                     for g in GRAPH_ORDER {
-                        match self.speedup(fw, kernel, g.name(), mode) {
-                            Some(r) => {
+                        let cell = self.find(fw, kernel, g.name(), mode);
+                        match (cell, self.speedup(fw, kernel, g.name(), mode)) {
+                            (Some(c), Some(r)) => {
                                 let heat = match Heat::from_ratio(r) {
                                     Heat::Red => "-",
                                     Heat::White => "=",
                                     Heat::Green => "+",
                                 };
-                                let _ = write!(out, " {:>10.2}%{}", r * 100.0, heat);
+                                let _ =
+                                    write!(out, " {:>10.2}%{}{}", r * 100.0, heat, mark(c, mode));
                             }
-                            None => {
-                                let _ = write!(out, " {:>12}", "-");
+                            _ => {
+                                let _ = write!(out, " {:>width$}", "-");
                             }
                         }
                     }
-                    let _ = writeln!(out);
+                    end_row(&mut out);
                 }
             }
         }
@@ -244,6 +268,43 @@ impl Report {
         }
         out
     }
+}
+
+/// Marks an Optimized-section cell read from the Baseline cell.
+const BASELINE_MARK: &str = " = Baseline";
+
+/// Room the Optimized section of Tables IV and V keeps for the mark.
+fn mark_width(mode: Mode) -> usize {
+    match mode {
+        Mode::Baseline => 0,
+        Mode::Optimized => BASELINE_MARK.len(),
+    }
+}
+
+/// The mark for `cell` shown under `mode`, padded to [`mark_width`].
+fn mark(cell: &CellRecord, mode: Mode) -> String {
+    let mark = if cell.mode == mode { "" } else { BASELINE_MARK };
+    format!("{mark:<0$}", mark_width(mode))
+}
+
+/// Ends a row of Tables IV and V without the last column's padding.
+fn end_row(out: &mut String) {
+    out.truncate(out.trim_end_matches(' ').len());
+    out.push('\n');
+}
+
+/// The section title of Tables IV and V, with the mark's legend under
+/// Optimized.
+fn mode_header(out: &mut String, mode: Mode) {
+    let _ = match mode {
+        Mode::Baseline => writeln!(out, "\n  {mode}"),
+        Mode::Optimized => writeln!(
+            out,
+            "\n  {mode} (\"{}\": the framework's Optimized rules pick its Baseline configuration, \
+             so the Baseline sample stands)",
+            BASELINE_MARK.trim_start()
+        ),
+    };
 }
 
 /// Renders Table I for a corpus: graph statistics at the run's scale.
@@ -360,6 +421,38 @@ mod tests {
         let (fw, t) = r.fastest(Kernel::Bfs, "Kron", Mode::Baseline).unwrap();
         assert_eq!(fw, "GKC");
         assert!((t - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn untuned_optimized_cells_read_as_their_marked_baseline() {
+        let (b, o) = (Mode::Baseline, Mode::Optimized);
+        let mut cells = sample_report().cells;
+        cells.push(record("GraphIt", Kernel::Bfs, "Kron", o, 0.05));
+        let r = Report::new(Scale::Tiny, cells);
+        assert_eq!(r.speedup("GKC", Kernel::Bfs, "Kron", o), Some(2.0));
+        assert_eq!(r.speedup("GraphIt", Kernel::Bfs, "Kron", o), Some(4.0));
+        assert_eq!(r.fastest(Kernel::Bfs, "Kron", b).unwrap().0, "GKC");
+        assert_eq!(r.fastest(Kernel::Bfs, "Kron", o).unwrap().0, "GraphIt");
+
+        let t5 = r.table5();
+        let (baseline, optimized) = t5.split_at(t5.find("Optimized").unwrap());
+        let row = |section: &str, fw: &str| -> String {
+            let line = section
+                .lines()
+                .find(|l| l.contains(fw) && l.contains("BFS"));
+            line.expect("a BFS row").to_string()
+        };
+        assert!(row(optimized, "GKC").contains("200.00%+ = Baseline"));
+        assert!(!row(optimized, "GraphIt").contains("= Baseline"));
+        assert!(!row(baseline, "GKC").contains("= Baseline"));
+
+        let t4 = r.table4();
+        let optimized = &t4[t4.find("Optimized").unwrap()..];
+        let bfs = optimized.lines().find(|l| l.contains("BFS")).unwrap();
+        assert!(
+            bfs.contains("(GraphIt)") && !bfs.contains("= Baseline"),
+            "{bfs}"
+        );
     }
 
     #[test]

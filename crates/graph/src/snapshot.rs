@@ -40,10 +40,10 @@
 //! checks that unsafe downstream code depends on (offset arrays
 //! monotone and bounded, raw targets in `[0, n)`), so a
 //! checksum-consistent but malformed file fails with a structured
-//! error instead of reaching kernels or the parallel decoder. Paranoid
+//! error instead of reaching kernels or the parallel decoder, and holds
+//! every weight positive ([`SnapshotError::Invalid`] otherwise). Paranoid
 //! loads (`LoadOptions::paranoid`) additionally re-run the full CSR
-//! invariant sweep (sorted duplicate-free rows) and require positive
-//! weights, surfacing violations as
+//! invariant sweep (sorted duplicate-free rows), surfacing violations as
 //! [`SnapshotError::Invalid`].
 //!
 //! # Compressed adjacency
@@ -814,6 +814,27 @@ impl Snapshot {
                     computed,
                 });
             }
+            // Every load holds weights to GAP SSSP's positivity rule, as
+            // the builder does: delta-stepping assumes it, so a
+            // non-positive weight from a checksum-consistent file is a
+            // structured error. Checked here, while the checksum scan has
+            // the payload in cache.
+            if sec.kind == SectionKind::OutWeights as u32
+                || sec.kind == SectionKind::InWeights as u32
+            {
+                let min = payload
+                    .chunks_exact(4)
+                    .map(|w| Weight::from_le_bytes(w.try_into().expect("4 bytes")))
+                    .fold(Weight::MAX, Weight::min);
+                if min <= 0 {
+                    return err(SnapshotError::Invalid {
+                        message: format!(
+                            "section {} holds non-positive weight {min}",
+                            kind_name(sec.kind)
+                        ),
+                    });
+                }
+            }
             sections.push(sec);
         }
 
@@ -1021,20 +1042,6 @@ impl Snapshot {
         Ok((CsrGraph::from_segments_unchecked(offs, targets), shared))
     }
 
-    /// Loads a weight section of `m` arcs. Paranoid loads also hold every
-    /// weight to GAP SSSP's positivity rule, as the builder does.
-    fn load_weights(&self, kind: SectionKind, m: usize) -> Result<Segment<Weight>, GraphError> {
-        let weights: Segment<Weight> = self.typed(self.find(kind)?, m)?;
-        if self.paranoid {
-            if let Some(&bad) = weights.iter().find(|&&w| w <= 0) {
-                return err(SnapshotError::Invalid {
-                    message: format!("section {} holds non-positive weight {bad}", kind.name()),
-                });
-            }
-        }
-        Ok(weights)
-    }
-
     fn compressed_from(
         &self,
         sec: &RawSection,
@@ -1149,7 +1156,7 @@ impl Snapshot {
             pool,
         )?;
         let m = out.num_edges();
-        let out_weights = self.load_weights(SectionKind::OutWeights, m)?;
+        let out_weights = self.typed(self.find(SectionKind::OutWeights)?, m)?;
         // The weighted companion shares the graph's offset and target
         // storage; only the weight arrays are distinct sections.
         let w_out = WCsrGraph::from_segments(
@@ -1164,7 +1171,7 @@ impl Snapshot {
                 Some(self.num_arcs),
                 pool,
             )?;
-            let in_weights = self.load_weights(SectionKind::InWeights, m)?;
+            let in_weights = self.typed(self.find(SectionKind::InWeights)?, m)?;
             let w_in = WCsrGraph::from_segments(
                 CsrGraph::from_segments_unchecked(inc.offsets_segment(), in_targets),
                 in_weights,

@@ -426,6 +426,45 @@ fn non_monotone_compressed_row_index_fails_decode_not_process() {
 }
 
 #[test]
+fn non_positive_weight_fails_structurally_on_default_loads() {
+    // Delta-stepping assumes positive weights; a checksum-consistent
+    // bundle holding a negative one must fail the default load too.
+    use gapbs_graph::gen::{GraphSpec, Scale};
+    let pool = ThreadPool::new(1);
+    let (graph, wgraph) = GraphSpec::Kron.generate_both_in(Scale::Tiny, &pool);
+    let candidates: Vec<u32> = (0..graph.num_vertices() as u32).take(4).collect();
+    let path = tmp_path("weight");
+    snapshot::write(
+        &path,
+        &SnapshotContents {
+            source_candidates: Some(&candidates),
+            wgraph: Some(&wgraph),
+            delta: 32,
+            ..SnapshotContents::graph_only(&graph, 0)
+        },
+        Compression::Never,
+    )
+    .expect("write");
+    let mut bytes = std::fs::read(&path).expect("read");
+    let (row, off, len) = find_section(&bytes, 3); // out_weights
+    bytes[off..off + 4].copy_from_slice(&(-5i32).to_le_bytes());
+    reseal(&mut bytes, row, off, len);
+    std::fs::write(&path, &bytes).expect("rewrite");
+
+    let options = LoadOptions {
+        paranoid: false,
+        force_heap: false,
+    };
+    match Snapshot::open_with(&path, options) {
+        Err(GraphError::Snapshot(SnapshotError::Invalid { message })) => {
+            assert!(message.contains("weight -5"), "message: {message}");
+        }
+        other => panic!("expected Invalid, got {:?}", other.map(|_| "a snapshot")),
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn paranoid_mode_catches_semantically_invalid_but_well_checksummed_files() {
     // Swap two adjacent targets in a raw section (breaking row
     // sortedness), then fix the checksums: the default checksum-only

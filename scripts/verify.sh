@@ -67,6 +67,14 @@ GAPBS_SCALE=tiny GAPBS_TRIALS=1 GAPBS_CSV="$smoke_dir/results.csv" \
 for fw in GAP SuiteSparse Galois GraphIt GKC NWGraph; do
     grep -q "\"framework\":\"$fw\"" "$ledger" || fail "no ledger records for $fw"
 done
+# Only Galois and GraphIt tune under the Optimized rules: the other four
+# frameworks' Optimized cells are read from Baseline, never run, and
+# Tables IV and V mark them.
+if grep -Eq '"framework":"(GAP|GKC|NWGraph|SuiteSparse)".*"mode":"Optimized"' "$ledger"; then
+    fail "an untuned framework ran an Optimized cell"
+fi
+grep -Eq '\) = Baseline' "$smoke_dir/run_all.out" || fail "Table IV marks no cell = Baseline"
+grep -Eq '%[-=+] = Baseline' "$smoke_dir/run_all.out" || fail "Table V marks no cell = Baseline"
 # Structured ledger sanity: finite times, verified outputs, non-empty
 # graphs, and every trial examined at least one edge.
 # A tiny-corpus run must fit in 8 GiB, and an absurd 1 MiB budget must

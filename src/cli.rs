@@ -10,7 +10,7 @@
 //! -c <name>    generate a corpus graph: web|twitter|road|kron|urand
 //! -f <path>    load a graph from file (.el, .wel, .gsnap)
 //! -k <degree>  average degree for -g/-u (default 16)
-//! -s           symmetrize the input
+//! -s           symmetrize the input (an edge list; a .gsnap is stored as converted)
 //! -n <trials>  number of timed trials (default 3)
 //! -r <node>    fixed source vertex (default: rotating seeded sources)
 //! -x <name>    framework: gap|suitesparse|galois|graphit|gkc|nwgraph
@@ -272,6 +272,12 @@ fn load_file(
         };
         Ok((g, wg))
     } else if lower.ends_with(".gsnap") {
+        if symmetrize {
+            return Err(format!(
+                "{path}: -s does not apply to a stored snapshot; \
+                 symmetrize when converting (converter -s -f <input> -b <out.gsnap>)"
+            ));
+        }
         // The file is untrusted: a paranoid load validates every stored
         // structure and reports any defect as a `SnapshotError`.
         let opts = LoadOptions {
@@ -379,7 +385,7 @@ usage: <kernel> [options]
   -c <name>    corpus graph: web|twitter|road|kron|urand (size via GAPBS_SCALE)
   -f <path>    load graph file (.el, .wel, .gsnap from converter)
   -k <deg>     average degree for generators (default 16)
-  -s           symmetrize input
+  -s           symmetrize input (an edge list, not a .gsnap)
   -n <trials>  timed trials (default 3)
   -r <node>    fixed source vertex
   -x <fw>      framework: gap|suitesparse|galois|graphit|gkc|nwgraph

@@ -153,6 +153,17 @@ fn checksum_consistent_gsnap_with_a_negative_weight_is_an_error() {
 }
 
 #[test]
+fn symmetrize_flag_on_a_gsnap_is_an_error() {
+    // A snapshot holds the graph as converted: `-s` belongs on `converter`.
+    let (path, _) = converted_bytes("sym.gsnap");
+    let err = parse(&["-f", path.to_str().unwrap(), "-s"])
+        .load()
+        .expect_err("-s on a .gsnap must not be ignored");
+    assert!(err.contains("converter -s"), "{err}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let opts = parse(&["-f", "/nonexistent/nope.el"]);
     let err = opts.load().unwrap_err();

@@ -31,7 +31,14 @@ fn mini_study_runs_and_renders_all_tables() {
         &config,
         |_| progress_lines += 1,
     );
-    let expected_cells = frameworks.len() * inputs.len() * Kernel::ALL.len() * Mode::ALL.len();
+    // Every Baseline cell, and each Optimized cell a framework tunes.
+    let tuned = frameworks
+        .iter()
+        .flat_map(|fw| inputs.iter().map(move |input| (fw, input)))
+        .flat_map(|(fw, input)| Kernel::ALL.into_iter().filter(|&k| fw.tuned(input, k)))
+        .count();
+    assert!(tuned > 0, "no framework tunes a mini-study cell");
+    let expected_cells = frameworks.len() * inputs.len() * Kernel::ALL.len() + tuned;
     assert_eq!(progress_lines, expected_cells);
     assert_eq!(report.cells().len(), expected_cells);
     assert!(

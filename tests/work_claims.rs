@@ -219,3 +219,63 @@ fn bucket_fusion_keeps_road_sssp_off_the_pool() {
         }
     }
 }
+
+/// The GAP spec's Optimized rules: a framework that does not tune a cell
+/// reports its Baseline. Wherever `Framework::tuned` says the Optimized
+/// rules change nothing, preparing and running the kernel under either
+/// rule set counts exactly the same work.
+#[test]
+fn untuned_optimized_cells_repeat_their_baseline_work() {
+    use gapbs::core::{all_frameworks, Kernel, Mode};
+    // Every pool and graph build in the process counts these, so other
+    // tests' set-up outside any capture can land in this one's window;
+    // this pool's own regions come from its stats instead.
+    const SHARED: [Counter; 6] = [
+        Counter::PoolWorkerSpawns,
+        Counter::PoolRegions,
+        Counter::PoolSteals,
+        Counter::PoolParks,
+        Counter::BuildEdgesScattered,
+        Counter::BuildDupsDropped,
+    ];
+    let pool = ThreadPool::new(1);
+    let mut checked = 0;
+    for spec in GraphSpec::TABLE_ORDER {
+        let bench = BenchGraph::generate(spec, Scale::Tiny);
+        let source = bench.source_candidates[0];
+        let sources = &bench.source_candidates[..4];
+        for framework in all_frameworks() {
+            for kernel in Kernel::ALL {
+                if framework.tuned(&bench, kernel) {
+                    continue;
+                }
+                let work = |mode: Mode| {
+                    let regions = pool.stats().regions;
+                    let ((), counters) = capture(|| {
+                        let prepared = framework.prepare_kernel(&bench, mode, kernel, &pool);
+                        let _ = match kernel {
+                            Kernel::Bfs => prepared.bfs(source).len(),
+                            Kernel::Sssp => prepared.sssp(source).len(),
+                            Kernel::Pr => prepared.pr().1,
+                            Kernel::Cc => prepared.cc().len(),
+                            Kernel::Bc => prepared.bc(sources).len(),
+                            Kernel::Tc => prepared.tc() as usize,
+                        };
+                    });
+                    let counts: Vec<u64> = Counter::ALL
+                        .into_iter()
+                        .filter(|c| !SHARED.contains(c))
+                        .map(|c| counters.get(c))
+                        .collect();
+                    (counts, pool.stats().regions - regions)
+                };
+                let what = format!("{} {kernel} {spec:?}", framework.name());
+                let baseline = work(Mode::Baseline);
+                assert!(baseline.0.iter().any(|&c| c > 0), "{what}");
+                assert_eq!(work(Mode::Optimized), baseline, "{what}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 4 * 6 * 5, "only {checked} untuned cells");
+}

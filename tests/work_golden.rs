@@ -1,6 +1,8 @@
 //! The work golden: the exact work counters of every cell of the matrix
-//! (6 frameworks × 6 kernels × 5 graphs × 2 modes at `Scale::Small`),
-//! pinned in `results/work-golden.json`.
+//! at `Scale::Small`, pinned in `results/work-golden.json`. The matrix is
+//! 6 frameworks × 6 kernels × 5 graphs under Baseline, plus the Optimized
+//! cells a framework's Optimized rules change (`Framework::tuned`): the
+//! runner reads every other Optimized cell from its Baseline cell.
 //!
 //! The matrix runs through the runner with one trial per cell, no
 //! verification and one thread, writing a ledger exactly as
@@ -140,9 +142,8 @@ fn run_matrix(ledger: &Path) -> Work {
         .iter()
         .map(|&spec| BenchGraph::generate_in(spec, Scale::Small, &pool))
         .collect();
-    let frameworks = all_frameworks();
-    run_matrix_in_pool(
-        &frameworks,
+    let report = run_matrix_in_pool(
+        &all_frameworks(),
         &inputs,
         &Kernel::ALL,
         &Mode::ALL,
@@ -151,9 +152,12 @@ fn run_matrix(ledger: &Path) -> Work {
         &pool,
     );
     let records = gapbs_telemetry::ledger::read(ledger).expect("the matrix wrote its ledger");
-    let cells = frameworks.len() * Kernel::ALL.len() * inputs.len() * Mode::ALL.len();
-    assert_eq!(records.len(), cells, "one record per cell");
+    assert_eq!(records.len(), report.cells().len(), "one record per cell");
     work_of(&records)
+}
+
+fn golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("results/work-golden.json")
 }
 
 #[test]
@@ -161,7 +165,7 @@ fn every_cell_does_exactly_the_golden_work() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("work_golden");
     std::fs::create_dir_all(&dir).expect("test scratch directory");
     let actual = run_matrix(&dir.join("ledger.jsonl"));
-    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/work-golden.json");
+    let golden_path = golden_path();
     // A missing golden diffs as empty, so the first run writes one to copy.
     let golden = match std::fs::read_to_string(&golden_path) {
         Ok(text) => parse(&text),
@@ -183,4 +187,73 @@ fn every_cell_does_exactly_the_golden_work() {
         problems.join("\n  "),
         actual_path.display(),
     );
+}
+
+/// Tuned Optimized cells whose work equals their Baseline cell's, and why
+/// they are timed anyway.
+const SAME_WORK_AS_BASELINE: [(&str, &str); 9] = [
+    (
+        "Galois cc Kron",
+        "another Afforest variant examines the same edges",
+    ),
+    (
+        "Galois cc Road",
+        "another Afforest variant examines the same edges",
+    ),
+    (
+        "Galois cc Web",
+        "another Afforest variant examines the same edges",
+    ),
+    (
+        "Galois tc Kron",
+        "the relabel runs outside the timed region",
+    ),
+    (
+        "Galois tc Road",
+        "the relabel runs outside the timed region",
+    ),
+    (
+        "Galois tc Twitter",
+        "the relabel runs outside the timed region",
+    ),
+    (
+        "Galois tc Urand",
+        "the relabel runs outside the timed region",
+    ),
+    ("Galois tc Web", "the relabel runs outside the timed region"),
+    (
+        "GraphIt bc Road",
+        "a sparse-queue frontier where Baseline uses a bit vector",
+    ),
+];
+
+/// The golden holds an Optimized cell only where a framework tunes it, so
+/// each one must do other work than its Baseline cell or be listed in
+/// [`SAME_WORK_AS_BASELINE`] with a reason; a listed cell whose work
+/// differs is a stale entry.
+#[test]
+fn every_golden_optimized_cell_differs_from_its_baseline() {
+    let text = std::fs::read_to_string(golden_path()).expect("read the work golden");
+    let golden = parse(&text);
+    let mut problems = Vec::new();
+    for (cell, work) in &golden {
+        let Some(test) = cell.strip_suffix(" Optimized") else {
+            continue;
+        };
+        let baseline = golden
+            .get(&format!("{test} Baseline"))
+            .unwrap_or_else(|| panic!("{cell} has no Baseline cell"));
+        let listed = SAME_WORK_AS_BASELINE.iter().any(|&(t, _)| t == test);
+        match (work == baseline, listed) {
+            (true, false) => problems.push(format!("{cell}: same work as Baseline, no reason")),
+            (false, true) => problems.push(format!("{cell}: listed, but its work differs")),
+            _ => {}
+        }
+    }
+    for (test, _) in SAME_WORK_AS_BASELINE {
+        if !golden.contains_key(&format!("{test} Optimized")) {
+            problems.push(format!("{test}: listed, but not in the golden"));
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
