@@ -15,16 +15,19 @@
 //! any cell whose peak RSS exceeds the budget is a problem too: that is
 //! the bounded-memory mode the snapshot work targets.
 //!
-//! `--lint-stats` checks one `{"cmd":"stats"}` snapshot from the serve
-//! daemon (a JSON file, or `-` for stdin): lifecycle counters balance
-//! exactly (`admitted == completed + active`), width-1 queries never
-//! outnumber completions (`queries_inline <= completed`), the latency
-//! histogram count equals completions, and the bucket table is
-//! monotone.
+//! `--lint-stats` checks one `{"cmd":"stats"}` reply or `/stats` body
+//! from the serve daemon (a JSON file, or `-` for stdin) with
+//! `gapbs_serve::scrape_problems`, the daemon's own statement of its
+//! scrape invariants: the lifecycle series balance exactly
+//! (`queries_admitted_total == queries_completed_total +
+//! active_queries`), width-1 queries never outnumber completions, the
+//! latency histogram count equals completions and its bucket table is
+//! monotone, the cold-start series are sane, and no top-level key
+//! repeats a `metrics` series.
 //!
 //! Exit codes: 0 clean, 1 problems found, 2 usage or read error.
 
-use gapbs_bench::perf::{enforce_rss_budget, lint, lint_stats};
+use gapbs_bench::perf::{enforce_rss_budget, lint};
 use gapbs_telemetry::json::Json;
 use std::io::Read;
 use std::process::exit;
@@ -93,7 +96,7 @@ fn main() {
             eprintln!("{path}: not valid JSON: {e}");
             exit(2);
         });
-        let problems = lint_stats(&stats);
+        let problems = gapbs_serve::scrape_problems(&stats);
         if problems.is_empty() {
             println!("{path}: stats snapshot is internally consistent");
             return;

@@ -1,13 +1,11 @@
 //! Ledger and stats sanity checks behind `perf_compare`.
 //!
 //! [`lint`] checks one run ledger (see `gapbs_telemetry::ledger`) for
-//! structural and accounting problems, [`enforce_rss_budget`] holds every
-//! cell to an absolute peak-RSS budget, and [`lint_stats`] checks one
-//! `{"cmd":"stats"}` snapshot from the serve daemon. None of them times
-//! anything: timing verdicts come from paired benchmark runs, and the
+//! structural and accounting problems and [`enforce_rss_budget`] holds
+//! every cell to an absolute peak-RSS budget (a serve stats snapshot is
+//! checked by `gapbs_serve::scrape_problems`). Neither times anything: timing verdicts come from paired benchmark runs, and the
 //! exact work of every cell is pinned by `tests/work_golden.rs`.
 
-use gapbs_telemetry::json::Json;
 use gapbs_telemetry::{Counter, TrialRecord};
 use std::collections::BTreeMap;
 
@@ -128,127 +126,6 @@ pub fn enforce_rss_budget(records: &[TrialRecord], max_bytes: u64) -> Vec<String
             )
         })
         .collect()
-}
-
-/// Sanity-checks one `{"cmd":"stats"}` snapshot from the serve daemon,
-/// returning one message per violated invariant (empty = clean). This is
-/// `perf_compare --lint-stats`, the scrape-side counterpart of [`lint`]:
-/// the engine reads every lifecycle stat under one gate lock, so these
-/// invariants hold *exactly* within any single response — even one
-/// scraped mid-load — and a violation means the accounting itself broke,
-/// not that the scrape raced.
-pub fn lint_stats(stats: &Json) -> Vec<String> {
-    let mut problems = Vec::new();
-    let mut field = |name: &str| match stats.get(name).and_then(Json::as_u64) {
-        Some(v) => Some(v),
-        None => {
-            problems.push(format!("stats missing numeric field {name:?}"));
-            None
-        }
-    };
-    let admitted = field("queries_admitted");
-    let completed = field("queries_completed");
-    let active = field("active");
-    let batch_queries = field("batch_queries");
-    let inline = field("queries_inline");
-    if let (Some(admitted), Some(completed), Some(active)) = (admitted, completed, active) {
-        // Exact, not >=: the gate takes admission, completion, and the
-        // active count under one lock, so any single snapshot balances.
-        if completed + active != admitted {
-            problems.push(format!(
-                "incoherent lifecycle: {admitted} admitted != {completed} completed + {active} active"
-            ));
-        }
-    }
-    if let (Some(admitted), Some(batched)) = (admitted, batch_queries) {
-        if batched > admitted {
-            problems.push(format!(
-                "{batched} batched queries but only {admitted} admitted"
-            ));
-        }
-    }
-    // A query is counted inline at release, under the same lock as its
-    // completion, so the inline count never runs ahead of completions.
-    if let (Some(inline), Some(completed)) = (inline, completed) {
-        if inline > completed {
-            problems.push(format!(
-                "{inline} queries ran inline but only {completed} completed"
-            ));
-        }
-    }
-    match stats.get("metrics").and_then(|m| m.get("latency_us")) {
-        None => problems.push("stats missing metrics.latency_us histogram".into()),
-        Some(hist) => {
-            let count = hist.get("count").and_then(Json::as_u64).unwrap_or(0);
-            if let Some(completed) = completed {
-                if count != completed {
-                    problems.push(format!(
-                        "latency histogram holds {count} records but {completed} queries completed"
-                    ));
-                }
-            }
-            if let Some(Json::Arr(buckets)) = hist.get("buckets") {
-                let mut prev = 0u64;
-                for (i, bucket) in buckets.iter().enumerate() {
-                    let Some(c) = bucket.get("count").and_then(Json::as_u64) else {
-                        problems.push(format!("bucket entry {i} missing cumulative count"));
-                        continue;
-                    };
-                    if c < prev {
-                        problems.push(format!(
-                            "bucket table not monotone: cumulative {c} after {prev} at entry {i}"
-                        ));
-                    }
-                    prev = c;
-                }
-                if prev != count {
-                    problems.push(format!(
-                        "bucket table tops out at {prev} but histogram count is {count}"
-                    ));
-                }
-            } else {
-                problems.push("metrics.latency_us missing buckets table".into());
-            }
-        }
-    }
-    // Cold-start series: time-to-ready is set exactly once at startup
-    // and must be a plausible duration; every resident graph loads
-    // exactly once, so its snapshot_hit/snapshot_miss pair sums to 1.
-    match stats
-        .get("metrics")
-        .and_then(|m| m.get("time_to_ready_seconds"))
-        .and_then(Json::as_f64)
-    {
-        None => problems.push("stats missing metrics.time_to_ready_seconds".into()),
-        Some(s) if !s.is_finite() || s < 0.0 => {
-            problems.push(format!("implausible time_to_ready_seconds {s}"));
-        }
-        Some(_) => {}
-    }
-    if let Some(Json::Obj(metrics)) = stats.get("metrics") {
-        let graph_of = |key: &str, family: &str| -> Option<String> {
-            key.strip_prefix(family)
-                .and_then(|rest| rest.strip_prefix("{graph=\""))
-                .and_then(|rest| rest.strip_suffix("\"}"))
-                .map(str::to_string)
-        };
-        let mut loads: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for (key, value) in metrics {
-            for family in ["snapshot_hit", "snapshot_miss"] {
-                if let Some(graph) = graph_of(key, family) {
-                    *loads.entry(graph).or_insert(0) += value.as_u64().unwrap_or(0);
-                }
-            }
-        }
-        for (graph, total) in loads {
-            if total != 1 {
-                problems.push(format!(
-                    "graph {graph:?} loaded {total} times by snapshot_hit+snapshot_miss; expected exactly 1"
-                ));
-            }
-        }
-    }
-    problems
 }
 
 #[cfg(test)]
@@ -440,151 +317,6 @@ mod tests {
         );
     }
 
-    /// A minimal coherent stats snapshot, as `{"cmd":"stats"}` renders it.
-    fn stats_snapshot(admitted: u64, completed: u64, active: u64, hist_count: u64) -> Json {
-        let buckets = if hist_count > 0 {
-            vec![Json::obj([
-                ("le".to_string(), Json::Num(1024.0)),
-                ("count".to_string(), Json::Num(hist_count as f64)),
-            ])]
-        } else {
-            Vec::new()
-        };
-        Json::obj([
-            ("queries_admitted".to_string(), Json::Num(admitted as f64)),
-            ("queries_completed".to_string(), Json::Num(completed as f64)),
-            ("active".to_string(), Json::Num(active as f64)),
-            ("batch_queries".to_string(), Json::Num(0.0)),
-            ("queries_inline".to_string(), Json::Num(completed as f64)),
-            (
-                "metrics".to_string(),
-                Json::obj([
-                    (
-                        "latency_us".to_string(),
-                        Json::obj([
-                            ("count".to_string(), Json::Num(hist_count as f64)),
-                            ("buckets".to_string(), Json::Arr(buckets)),
-                        ]),
-                    ),
-                    ("time_to_ready_seconds".to_string(), Json::Num(0.25)),
-                    ("snapshot_hit{graph=\"kron\"}".to_string(), Json::Num(1.0)),
-                    ("snapshot_miss{graph=\"kron\"}".to_string(), Json::Num(0.0)),
-                    ("snapshot_hit{graph=\"road\"}".to_string(), Json::Num(0.0)),
-                    ("snapshot_miss{graph=\"road\"}".to_string(), Json::Num(1.0)),
-                ]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn lint_stats_accepts_a_coherent_snapshot() {
-        // Mid-load: 2 in flight, 5 done, histogram tracks completions.
-        assert_eq!(
-            lint_stats(&stats_snapshot(7, 5, 2, 5)),
-            Vec::<String>::new()
-        );
-        // Quiescent zero state.
-        assert_eq!(
-            lint_stats(&stats_snapshot(0, 0, 0, 0)),
-            Vec::<String>::new()
-        );
-    }
-
-    #[test]
-    fn lint_stats_flags_unbalanced_lifecycle() {
-        let problems = lint_stats(&stats_snapshot(7, 6, 2, 6));
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("incoherent lifecycle"), "{problems:?}");
-        // Completed ahead of admitted is the classic torn-scrape symptom.
-        assert!(!lint_stats(&stats_snapshot(5, 7, 0, 7)).is_empty());
-    }
-
-    #[test]
-    fn lint_stats_caps_inline_queries_at_completions() {
-        let mut stats = stats_snapshot(7, 5, 2, 5);
-        if let Json::Obj(fields) = &mut stats {
-            fields.insert("queries_inline".to_string(), Json::Num(6.0));
-        }
-        let problems = lint_stats(&stats);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(
-            problems[0].contains("6 queries ran inline but only 5 completed"),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn lint_stats_ties_histogram_count_to_completions() {
-        let problems = lint_stats(&stats_snapshot(5, 5, 0, 4));
-        assert!(
-            problems.iter().any(|p| p.contains("holds 4 records")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn lint_stats_requires_monotone_buckets() {
-        let mut stats = stats_snapshot(3, 3, 0, 3);
-        // Overwrite with a non-monotone cumulative table.
-        let broken = Json::obj([(
-            "latency_us".to_string(),
-            Json::obj([
-                ("count".to_string(), Json::Num(3.0)),
-                (
-                    "buckets".to_string(),
-                    Json::Arr(vec![
-                        Json::obj([
-                            ("le".to_string(), Json::Num(64.0)),
-                            ("count".to_string(), Json::Num(2.0)),
-                        ]),
-                        Json::obj([
-                            ("le".to_string(), Json::Num(128.0)),
-                            ("count".to_string(), Json::Num(1.0)),
-                        ]),
-                    ]),
-                ),
-            ]),
-        )]);
-        if let Json::Obj(fields) = &mut stats {
-            fields.insert("metrics".to_string(), broken);
-        }
-        let problems = lint_stats(&stats);
-        assert!(
-            problems.iter().any(|p| p.contains("not monotone")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("tops out at")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn lint_stats_flags_missing_fields() {
-        let problems = lint_stats(&Json::obj([("ok".to_string(), Json::Bool(true))]));
-        assert!(
-            problems.iter().any(|p| p.contains("queries_admitted")),
-            "{problems:?}"
-        );
-        assert!(
-            problems.iter().any(|p| p.contains("latency_us")),
-            "{problems:?}"
-        );
-    }
-
-    /// Applies `edit` to the fixture's `metrics` object.
-    fn edit_metrics(
-        mut stats: Json,
-        edit: impl FnOnce(&mut std::collections::BTreeMap<String, Json>),
-    ) -> Json {
-        if let Json::Obj(fields) = &mut stats {
-            if let Some(Json::Obj(metrics)) = fields.get_mut("metrics") {
-                edit(metrics);
-            }
-        }
-        stats
-    }
-
     #[test]
     fn rss_budget_gates_only_cells_over_the_line() {
         let mib = 1024 * 1024;
@@ -601,50 +333,5 @@ mod tests {
         assert!(violations[0].contains("pr"), "{violations:?}");
         assert!(violations[0].contains("exceeds"), "{violations:?}");
         assert!(enforce_rss_budget(&records, 1024 * mib).is_empty());
-    }
-
-    #[test]
-    fn lint_stats_checks_cold_start_series() {
-        // The coherent fixture already carries a balanced pair per graph.
-        assert_eq!(
-            lint_stats(&stats_snapshot(0, 0, 0, 0)),
-            Vec::<String>::new()
-        );
-
-        // A graph that claims both a hit and a miss double-loaded.
-        let stats = edit_metrics(stats_snapshot(0, 0, 0, 0), |m| {
-            m.insert("snapshot_miss{graph=\"kron\"}".to_string(), Json::Num(1.0));
-        });
-        let problems = lint_stats(&stats);
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("\"kron\" loaded 2 times")),
-            "{problems:?}"
-        );
-
-        // A negative time-to-ready is nonsense.
-        let stats = edit_metrics(stats_snapshot(0, 0, 0, 0), |m| {
-            m.insert("time_to_ready_seconds".to_string(), Json::Num(-1.0));
-        });
-        let problems = lint_stats(&stats);
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("implausible time_to_ready_seconds")),
-            "{problems:?}"
-        );
-
-        // Dropping the gauge entirely is flagged.
-        let stats = edit_metrics(stats_snapshot(0, 0, 0, 0), |m| {
-            m.remove("time_to_ready_seconds");
-        });
-        let problems = lint_stats(&stats);
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("missing metrics.time_to_ready_seconds")),
-            "{problems:?}"
-        );
     }
 }

@@ -19,7 +19,7 @@
 //! metrics plane, and a scrape must never observe impossible states
 //! (`completed > admitted`, or a latency histogram whose count disagrees
 //! with `completed`). Every transition that participates in those
-//! invariants — admit, release, batch member accounting — mutates the
+//! invariants — admit, release (with its batch members) — mutates the
 //! stats *inside the state-mutex critical section*, and [`observe`]
 //! reads everything under that same lock. Within one
 //! [`GateObservation`] the equalities are exact:
@@ -138,6 +138,9 @@ pub struct Permit<'g> {
     /// Set by the engine when the query ran at width 1; release counts
     /// it into `inline` under the state lock, beside `completed`.
     inline: AtomicBool,
+    /// Sources answered by this permit's batch (0 when not a batch): the
+    /// release admits and completes the extra members beside this one.
+    batch: AtomicU64,
     /// End-to-end latency set by the engine before release; `u64::MAX`
     /// means unset and release falls back to the permit's own hold time.
     latency_us: AtomicU64,
@@ -163,6 +166,7 @@ impl AdmissionGate {
             admitted_at: Instant::now(),
             active_at_admit,
             inline: AtomicBool::new(false),
+            batch: AtomicU64::new(0),
             latency_us: AtomicU64::new(u64::MAX),
         }
     }
@@ -299,30 +303,19 @@ impl AdmissionGate {
 
     /// Counts one executed multi-source batch: `members` logical queries
     /// answered by a single MS-BFS sweep. Every member is separately
-    /// accounted as admitted (its own permit, or
-    /// [`note_batch_members`](Self::note_batch_members) for sources that
-    /// share one), so `batch_queries <= admitted` is an invariant.
+    /// accounted as admitted (its own permit, or one permit carrying
+    /// [`Permit::note_batch`] for sources that share it), so
+    /// `batch_queries <= admitted` is an invariant.
     pub(crate) fn note_batch(&self, members: u64) {
         let _state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        self.count_batch(members);
+    }
+
+    fn count_batch(&self, members: u64) {
         self.stats
             .batch_queries
             .fetch_add(members, Ordering::Relaxed);
         self.stats.batch_width.fetch_max(members, Ordering::Relaxed);
-    }
-
-    /// Accounts `extra` logical queries that rode one already-admitted
-    /// permit (an explicit batch request: one permit, many sources). They
-    /// are admitted and completed at the same instant — the batch answers
-    /// as a unit — and each contributes one `latency_us` histogram entry
-    /// at the batch's end-to-end latency, keeping `latency.count ==
-    /// completed` exact.
-    pub(crate) fn note_batch_members(&self, extra: u64, latency_us: u64) {
-        let _state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        self.stats.admitted.fetch_add(extra, Ordering::Relaxed);
-        self.stats.completed.fetch_add(extra, Ordering::Relaxed);
-        for _ in 0..extra {
-            self.latency_us.record(latency_us);
-        }
     }
 
     /// Counts a query that finished execution past its deadline (admitted
@@ -371,6 +364,15 @@ impl Permit<'_> {
             .store(us.min(u64::MAX - 1), Ordering::Relaxed);
     }
 
+    /// Marks this permit as carrying an explicit batch of `members`
+    /// sources. Its release admits and completes the `members - 1` extra
+    /// logical queries at the batch's latency (one histogram entry each,
+    /// keeping `latency.count == completed` exact) and counts the batch,
+    /// all in the critical section that completes the permit.
+    pub(crate) fn note_batch(&self, members: u64) {
+        self.batch.store(members, Ordering::Relaxed);
+    }
+
     fn release(&self) {
         let latency_us = match self.latency_us.load(Ordering::Relaxed) {
             u64::MAX => self.admitted_at.elapsed().as_micros() as u64,
@@ -386,6 +388,16 @@ impl Permit<'_> {
         // Same critical section as the completed count: an observation
         // can never see the two disagree.
         gate.latency_us.record(latency_us);
+        let members = self.batch.load(Ordering::Relaxed);
+        if members > 0 {
+            let extra = members - 1;
+            gate.stats.admitted.fetch_add(extra, Ordering::Relaxed);
+            gate.stats.completed.fetch_add(extra, Ordering::Relaxed);
+            for _ in 0..extra {
+                gate.latency_us.record(latency_us);
+            }
+            gate.count_batch(members);
+        }
         // Wake both slot waiters and a drainer waiting for active == 0.
         gate.cond.notify_all();
     }
@@ -425,9 +437,9 @@ mod tests {
         let gate = AdmissionGate::new(2, 0);
         // Explicit batch: one permit carries 5 sources.
         let permit = gate.admit(None).unwrap();
-        gate.note_batch_members(4, 100);
-        gate.note_batch(5);
+        permit.note_batch(5);
         drop(permit);
+        assert_eq!(gate.observe().latency.count, 5, "one entry per member");
         // Coalesced batch: three members, each with its own permit.
         let a = gate.admit(None).unwrap();
         let b = gate.admit(None).unwrap();

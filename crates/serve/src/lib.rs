@@ -17,14 +17,17 @@
 //!   transparently merges concurrent same-graph single-source BFS
 //!   queries into one multi-source (MS-BFS) execution, with per-source
 //!   fan-out and unchanged canonical fingerprints;
-//! * [`engine`] — per-query lifecycle: admit, prepare what the kernel
-//!   reads, execute at the width concurrency allows, deadline-check,
-//!   account one ledger record;
-//! * `metrics` — the live metrics plane: per-{kernel, graph,
-//!   framework} latency histograms, queue/RSS gauges, and pool rates,
-//!   scraped via `{"cmd":"stats"}` and the `--metrics-addr` listener's
-//!   Prometheus `/metrics` + `/health`/`/ready` probes
-//!   (`docs/OPERATIONS.md`);
+//! * [`engine`] — one request lifecycle for single queries and
+//!   `sources` batches: admit, prepare what the kernel reads, execute at
+//!   the width concurrency allows, deadline-check, account one ledger
+//!   record;
+//! * `metrics` — the live metrics plane: one snapshot of the gate's
+//!   lifecycle series, per-{kernel, graph, framework} latency
+//!   histograms, and pool and RSS series read at scrape time, rendered
+//!   as the `metrics` object of `{"cmd":"stats"}` and as the
+//!   `--metrics-addr` listener's Prometheus `/metrics` (beside the
+//!   `/health`/`/ready` probes); [`scrape_problems`] checks the
+//!   invariants every scrape upholds (`docs/OPERATIONS.md`);
 //! * [`server`] — the TCP accept loop, per-connection handler threads,
 //!   and the graceful drain sequence (SIGINT or `{"cmd":"shutdown"}`).
 //!
@@ -55,6 +58,7 @@ mod signal;
 
 pub use admission::{AdmissionGate, AdmitError, GateSnapshot, Permit};
 pub use engine::{execute_query, run_query_local, Engine, EngineConfig, QueryOutcome};
+pub use metrics::scrape_problems;
 pub use protocol::{parse_request, BatchQuery, Command, ProtoError, Query};
 pub use registry::{GraphRegistry, LoadRecord, RegistryOptions};
 pub use server::{serve_main, ServeConfig, Server};

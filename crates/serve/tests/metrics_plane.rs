@@ -15,7 +15,7 @@ use std::time::Instant;
 use gapbs_graph::gen::{GraphSpec, Scale};
 use gapbs_parallel::ThreadPool;
 use gapbs_serve::server::{ServeConfig, ServeSummary, Server};
-use gapbs_serve::{EngineConfig, GraphRegistry};
+use gapbs_serve::{scrape_problems, EngineConfig, GraphRegistry};
 use gapbs_telemetry::json::Json;
 use gapbs_telemetry::metrics::{bucket_hi, bucket_of, Histogram, HistogramSnapshot, BUCKETS};
 
@@ -83,62 +83,23 @@ fn shutdown_and_join(server: TestServer) -> ServeSummary {
         .expect("clean shutdown")
 }
 
-/// The scrape-consistency invariants (same rules as `perf_compare
-/// --lint-stats`): within one stats response the lifecycle balances
-/// exactly and the latency histogram tracks completions — even when the
-/// snapshot was taken mid-load with queries in flight.
+/// Holds one stats reply to the daemon's scrape invariants
+/// ([`scrape_problems`], the checker `perf_compare --lint-stats` runs
+/// too) and returns its admitted and completed totals.
 fn assert_coherent(stats: &Json, ctx: &str) -> (u64, u64) {
-    let u = |key: &str| {
+    let problems = scrape_problems(stats);
+    assert!(problems.is_empty(), "{ctx}: {problems:?}");
+    let series = |key: &str| {
         stats
-            .get(key)
+            .get("metrics")
+            .and_then(|m| m.get(key))
             .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("{ctx}: stats missing {key}"))
+            .unwrap_or_else(|| panic!("{ctx}: metrics missing {key}"))
     };
-    let admitted = u("queries_admitted");
-    let completed = u("queries_completed");
-    let active = u("active");
-    let batched = u("batch_queries");
-    assert_eq!(
-        completed + active,
-        admitted,
-        "{ctx}: lifecycle out of balance (admitted {admitted}, completed {completed}, active {active})"
-    );
-    assert!(
-        batched <= admitted,
-        "{ctx}: {batched} batched queries but only {admitted} admitted"
-    );
-    let hist = stats
-        .get("metrics")
-        .and_then(|m| m.get("latency_us"))
-        .unwrap_or_else(|| panic!("{ctx}: stats missing metrics.latency_us"));
-    let count = hist
-        .get("count")
-        .and_then(Json::as_u64)
-        .expect("histogram count");
-    assert_eq!(
-        count, completed,
-        "{ctx}: histogram holds {count} records but {completed} queries completed"
-    );
-    let Some(Json::Arr(buckets)) = hist.get("buckets") else {
-        panic!("{ctx}: histogram missing buckets table")
-    };
-    let mut prev = 0u64;
-    for bucket in buckets {
-        let c = bucket
-            .get("count")
-            .and_then(Json::as_u64)
-            .expect("cumulative count");
-        assert!(
-            c >= prev,
-            "{ctx}: bucket table not monotone ({c} after {prev})"
-        );
-        prev = c;
-    }
-    assert_eq!(
-        prev, count,
-        "{ctx}: bucket table tops out at {prev}, count {count}"
-    );
-    (admitted, completed)
+    (
+        series("queries_admitted_total"),
+        series("queries_completed_total"),
+    )
 }
 
 #[test]
@@ -193,7 +154,13 @@ fn stats_scrapes_stay_coherent_under_64_client_load() {
     let (admitted, completed) = assert_coherent(&stats, "quiescent scrape");
     assert_eq!(admitted, (CLIENTS * REQUESTS) as u64);
     assert_eq!(completed, admitted);
-    assert_eq!(stats.get("active").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        stats
+            .get("metrics")
+            .and_then(|m| m.get("active_queries"))
+            .and_then(Json::as_u64),
+        Some(0)
+    );
     drop((w, r));
     shutdown_and_join(server);
 }

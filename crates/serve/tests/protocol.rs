@@ -250,10 +250,17 @@ fn batch_lines_fan_out_with_solo_identical_fingerprints() {
         );
     }
     let stats = client.roundtrip(r#"{"cmd":"stats"}"#);
-    let field = |k: &str| stats.get(k).and_then(Json::as_u64).expect(k);
-    assert!(field("batch_queries") >= 4, "stats: {}", stats.encode());
-    assert!(field("batch_width") >= 4);
-    assert!(field("batch_queries") <= field("queries_admitted"));
+    let field = |k: &str| {
+        let series = stats.get("metrics").and_then(|m| m.get(k));
+        series.and_then(Json::as_u64).expect(k)
+    };
+    assert!(
+        field("batch_queries_total") >= 4,
+        "stats: {}",
+        stats.encode()
+    );
+    assert!(field("batch_width_max") >= 4);
+    assert!(field("batch_queries_total") <= field("queries_admitted_total"));
     shutdown_and_join(server);
 }
 
