@@ -5,7 +5,7 @@ use crate::framework::Framework;
 use crate::kernel::{Kernel, Mode};
 use crate::registry::BASELINE_FRAMEWORK;
 use crate::runner::CellRecord;
-use gapbs_graph::gen::{GraphSpec, Scale};
+use gapbs_graph::gen::GraphSpec;
 use gapbs_graph::stats;
 use gapbs_graph::Graph;
 use std::fmt::Write as _;
@@ -40,14 +40,13 @@ impl Heat {
 /// A completed benchmark run.
 #[derive(Debug, Clone)]
 pub struct Report {
-    scale: Scale,
     cells: Vec<CellRecord>,
 }
 
 impl Report {
     /// Wraps completed cells.
-    pub(crate) fn new(scale: Scale, cells: Vec<CellRecord>) -> Self {
-        Report { scale, cells }
+    pub(crate) fn new(cells: Vec<CellRecord>) -> Self {
+        Report { cells }
     }
 
     /// All recorded cells.
@@ -117,13 +116,11 @@ impl Report {
     /// the winning framework.
     pub fn table4(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "TABLE IV — FASTEST TIMES (seconds), corpus scale {}",
-            self.scale
-        );
+        out.push_str("TABLE IV — FASTEST TIMES (seconds)\n");
+        // Room for the longest winner's name, so every row's columns line up.
+        let name = self.frameworks().iter().map(|f| f.len()).max().unwrap_or(0);
         for mode in Mode::ALL {
-            let width = 22 + mark_width(mode);
+            let width = 15 + name + mark_width(mode);
             mode_header(&mut out, mode);
             let _ = write!(out, "  {:>6}", "Kernel");
             for g in GRAPH_ORDER {
@@ -137,7 +134,7 @@ impl Report {
                         Some(c) => {
                             let _ = write!(
                                 out,
-                                " {:>12.6} ({:>7}){}",
+                                " {:>12.6} ({:>name$}){}",
                                 c.stat_seconds(),
                                 c.framework,
                                 mark(c, mode)
@@ -158,11 +155,7 @@ impl Report {
     /// percentages with heat classes.
     pub fn table5(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "TABLE V — SPEEDUP OVER GAP REFERENCE (100% = parity), corpus scale {}",
-            self.scale
-        );
+        out.push_str("TABLE V — SPEEDUP OVER GAP REFERENCE (100% = parity)\n");
         let frameworks = self.frameworks();
         for mode in Mode::ALL {
             let width = 12 + mark_width(mode);
@@ -243,7 +236,7 @@ impl Report {
                 note: fields.get(8).unwrap_or(&"").to_string(),
             });
         }
-        Ok(Report::new(Scale::Medium, cells))
+        Ok(Report::new(cells))
     }
 
     /// Serializes every cell as CSV
@@ -386,14 +379,11 @@ mod tests {
     }
 
     fn sample_report() -> Report {
-        Report::new(
-            Scale::Tiny,
-            vec![
-                record("GAP", Kernel::Bfs, "Kron", Mode::Baseline, 0.2),
-                record("GKC", Kernel::Bfs, "Kron", Mode::Baseline, 0.1),
-                record("GraphIt", Kernel::Bfs, "Kron", Mode::Baseline, 0.4),
-            ],
-        )
+        Report::new(vec![
+            record("GAP", Kernel::Bfs, "Kron", Mode::Baseline, 0.2),
+            record("GKC", Kernel::Bfs, "Kron", Mode::Baseline, 0.1),
+            record("GraphIt", Kernel::Bfs, "Kron", Mode::Baseline, 0.4),
+        ])
     }
 
     #[test]
@@ -428,7 +418,7 @@ mod tests {
         let (b, o) = (Mode::Baseline, Mode::Optimized);
         let mut cells = sample_report().cells;
         cells.push(record("GraphIt", Kernel::Bfs, "Kron", o, 0.05));
-        let r = Report::new(Scale::Tiny, cells);
+        let r = Report::new(cells);
         assert_eq!(r.speedup("GKC", Kernel::Bfs, "Kron", o), Some(2.0));
         assert_eq!(r.speedup("GraphIt", Kernel::Bfs, "Kron", o), Some(4.0));
         assert_eq!(r.fastest(Kernel::Bfs, "Kron", b).unwrap().0, "GKC");
@@ -453,6 +443,38 @@ mod tests {
             bfs.contains("(GraphIt)") && !bfs.contains("= Baseline"),
             "{bfs}"
         );
+    }
+
+    #[test]
+    fn table4_columns_line_up_when_suitesparse_wins() {
+        // SuiteSparse wins the even graphs, GAP the odd ones.
+        let mut cells = Vec::new();
+        for kernel in Kernel::ALL {
+            for (i, g) in GRAPH_ORDER.iter().enumerate() {
+                let ss = if i % 2 == 0 { 0.1 } else { 0.3 };
+                cells.push(record("GAP", kernel, g.name(), Mode::Baseline, 0.2));
+                cells.push(record("SuiteSparse", kernel, g.name(), Mode::Baseline, ss));
+            }
+        }
+        let t4 = Report::new(cells).table4();
+        assert!(!t4.contains("scale"), "{t4}");
+        let baseline = &t4[..t4.find("Optimized").unwrap()];
+        let ends =
+            |line: &str, c: char| -> Vec<usize> { line.match_indices(c).map(|(i, _)| i).collect() };
+        let header = baseline.lines().find(|l| l.contains("Kernel")).unwrap();
+        let name_ends: Vec<usize> = GRAPH_ORDER
+            .iter()
+            .map(|g| header.find(g.name()).unwrap() + g.name().len() - 1)
+            .collect();
+        let rows: Vec<&str> = baseline
+            .lines()
+            .filter(|l| l.starts_with("  ") && l.ends_with(")"))
+            .collect();
+        assert_eq!(rows.len(), Kernel::ALL.len());
+        for row in rows {
+            assert!(row.contains("(SuiteSparse)"), "{row}");
+            assert_eq!(ends(row, ')'), name_ends, "{header}\n{row}");
+        }
     }
 
     #[test]
