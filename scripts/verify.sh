@@ -195,6 +195,9 @@ http_get() {
     cat <&4
     exec 4>&- 4<&-
 }
+# The HTTP /stats body is held to the same checker.
+http_get /stats | tr -d '\r' | sed -e '1,/^$/d' > "$smoke_dir/http_stats.json"
+perf_compare --lint-stats "$smoke_dir/http_stats.json"
 http_get /metrics | tr -d '\r' > "$smoke_dir/metrics.txt"
 head -n 1 "$smoke_dir/metrics.txt" | grep -q ' 200 ' || fail "/metrics did not return 200"
 sed -e '1,/^$/d' "$smoke_dir/metrics.txt" > "$smoke_dir/metrics.body"
